@@ -17,7 +17,6 @@ from isoclinic import (
     make_frame,
     normalize,
     random_rotation,
-    trace,
 )
 
 np.set_printoptions(precision=6, suppress=True)
@@ -28,7 +27,7 @@ frame = make_frame(random_rotation(202))
 direct = conjugate(A, frame)
 factorwise = conjugate_factorwise(A, frame)
 print("max |factorwise - direct conjugation|:", np.max(np.abs(factorwise - direct)))
-print("trace before:", trace(A), " after:", trace(direct))
+print("trace before:", np.trace(A), " after:", np.trace(direct))
 
 # A purely left-isoclinic rotation stays purely left-isoclinic in every
 # frame, with the same angle.

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateNormError,
     InvarianceError,
     IsoclinicError,
+    MalformedInputError,
     NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
@@ -57,14 +58,7 @@ from .quat import (
     random_unit_quaternion,
     right_matrix,
 )
-from .rotation4 import (
-    apply,
-    mat_mul,
-    random_rotation,
-    trace,
-    validate_rotation,
-    van_elfrinkhof,
-)
+from .rotation4 import random_rotation, validate_rotation, van_elfrinkhof
 
 __version__ = "0.1.0"
 
@@ -77,6 +71,7 @@ __all__ = [
     "InvarianceReport",
     "IsoclinicDecomposition",
     "IsoclinicError",
+    "MalformedInputError",
     "NormDeviationError",
     "NotOrthogonalError",
     "NotProperRotationError",
@@ -89,7 +84,6 @@ __all__ = [
     "Tolerances",
     "ValidationError",
     "ZeroQuaternionError",
-    "apply",
     "associate_matrix",
     "associate_norm",
     "canonical_pair",
@@ -102,7 +96,6 @@ __all__ = [
     "isoclinic_angle",
     "left_matrix",
     "make_frame",
-    "mat_mul",
     "max_abs_minor",
     "minor_2x2",
     "normalize",
@@ -113,7 +106,6 @@ __all__ = [
     "random_unit_quaternion",
     "rank1_factor",
     "right_matrix",
-    "trace",
     "validate_rotation",
     "van_elfrinkhof",
 ]

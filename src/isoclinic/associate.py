@@ -1,12 +1,12 @@
 """Splitting a 4D rotation into its left- and right-isoclinic factors.
 
-The key object is a linear recombination of the entries of a 4x4 matrix A,
-built by ``associate_matrix``. When A is the matrix of the two-sided
-quaternion map P -> L*P*R, that recombination equals the outer product
-column(L) * row(R): a rank-1 matrix of unit Frobenius norm whose rows and
-columns are scalar multiples of the two factors. ``decompose`` checks those
-two properties, reads the factors off the largest entry's row and column,
-and verifies the reconstruction, so any matrix that is not close to a 4D
+The key object is the associate matrix of a 4x4 matrix A: the coordinates
+of A in the composition table of ``rotation4``, arranged on a 4x4 grid.
+When A is the matrix of the two-sided quaternion map P -> L*P*R, it equals
+the outer product column(L) * row(R): a rank-1 matrix of unit Frobenius
+norm whose rows and columns are scalar multiples of the two factors.
+``decompose`` checks those two properties, reads the factors off, and
+verifies the reconstruction, so any matrix that is not close to a 4D
 rotation is rejected by one of the checks instead of producing garbage.
 
 The factor pair is unique only up to a joint sign flip: (L, R) and
@@ -28,19 +28,18 @@ from .errors import (
     ReconstructionError,
 )
 from .quat import isoclinic_angle, normalize
-from .rotation4 import as_mat4, van_elfrinkhof
+from .rotation4 import COMPOSITION_TABLE, as_mat4, van_elfrinkhof
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Acceptance thresholds for the decomposition pipeline.
 
-    norm_tol      bound on |Frobenius norm - 1| of the recombined matrix
+    norm_tol      bound on |Frobenius norm - 1| of the associate matrix
     minor_tol     bound on the largest absolute 2x2 minor
     factor_tol    bound on the max-abs residual of the rank-1 refit
     recon_tol     bound on the max-abs residual of the rebuilt rotation
     sign_tol      magnitude a component must exceed to anchor the sign
-    refine_above  minor level above which factor polishing kicks in
     iso_tol       component deviation under which a factor counts as +/-1
     """
 
@@ -49,7 +48,6 @@ class Tolerances:
     factor_tol: float = 1e-10
     recon_tol: float = 1e-9
     sign_tol: float = 1e-8
-    refine_above: float = 1e-12
     iso_tol: float = 1e-9
 
 
@@ -62,38 +60,16 @@ _RI = np.array([i for i, _ in _PAIRS for _ in _PAIRS])
 _RJ = np.array([j for _, j in _PAIRS for _ in _PAIRS])
 _CK = np.array([k for _ in _PAIRS for k, _ in _PAIRS])
 _CL = np.array([l for _ in _PAIRS for _, l in _PAIRS])
-# minors pinned to row 0 and column 0; enough to certify rank 1 when the
-# top-left entry region is nonzero, at a quarter of the work
-_NINE = (_RI == 0) & (_CK == 0)
 
 
 def associate_matrix(A) -> np.ndarray:
-    """Quarter-sum recombination of A that exposes the isoclinic factors.
+    """Coordinates of A in the composition table, as a 4x4 grid.
 
-    Linear in A. Each entry is a signed sum of four entries of A divided
-    by 4; for the matrix of P -> L*P*R the result is exactly
-    column(L) * row(R).
+    The adjoint of ``van_elfrinkhof``'s table, divided by 4: linear in A,
+    each entry a signed quarter-sum of four entries of A. For the matrix
+    of P -> L*P*R the result is exactly column(L) * row(R).
     """
-    A = as_mat4(A)
-    a = A  # local alias keeps the 16 expressions readable
-    return 0.25 * np.array([
-        [a[0, 0] + a[1, 1] + a[2, 2] + a[3, 3],
-         a[1, 0] - a[0, 1] - a[3, 2] + a[2, 3],
-         a[2, 0] + a[3, 1] - a[0, 2] - a[1, 3],
-         a[3, 0] - a[2, 1] + a[1, 2] - a[0, 3]],
-        [a[1, 0] - a[0, 1] + a[3, 2] - a[2, 3],
-         -a[0, 0] - a[1, 1] + a[2, 2] + a[3, 3],
-         a[3, 0] - a[2, 1] - a[1, 2] + a[0, 3],
-         -a[2, 0] - a[3, 1] - a[0, 2] - a[1, 3]],
-        [a[2, 0] - a[3, 1] - a[0, 2] + a[1, 3],
-         -a[3, 0] - a[2, 1] - a[1, 2] - a[0, 3],
-         -a[0, 0] + a[1, 1] - a[2, 2] + a[3, 3],
-         a[1, 0] + a[0, 1] - a[3, 2] - a[2, 3]],
-        [a[3, 0] + a[2, 1] - a[1, 2] - a[0, 3],
-         a[2, 0] - a[3, 1] + a[0, 2] - a[1, 3],
-         -a[1, 0] - a[0, 1] - a[3, 2] - a[2, 3],
-         -a[0, 0] + a[1, 1] + a[2, 2] - a[3, 3]],
-    ])
+    return (COMPOSITION_TABLE.T @ as_mat4(A).ravel() / 4.0).reshape(4, 4)
 
 
 def associate_norm(M) -> float:
@@ -112,17 +88,10 @@ def minor_2x2(M, i: int, j: int, k: int, l: int) -> float:
     return float(M[i, k] * M[j, l] - M[j, k] * M[i, l])
 
 
-def max_abs_minor(M, nine_only: bool = False) -> float:
-    """Largest absolute 2x2 minor; zero (to roundoff) iff rank <= 1.
-
-    Scans all 36 row/column pair combinations by default. With nine_only
-    the scan is restricted to the nine minors touching row 0 and column 0,
-    which suffice to certify rank 1 at lower cost.
-    """
+def max_abs_minor(M) -> float:
+    """Largest absolute 2x2 minor over all 36; zero (to roundoff) iff rank <= 1."""
     M = as_mat4(M)
     minors = M[_RI, _CK] * M[_RJ, _CL] - M[_RJ, _CK] * M[_RI, _CL]
-    if nine_only:
-        minors = minors[_NINE]
     return float(np.max(np.abs(minors)))
 
 
@@ -143,31 +112,28 @@ def canonical_pair(L, R, sign_tol: float = DEFAULT_TOLERANCES.sign_tol):
     return L, R
 
 
-def _pivot_factor(M):
-    """Unit factors from the row and column of the largest entry.
+def _read_off(M, norm, tolerances):
+    """Check that M (of Frobenius norm norm) is rank 1 and split it.
 
-    For an exactly rank-1 M the pivot column and row are exact scalar
-    multiples of the two factors, so one pass recovers them. The relative
-    sign of the pair is set so the rebuilt pivot entry matches M's.
+    L starts as the column of the largest entry; one alternating step,
+    R = M^T L and L = M R, each normalized, moves the pair towards the
+    best rank-1 fit of a nearly rank-1 M and gives outer(L, R) the sign
+    of M, so no sign has to be matched afterwards.
+    Returns the canonical (L, R) and the largest absolute minor.
     """
-    i, j = np.unravel_index(int(np.argmax(np.abs(M))), (4, 4))
-    L = normalize(M[:, j])
-    R = normalize(M[i, :])
-    if L[i] * R[j] * M[i, j] < 0:
-        R = -R
-    return L, R
-
-
-def _refined_factor(M, L, R):
-    """Polish nearly rank-1 factors: two power steps on M^T M, then re-read L."""
-    G = M.T @ M
-    R = normalize(G @ R)
-    R = normalize(G @ R)
+    if norm < 0.5:
+        raise DegenerateNormError(norm)
+    worst_minor = max_abs_minor(M)
+    if worst_minor > tolerances.minor_tol:
+        raise NotRankOneError(worst_minor, tolerances.minor_tol)
+    pivot_column = int(np.argmax(np.abs(M))) % 4
+    R = normalize(M.T @ normalize(M[:, pivot_column]))
     L = normalize(M @ R)
-    i, j = np.unravel_index(int(np.argmax(np.abs(M))), (4, 4))
-    if L[i] * R[j] * M[i, j] < 0:
-        R = -R
-    return L, R
+    residual = float(np.max(np.abs(M - np.outer(L, R))))
+    if residual > tolerances.factor_tol:
+        raise NotRankOneError(residual, tolerances.factor_tol)
+    L, R = canonical_pair(L, R, tolerances.sign_tol)
+    return L, R, worst_minor
 
 
 def rank1_factor(M, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -179,19 +145,7 @@ def rank1_factor(M, tolerances: Tolerances = DEFAULT_TOLERANCES):
     final refit residual, show M is not (unit-scale) rank 1.
     """
     M = as_mat4(M)
-    norm = float(np.linalg.norm(M))
-    if norm < 0.5:
-        raise DegenerateNormError(norm)
-    worst_minor = max_abs_minor(M)
-    if worst_minor > tolerances.minor_tol:
-        raise NotRankOneError(worst_minor, tolerances.minor_tol)
-    L, R = _pivot_factor(M)
-    if worst_minor > tolerances.refine_above:
-        L, R = _refined_factor(M, L, R)
-    residual = float(np.max(np.abs(M - np.outer(L, R))))
-    if residual > tolerances.factor_tol:
-        raise NotRankOneError(residual, tolerances.factor_tol)
-    L, R = canonical_pair(L, R, tolerances.sign_tol)
+    L, R, _ = _read_off(M, float(np.linalg.norm(M)), tolerances)
     return L, R
 
 
@@ -214,19 +168,19 @@ class IsoclinicDecomposition:
 def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomposition:
     """Factor a rotation matrix into its two isoclinic unit quaternions.
 
-    Pipeline: recombine A, check unit norm, check all 36 minors, read off
-    the factors, rebuild and compare. Each check raises its own error
-    carrying the measured value, so inputs far from a 4D rotation fail
-    loudly; in particular orthogonal matrices of determinant -1 pass the
-    norm check but are caught by the minors.
+    Pipeline: form the associate matrix, check unit norm, check all 36
+    minors, read off the factors, rebuild and compare. Each check raises
+    its own error carrying the measured value, so inputs far from a 4D
+    rotation fail loudly; in particular orthogonal matrices of
+    determinant -1 pass the norm check but are caught by the minors.
     """
     A = as_mat4(A)
     M = associate_matrix(A)
-    norm_deviation = abs(float(np.linalg.norm(M)) - 1.0)
+    norm = float(np.linalg.norm(M))
+    norm_deviation = abs(norm - 1.0)
     if norm_deviation > tolerances.norm_tol:
         raise NormDeviationError(norm_deviation, tolerances.norm_tol)
-    worst_minor = max_abs_minor(M)
-    L, R = rank1_factor(M, tolerances)
+    L, R, worst_minor = _read_off(M, norm, tolerances)
     reconstruction_residual = float(np.max(np.abs(A - van_elfrinkhof(L, R))))
     if reconstruction_residual > tolerances.recon_tol:
         raise ReconstructionError(reconstruction_residual, tolerances.recon_tol)

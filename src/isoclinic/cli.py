@@ -8,11 +8,13 @@ with repr, the shortest decimal that round-trips binary64, so piping output
 back in is lossless.
 
 Exit codes: 0 success, 1 decomposition failure, 2 parse or usage error,
-3 validation failure (non-rotation input or zero quaternion).
+3 validation failure (non-rotation input or zero quaternion), 141 (128 +
+SIGPIPE, as a shell reports it) when stdout is closed before the output.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -39,6 +41,7 @@ EXIT_OK = 0
 EXIT_DECOMPOSITION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt(x) -> str:
@@ -163,14 +166,19 @@ def _emit_matrix(A, as_json: bool) -> None:
         print(_matrix_line(A))
 
 
+def _factor_input(args):
+    """Read, validate, decompose and classify the input matrix."""
+    A = _read_matrix(args)
+    validate_rotation(A, args.ortho_tol, args.ortho_tol)
+    result = decompose(A, _tolerances(args))
+    return result, classify_pair(result.left, result.right, args.iso_tol)
+
+
 def cmd_decompose(args) -> int:
     try:
-        A = _read_matrix(args)
-        validate_rotation(A, args.ortho_tol, args.ortho_tol)
-        result = decompose(A, _tolerances(args))
+        result, kind = _factor_input(args)
     except (ValidationError, DecompositionError) as exc:
         return _rejection(args, exc)
-    kind = classify_pair(result.left, result.right, args.iso_tol)
     if args.json:
         report = {
             "status": "ok",
@@ -234,7 +242,6 @@ def cmd_verify(args) -> int:
     M = associate_matrix(A)
     norm_deviation = abs(float(np.linalg.norm(M)) - 1.0)
     minor_all = max_abs_minor(M)
-    minor_nine = max_abs_minor(M, nine_only=True)
     tol = _tolerances(args)
     checks = {
         "orthogonality": {"measured": ortho_deviation, "tol": args.ortho_tol,
@@ -243,8 +250,8 @@ def cmd_verify(args) -> int:
                         "pass": abs(det - 1.0) <= args.ortho_tol},
         "norm_deviation": {"measured": norm_deviation, "tol": tol.norm_tol,
                            "pass": norm_deviation <= tol.norm_tol},
-        "max_minor": {"measured": minor_all, "nine_minor": minor_nine,
-                      "tol": tol.minor_tol, "pass": minor_all <= tol.minor_tol},
+        "max_minor": {"measured": minor_all, "tol": tol.minor_tol,
+                      "pass": minor_all <= tol.minor_tol},
     }
     ok = all(entry["pass"] for entry in checks.values())
     if args.json:
@@ -254,10 +261,7 @@ def cmd_verify(args) -> int:
     else:
         for name, entry in checks.items():
             verdict = "pass" if entry["pass"] else "FAIL"
-            line = f"{name}: {_fmt(entry['measured'])} [{verdict}] (tol {entry['tol']:g})"
-            if "nine_minor" in entry:
-                line += f"; nine-minor figure {_fmt(entry['nine_minor'])}"
-            print(line)
+            print(f"{name}: {_fmt(entry['measured'])} [{verdict}] (tol {entry['tol']:g})")
         print(f"overall: {'ok' if ok else 'rejected'}")
     if ok:
         return EXIT_OK
@@ -268,12 +272,9 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        A = _read_matrix(args)
-        validate_rotation(A, args.ortho_tol, args.ortho_tol)
-        result = decompose(A, _tolerances(args))
+        _, kind = _factor_input(args)
     except (ValidationError, DecompositionError) as exc:
         return _rejection(args, exc)
-    kind = classify_pair(result.left, result.right, args.iso_tol)
     if args.json:
         print(json.dumps({"status": "ok",
                           "class": kind.kind.value,
@@ -392,4 +393,12 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)

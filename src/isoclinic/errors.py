@@ -24,6 +24,13 @@ class ValidationError(IsoclinicError):
     """A matrix failed rotation validation."""
 
 
+class MalformedInputError(ValidationError, ValueError):
+    """An input is not an array of reals, has the wrong shape or a non-finite entry.
+
+    Also a ValueError, the type such input raises across numpy.
+    """
+
+
 class NotOrthogonalError(ValidationError):
     def __init__(self, deviation, tol):
         super().__init__(

@@ -9,7 +9,7 @@ convention ij = k; that convention is what makes ``left_matrix`` and
 
 import numpy as np
 
-from .errors import ZeroQuaternionError
+from .errors import MalformedInputError, ZeroQuaternionError
 
 # |w^2 + x^2 + y^2 + z^2 - 1| allowed for a unit quaternion
 UNIT_TOL = 1e-12
@@ -21,11 +21,14 @@ IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 def as_quaternion(q) -> np.ndarray:
     """Coerce to a float array of shape (4,) with finite components."""
-    q = np.asarray(q, dtype=float)
+    try:
+        q = np.asarray(q, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"quaternion is not an array of reals: {exc}") from exc
     if q.shape != (4,):
-        raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
+        raise MalformedInputError(f"quaternion must have shape (4,), got {q.shape}")
     if not np.all(np.isfinite(q)):
-        raise ValueError("quaternion components must be finite")
+        raise MalformedInputError("quaternion components must be finite")
     return q
 
 

@@ -1,38 +1,41 @@
-"""4x4 rotation matrices: validation, two-sided quaternion composition, action.
+"""4x4 rotation matrices: validation and two-sided quaternion composition.
 
 A rotation here is an orthogonal 4x4 matrix with determinant +1, acting on
-column vectors (w, x, y, z) of R^4. ``van_elfrinkhof`` builds the matrix of
-the two-sided quaternion map P -> L*P*R directly from the 16 bilinear
-component expressions; it factors as left_matrix(L) @ right_matrix(R).
+column vectors (w, x, y, z) of R^4. Every such matrix is the matrix of a
+two-sided quaternion map P -> L*P*R, which is linear in the outer product
+of L and R; ``COMPOSITION_TABLE`` is that linear map.
 """
 
 import numpy as np
 
-from .errors import NotOrthogonalError, NotProperRotationError
-from .quat import check_unit, normalize
+from .errors import MalformedInputError, NotOrthogonalError, NotProperRotationError
+from .quat import check_unit, normalize, quat_mul
 
 # input validation bounds, deliberately looser than internal arithmetic
 # accuracy so mildly noisy external matrices are accepted
 ORTHO_TOL = 1e-9
 DET_TOL = 1e-9
 
+# e_a * e_b = sum over c of _HAMILTON[a, b, c] * e_c, for the basis (1, i, j, k)
+_HAMILTON = np.array([[quat_mul(a, b) for b in np.eye(4)] for a in np.eye(4)])
+# B, 16x16: column 4*i + j is the row-major matrix of P -> e_i*P*e_j, whose
+# column m is e_i * e_m * e_j, so the matrix of P -> L*P*R is
+# B @ vec(outer(L, R)). Its entries are 0 and +/-1 and B^T B = 4I, so
+# B^T / 4 inverts it.
+COMPOSITION_TABLE = np.einsum("imc,cjr->rmij", _HAMILTON, _HAMILTON).reshape(16, 16)
+
 
 def as_mat4(A) -> np.ndarray:
     """Coerce to a float array of shape (4, 4) with finite entries."""
-    A = np.asarray(A, dtype=float)
+    try:
+        A = np.asarray(A, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"matrix is not an array of reals: {exc}") from exc
     if A.shape != (4, 4):
-        raise ValueError(f"matrix must have shape (4, 4), got {A.shape}")
+        raise MalformedInputError(f"matrix must have shape (4, 4), got {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+        raise MalformedInputError("matrix entries must be finite")
     return A
-
-
-def mat_mul(A, B) -> np.ndarray:
-    return as_mat4(A) @ as_mat4(B)
-
-
-def trace(A) -> float:
-    return float(np.trace(as_mat4(A)))
 
 
 def validate_rotation(A, ortho_tol: float = ORTHO_TOL,
@@ -55,33 +58,12 @@ def validate_rotation(A, ortho_tol: float = ORTHO_TOL,
 
 
 def van_elfrinkhof(L, R) -> np.ndarray:
-    """Matrix of P -> L*P*R for unit quaternions L = (a,b,c,d), R = (p,q,r,s).
+    """Matrix of P -> L*P*R for unit quaternions L and R.
 
-    Built entry by entry from the bilinear expansion rather than as a
-    product of two matrices, so it serves as an independent reference for
-    left_matrix(L) @ right_matrix(R). Every entry is bilinear in (L, R),
-    hence van_elfrinkhof(-L, -R) is exactly the same matrix.
+    One product with the composition table. Every entry is bilinear in
+    (L, R), hence van_elfrinkhof(-L, -R) is exactly the same matrix.
     """
-    a, b, c, d = check_unit(L)
-    p, q, r, s = check_unit(R)
-    return np.array([
-        [a*p - b*q - c*r - d*s, -a*q - b*p + c*s - d*r,
-         -a*r - b*s - c*p + d*q, -a*s + b*r - c*q - d*p],
-        [b*p + a*q - d*r + c*s, -b*q + a*p + d*s + c*r,
-         -b*r + a*s - d*p - c*q, -b*s - a*r - d*q + c*p],
-        [c*p + d*q + a*r - b*s, -c*q + d*p - a*s - b*r,
-         -c*r + d*s + a*p + b*q, -c*s - d*r + a*q - b*p],
-        [d*p - c*q + b*r + a*s, -d*q - c*p - b*s + a*r,
-         -d*r - c*s + b*p - a*q, -d*s + c*r + b*q + a*p],
-    ])
-
-
-def apply(A, point) -> np.ndarray:
-    """Rotate a point: matrix-vector product A @ (w, x, y, z)."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (4,):
-        raise ValueError(f"point must have shape (4,), got {point.shape}")
-    return as_mat4(A) @ point
+    return (COMPOSITION_TABLE @ np.outer(check_unit(L), check_unit(R)).ravel()).reshape(4, 4)
 
 
 def random_rotation(seed) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing here reuses the package's closed-form recombination or pivot
-factorization: factors are recovered by a generic 16x16 linear solve plus
+Nothing here reuses the package's composition table or its factor
+read-off: the associate matrix and the two-sided product are spelled out
+entry by entry, factors are recovered by a generic 16x16 linear solve plus
 an SVD, and minors are scanned with plain Python loops, so agreement with
 the library is evidence rather than tautology.
 """
@@ -11,6 +12,46 @@ from itertools import combinations
 import numpy as np
 
 from isoclinic import left_matrix, right_matrix
+
+
+def associate_reference(A):
+    """Associate matrix of A, each entry a signed quarter-sum written out."""
+    a = np.asarray(A, dtype=float)
+    return 0.25 * np.array([
+        [a[0, 0] + a[1, 1] + a[2, 2] + a[3, 3],
+         a[1, 0] - a[0, 1] - a[3, 2] + a[2, 3],
+         a[2, 0] + a[3, 1] - a[0, 2] - a[1, 3],
+         a[3, 0] - a[2, 1] + a[1, 2] - a[0, 3]],
+        [a[1, 0] - a[0, 1] + a[3, 2] - a[2, 3],
+         -a[0, 0] - a[1, 1] + a[2, 2] + a[3, 3],
+         a[3, 0] - a[2, 1] - a[1, 2] + a[0, 3],
+         -a[2, 0] - a[3, 1] - a[0, 2] - a[1, 3]],
+        [a[2, 0] - a[3, 1] - a[0, 2] + a[1, 3],
+         -a[3, 0] - a[2, 1] - a[1, 2] - a[0, 3],
+         -a[0, 0] + a[1, 1] - a[2, 2] + a[3, 3],
+         a[1, 0] + a[0, 1] - a[3, 2] - a[2, 3]],
+        [a[3, 0] + a[2, 1] - a[1, 2] - a[0, 3],
+         a[2, 0] - a[3, 1] + a[0, 2] - a[1, 3],
+         -a[1, 0] - a[0, 1] - a[3, 2] - a[2, 3],
+         -a[0, 0] + a[1, 1] + a[2, 2] - a[3, 3]],
+    ])
+
+
+def bilinear_composition(L, R):
+    """Matrix of P -> L*P*R for L = (a,b,c,d), R = (p,q,r,s), entry by entry
+    from the bilinear expansion of the two Hamilton products."""
+    a, b, c, d = np.asarray(L, dtype=float)
+    p, q, r, s = np.asarray(R, dtype=float)
+    return np.array([
+        [a*p - b*q - c*r - d*s, -a*q - b*p + c*s - d*r,
+         -a*r - b*s - c*p + d*q, -a*s + b*r - c*q - d*p],
+        [b*p + a*q - d*r + c*s, -b*q + a*p + d*s + c*r,
+         -b*r + a*s - d*p - c*q, -b*s - a*r - d*q + c*p],
+        [c*p + d*q + a*r - b*s, -c*q + d*p - a*s - b*r,
+         -c*r + d*s + a*p + b*q, -c*s - d*r + a*q - b*p],
+        [d*p - c*q + b*r + a*s, -d*q - c*p - b*s + a*r,
+         -d*r - c*s + b*p - a*q, -d*s + c*r + b*q + a*p],
+    ])
 
 
 def solve_factor_pair(A):

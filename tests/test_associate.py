@@ -25,7 +25,7 @@ from isoclinic import (
     right_matrix,
     van_elfrinkhof,
 )
-from oracles import brute_max_minor, pair_deviation, random_improper
+from oracles import associate_reference, brute_max_minor, pair_deviation, random_improper
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -45,6 +45,13 @@ def test_recombination_is_outer_product_of_factors(seed):
     R = normalize(rng.standard_normal(4))
     M = associate_matrix(van_elfrinkhof(L, R))
     assert np.max(np.abs(M - np.outer(L, R))) <= 1e-13
+
+
+def test_associate_matrix_matches_reference_formula():
+    rng = np.random.default_rng(40)
+    for _ in range(2000):
+        A = rng.standard_normal((4, 4))
+        assert np.max(np.abs(associate_matrix(A) - associate_reference(A))) <= 1e-15
 
 
 def test_recombination_is_linear():
@@ -91,19 +98,6 @@ def test_max_abs_minor_matches_brute_scan():
         M = rng.standard_normal((4, 4))
         assert max_abs_minor(M) == pytest.approx(brute_max_minor(M), abs=1e-13)
     assert max_abs_minor(np.eye(4)) == 1.0
-
-
-def test_nine_minor_shortcut():
-    for seed in range(100):
-        M = associate_matrix(random_rotation(seed))
-        full = max_abs_minor(M)
-        nine = max_abs_minor(M, nine_only=True)
-        assert nine <= full
-        assert (full <= 1e-10) == (nine <= 1e-10)
-    # the shortcut must also agree on rejections
-    M = associate_matrix(np.diag([1.0, 1.0, 1.0, -1.0]))
-    assert max_abs_minor(M, nine_only=True) > 1e-10
-    assert max_abs_minor(M) > 1e-10
 
 
 def test_rank1_factor_corner_cases():
@@ -211,8 +205,8 @@ def test_decompose_rejects_scaled_input():
 
 
 def test_decompose_tolerates_tiny_noise():
-    """Perturbations around 1e-11 land in the refinement window and still
-    reconstruct well below the acceptance threshold."""
+    """Perturbations around 1e-11 leave small nonzero minors, below
+    minor_tol, and still reconstruct well below the acceptance threshold."""
     rng = np.random.default_rng(21)
     A = random_rotation(rng)
     noisy = A + 1e-11 * rng.standard_normal((4, 4))

@@ -222,14 +222,19 @@ ENTRYPOINT = [sys.executable, "-c",
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
-def assert_round_trip(command):
-    """generate, decompose --json and compose, each in a fresh process started
-    as `command`, rebuild the generated matrix to within 1e-11."""
-    # The children import the same isoclinic as this process, whatever their
-    # working directory and whatever is installed.
+def child_env():
+    """Environment in which a child process imports the same isoclinic as
+    this process, whatever its working directory and whatever is installed."""
     env = dict(os.environ)
     source = str(Path(isoclinic.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
+
+
+def assert_round_trip(command):
+    """generate, decompose --json and compose, each in a fresh process started
+    as `command`, rebuild the generated matrix to within 1e-11."""
+    env = child_env()
 
     def run(*args, stdin=None):
         proc = subprocess.run([*command, *args], input=stdin, env=env,
@@ -261,6 +266,21 @@ def test_console_script_declared():
     assert scripts.get("isoclinic") == "isoclinic.cli:entrypoint"
     module, _, name = scripts["isoclinic"].partition(":")
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early, as in `generate ... | head -1`, gets no
+    traceback on stderr."""
+    proc = subprocess.Popen([*ENTRYPOINT, "generate", "--seed", "1", "--count", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert len(first.split()) == 16
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert code == 141
 
 
 @pytest.mark.skipif(shutil.which("isoclinic") is None,

@@ -7,39 +7,31 @@ from hypothesis import strategies as st
 
 from isoclinic import (
     IDENTITY,
+    IsoclinicError,
+    MalformedInputError,
     NotOrthogonalError,
     NotProperRotationError,
-    apply,
+    decompose,
     left_matrix,
-    mat_mul,
     normalize,
     quat_mul,
     random_rotation,
     right_matrix,
-    trace,
     validate_rotation,
     van_elfrinkhof,
 )
+from isoclinic.rotation4 import COMPOSITION_TABLE
+from oracles import bilinear_composition
 
 seeds = st.integers(0, 2**32 - 1)
 
 
-def test_mat_mul_identity():
-    A = random_rotation(1)
-    assert np.array_equal(mat_mul(np.eye(4), A), A)
-
-
-def test_mat_mul_transpose_is_inverse():
-    A = random_rotation(2)
-    assert np.max(np.abs(mat_mul(A, A.T) - np.eye(4))) <= 1e-9
-
-
-def test_mat_mul_pure_imaginary_factors():
+def test_pure_imaginary_factors():
     # both factors i: the product negates the (w, x) plane and fixes (y, z),
     # worked out from the bilinear expansion with b = q = 1
     i = [0.0, 1.0, 0.0, 0.0]
     expected = np.diag([-1.0, -1.0, 1.0, 1.0])
-    product = mat_mul(left_matrix(i), right_matrix(i))
+    product = left_matrix(i) @ right_matrix(i)
     assert np.array_equal(product, expected)
     assert np.array_equal(van_elfrinkhof(i, i), expected)
 
@@ -79,6 +71,24 @@ def test_van_elfrinkhof_matches_matrix_product(seed):
     assert np.max(np.abs(van_elfrinkhof(L, R) - product)) <= 1e-14
 
 
+def test_composition_table():
+    """Column 4*i + j is the matrix of P -> e_i*P*e_j, and B^T B = 4I."""
+    basis = np.eye(4)
+    for i in range(4):
+        for j in range(4):
+            expected = left_matrix(basis[i]) @ right_matrix(basis[j])
+            assert np.array_equal(COMPOSITION_TABLE[:, 4 * i + j].reshape(4, 4), expected)
+    assert np.array_equal(COMPOSITION_TABLE.T @ COMPOSITION_TABLE, 4.0 * np.eye(16))
+
+
+def test_van_elfrinkhof_matches_bilinear_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        L = normalize(rng.standard_normal(4))
+        R = normalize(rng.standard_normal(4))
+        assert np.max(np.abs(van_elfrinkhof(L, R) - bilinear_composition(L, R))) <= 1e-15
+
+
 @settings(deadline=None)
 @given(seeds)
 def test_left_right_factors_commute(seed):
@@ -96,12 +106,6 @@ def test_joint_sign_flip_is_exact():
         assert np.array_equal(van_elfrinkhof(L, R), van_elfrinkhof(-L, -R))
 
 
-def test_apply_fixed_points():
-    p = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(apply(np.eye(4), p), p)
-    assert np.array_equal(apply(-np.eye(4), p), -p)
-
-
 @settings(deadline=None)
 @given(seeds)
 def test_apply_matches_two_sided_product(seed):
@@ -109,7 +113,7 @@ def test_apply_matches_two_sided_product(seed):
     L = normalize(rng.standard_normal(4))
     R = normalize(rng.standard_normal(4))
     P = rng.standard_normal(4)
-    image = apply(van_elfrinkhof(L, R), P)
+    image = van_elfrinkhof(L, R) @ P
     assert np.max(np.abs(image - quat_mul(quat_mul(L, P), R))) <= 1e-12
 
 
@@ -119,7 +123,7 @@ def test_apply_preserves_length(seed):
     rng = np.random.default_rng(seed)
     A = random_rotation(rng)
     p = rng.standard_normal(4)
-    assert np.linalg.norm(apply(A, p)) == pytest.approx(np.linalg.norm(p), rel=1e-12)
+    assert np.linalg.norm(A @ p) == pytest.approx(np.linalg.norm(p), rel=1e-12)
 
 
 def test_random_rotation_is_valid_and_deterministic():
@@ -130,10 +134,10 @@ def test_random_rotation_is_valid_and_deterministic():
 
 
 def test_trace():
-    assert trace(np.eye(4)) == 4.0
-    assert trace(-np.eye(4)) == -4.0
+    # all four diagonal entries of a left or right matrix are the scalar part
     L = normalize([3.0, 1.0, -2.0, 0.5])
-    assert trace(left_matrix(L)) == 4.0 * L[0]
+    assert np.trace(left_matrix(L)) == 4.0 * L[0]
+    assert np.trace(right_matrix(L)) == 4.0 * L[0]
 
 
 def test_complementary_minors():
@@ -154,8 +158,29 @@ def test_complementary_minors():
 
 def test_bad_shapes_rejected():
     with pytest.raises(ValueError):
-        mat_mul(np.eye(3), np.eye(3))
+        validate_rotation(np.eye(3))
     with pytest.raises(ValueError):
-        apply(np.eye(4), [1.0, 2.0, 3.0])
+        van_elfrinkhof(IDENTITY, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         validate_rotation(np.full((4, 4), np.inf))
+
+
+def test_malformed_input_is_typed():
+    """NaN, inf, ragged or non-numeric entries and every wrong shape raise
+    an IsoclinicError, which is still a ValueError."""
+    A = random_rotation(42)
+    malformed = [A[:3], A[:, :3], A.ravel(), np.hstack([A, np.zeros((4, 1))]), A[None], 1.0,
+                 [[1.0, 0.0], [0.0]], [["a"] * 4] * 4]
+    for i, bad in ((3, np.nan), (7, np.inf), (12, -np.inf)):
+        nonfinite = A.copy()
+        nonfinite.flat[i] = bad
+        malformed.append(nonfinite)
+    for entry in (validate_rotation, decompose):
+        for bad in malformed:
+            with pytest.raises(IsoclinicError) as info:
+                entry(bad)
+            assert isinstance(info.value, MalformedInputError)
+            assert isinstance(info.value, ValueError)
+    for q in ([1.0, np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, [0.0], 0.0, 0.0]):
+        with pytest.raises(MalformedInputError):
+            normalize(q)
