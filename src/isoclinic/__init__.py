@@ -34,6 +34,7 @@ from .errors import (
     NotOrthogonalError,
     NotProperRotationError,
     NotRankOneError,
+    NotUnitQuaternionError,
     ParseError,
     ReconstructionError,
     ValidationError,
@@ -76,6 +77,7 @@ __all__ = [
     "NotOrthogonalError",
     "NotProperRotationError",
     "NotRankOneError",
+    "NotUnitQuaternionError",
     "ParseError",
     "ReconstructionError",
     "RotationClass",

@@ -16,8 +16,10 @@ positive; the other decomposition is always the negated pair.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul, sub
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .errors import (
     NotRankOneError,
     ReconstructionError,
 )
-from .quat import isoclinic_angle, normalize
-from .rotation4 import COMPOSITION_TABLE, as_mat4, van_elfrinkhof
+from .quat import _angle, _unit, as_quaternion
+from .rotation4 import COMPOSITION_TABLE, _two_sided, as_mat4
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,12 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 # row pairs (i, j) and column pairs (k, l) of all C(4,2)^2 = 36 2x2 minors,
-# flattened so the whole scan is four fancy-indexed reads
+# as the row-major positions of m_ik, m_jl, m_jk and m_il
 _PAIRS = list(combinations(range(4), 2))
-_RI = np.array([i for i, _ in _PAIRS for _ in _PAIRS])
-_RJ = np.array([j for _, j in _PAIRS for _ in _PAIRS])
-_CK = np.array([k for _ in _PAIRS for k, _ in _PAIRS])
-_CL = np.array([l for _ in _PAIRS for _, l in _PAIRS])
+_MINORS = tuple((4 * i + k, 4 * j + l, 4 * j + k, 4 * i + l)
+                for i, j in _PAIRS for k, l in _PAIRS)
+# the adjoint of the composition table over 4, which inverts it
+_ASSOC = COMPOSITION_TABLE.T / 4.0
 
 
 def associate_matrix(A) -> np.ndarray:
@@ -69,12 +71,12 @@ def associate_matrix(A) -> np.ndarray:
     each entry a signed quarter-sum of four entries of A. For the matrix
     of P -> L*P*R the result is exactly column(L) * row(R).
     """
-    return (COMPOSITION_TABLE.T @ as_mat4(A).ravel() / 4.0).reshape(4, 4)
+    return (_ASSOC @ as_mat4(A).ravel()).reshape(4, 4)
 
 
 def associate_norm(M) -> float:
     """Frobenius norm; exactly 1 when M comes from a rotation matrix."""
-    return float(np.linalg.norm(as_mat4(M)))
+    return math.hypot(*as_mat4(M).ravel().tolist())
 
 
 def minor_2x2(M, i: int, j: int, k: int, l: int) -> float:
@@ -90,9 +92,12 @@ def minor_2x2(M, i: int, j: int, k: int, l: int) -> float:
 
 def max_abs_minor(M) -> float:
     """Largest absolute 2x2 minor over all 36; zero (to roundoff) iff rank <= 1."""
-    M = as_mat4(M)
-    minors = M[_RI, _CK] * M[_RJ, _CL] - M[_RJ, _CK] * M[_RI, _CL]
-    return float(np.max(np.abs(minors)))
+    return _max_minor(as_mat4(M).ravel().tolist())
+
+
+def _max_minor(m) -> float:
+    """max_abs_minor for the 16 entries of M as a row-major list of floats."""
+    return max([abs(m[ik] * m[jl] - m[jk] * m[il]) for ik, jl, jk, il in _MINORS])
 
 
 def canonical_pair(L, R, sign_tol: float = DEFAULT_TOLERANCES.sign_tol):
@@ -102,37 +107,40 @@ def canonical_pair(L, R, sign_tol: float = DEFAULT_TOLERANCES.sign_tol):
     quaternions are negated. A unit quaternion always has a component of
     magnitude at least 1/2, so an anchor exists for any sane sign_tol.
     """
-    L = np.asarray(L, dtype=float)
-    R = np.asarray(R, dtype=float)
-    for component in L:
-        if abs(component) > sign_tol:
-            if component < 0:
-                return -L, -R
-            break
-    return L, R
+    L, R = _canonical(np.asarray(L, dtype=float).tolist(),
+                      np.asarray(R, dtype=float).tolist(), sign_tol)
+    return np.array(L), np.array(R)
 
 
-def _read_off(M, norm, tolerances):
-    """Check that M (of Frobenius norm norm) is rank 1 and split it.
+def _canonical(L, R, sign_tol):
+    """canonical_pair for lists of four floats."""
+    anchor = next((component for component in L if abs(component) > sign_tol), 0.0)
+    return ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
+
+
+def _read_off(m, norm, tolerances):
+    """Check that M (row-major list m, Frobenius norm norm) is rank 1 and split it.
 
     L starts as the column of the largest entry; one alternating step,
     R = M^T L and L = M R, each normalized, moves the pair towards the
     best rank-1 fit of a nearly rank-1 M and gives outer(L, R) the sign
     of M, so no sign has to be matched afterwards.
-    Returns the canonical (L, R) and the largest absolute minor.
+    Returns the canonical (L, R) as lists and the largest absolute minor.
     """
     if norm < 0.5:
         raise DegenerateNormError(norm)
-    worst_minor = max_abs_minor(M)
+    worst_minor = _max_minor(m)
     if worst_minor > tolerances.minor_tol:
         raise NotRankOneError(worst_minor, tolerances.minor_tol)
-    pivot_column = int(np.argmax(np.abs(M))) % 4
-    R = normalize(M.T @ normalize(M[:, pivot_column]))
-    L = normalize(M @ R)
-    residual = float(np.max(np.abs(M - np.outer(L, R))))
+    magnitudes = list(map(abs, m))
+    pivot_column = magnitudes.index(max(magnitudes)) % 4
+    L = _unit(m[pivot_column::4])
+    R = _unit([sum(map(mul, m[column::4], L)) for column in range(4)])
+    L = _unit([sum(map(mul, m[row:row + 4], R)) for row in range(0, 16, 4)])
+    residual = max(map(abs, map(sub, m, [left * right for left in L for right in R])))
     if residual > tolerances.factor_tol:
         raise NotRankOneError(residual, tolerances.factor_tol)
-    L, R = canonical_pair(L, R, tolerances.sign_tol)
+    L, R = _canonical(L, R, tolerances.sign_tol)
     return L, R, worst_minor
 
 
@@ -144,9 +152,9 @@ def rank1_factor(M, tolerances: Tolerances = DEFAULT_TOLERANCES):
     carry a factorization and NotRankOneError when the minors, or the
     final refit residual, show M is not (unit-scale) rank 1.
     """
-    M = as_mat4(M)
-    L, R, _ = _read_off(M, float(np.linalg.norm(M)), tolerances)
-    return L, R
+    m = as_mat4(M).ravel().tolist()
+    L, R, _ = _read_off(m, math.hypot(*m), tolerances)
+    return np.array(L), np.array(R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,19 +182,19 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     rotation fail loudly; in particular orthogonal matrices of
     determinant -1 pass the norm check but are caught by the minors.
     """
-    A = as_mat4(A)
-    M = associate_matrix(A)
-    norm = float(np.linalg.norm(M))
+    a = as_mat4(A).ravel()
+    m = (_ASSOC @ a).tolist()
+    norm = math.hypot(*m)
     norm_deviation = abs(norm - 1.0)
     if norm_deviation > tolerances.norm_tol:
         raise NormDeviationError(norm_deviation, tolerances.norm_tol)
-    L, R, worst_minor = _read_off(M, norm, tolerances)
-    reconstruction_residual = float(np.max(np.abs(A - van_elfrinkhof(L, R))))
+    L, R, worst_minor = _read_off(m, norm, tolerances)
+    reconstruction_residual = float(np.abs(a - _two_sided(L, R)).max())
     if reconstruction_residual > tolerances.recon_tol:
         raise ReconstructionError(reconstruction_residual, tolerances.recon_tol)
     return IsoclinicDecomposition(
-        left=L,
-        right=R,
+        left=np.array(L),
+        right=np.array(R),
         reconstruction_residual=reconstruction_residual,
         norm_deviation=norm_deviation,
         max_minor=worst_minor,
@@ -212,8 +220,8 @@ class RotationClass:
 
 def _trivial_deviation(q) -> float:
     """Distance (max-abs, best sign) of q from the identity quaternion."""
-    e = np.array([1.0, 0.0, 0.0, 0.0])
-    return min(float(np.max(np.abs(q - e))), float(np.max(np.abs(q + e))))
+    w, x, y, z = q
+    return max(min(abs(w - 1.0), abs(w + 1.0)), abs(x), abs(y), abs(z))
 
 
 def classify_pair(L, R, iso_tol: float = DEFAULT_TOLERANCES.iso_tol) -> RotationClass:
@@ -224,8 +232,8 @@ def classify_pair(L, R, iso_tol: float = DEFAULT_TOLERANCES.iso_tol) -> Rotation
     left- or right-isoclinic rotation; two nontrivial factors make the
     general case. Angles are those of the factors as given.
     """
-    L = np.asarray(L, dtype=float)
-    R = np.asarray(R, dtype=float)
+    L = as_quaternion(L).tolist()
+    R = as_quaternion(R).tolist()
     left_trivial = _trivial_deviation(L) <= iso_tol
     right_trivial = _trivial_deviation(R) <= iso_tol
     if left_trivial and right_trivial:
@@ -238,8 +246,8 @@ def classify_pair(L, R, iso_tol: float = DEFAULT_TOLERANCES.iso_tol) -> Rotation
         kind = RotationKind.GENERAL
     return RotationClass(
         kind=kind,
-        left_angle=isoclinic_angle(L),
-        right_angle=isoclinic_angle(R),
+        left_angle=_angle(L),
+        right_angle=_angle(R),
     )
 
 

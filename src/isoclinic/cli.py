@@ -23,6 +23,7 @@ from .associate import (
     DEFAULT_TOLERANCES,
     Tolerances,
     associate_matrix,
+    associate_norm,
     classify_pair,
     decompose,
     max_abs_minor,
@@ -96,14 +97,14 @@ def parse_matrix(text: str, fmt: str = "auto") -> np.ndarray:
 
 
 def _read_matrix(args) -> np.ndarray:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.input}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {args.input}: {exc}") from exc
     return parse_matrix(text, args.format)
 
 
@@ -240,7 +241,7 @@ def cmd_verify(args) -> int:
     ortho_deviation = float(np.max(np.abs(A.T @ A - np.eye(4))))
     det = float(np.linalg.det(A))
     M = associate_matrix(A)
-    norm_deviation = abs(float(np.linalg.norm(M)) - 1.0)
+    norm_deviation = abs(associate_norm(M) - 1.0)
     minor_all = max_abs_minor(M)
     tol = _tolerances(args)
     checks = {

@@ -31,6 +31,19 @@ class MalformedInputError(ValidationError, ValueError):
     """
 
 
+class NotUnitQuaternionError(ValidationError, ValueError):
+    """A quaternion is off the unit 3-sphere; also a ValueError, as before it had a type."""
+
+    def __init__(self, deviation, tol):
+        super().__init__(
+            f"not a unit quaternion: |q|^2 deviates from 1 by {deviation:.3e} "
+            f"(tolerance {tol:.1e})"
+        )
+        self.deviation = deviation
+        self.tol = tol
+        self.measured = deviation
+
+
 class NotOrthogonalError(ValidationError):
     def __init__(self, deviation, tol):
         super().__init__(

@@ -58,7 +58,7 @@ def conjugate_factorwise(A, frame: SimilarityFrame,
     factor, and returns the product. Equals conjugate(A, frame) because
     the cross terms commute.
     """
-    decomposition = decompose(as_mat4(A), tolerances)
+    decomposition = decompose(A, tolerances)
     a_left = left_matrix(decomposition.left)
     a_right = right_matrix(decomposition.right)
     s_left = left_matrix(frame.s_left)
@@ -84,7 +84,7 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
     within angle_tol, raising InvarianceError with both classifications on
     any mismatch. Returns the report when the check passes.
     """
-    original = classify(as_mat4(A), tolerances=tolerances)
+    original = classify(A, tolerances=tolerances)
     transformed = classify(conjugate(A, frame), tolerances=tolerances)
     angle_deviation = max(
         abs(original.left_angle - transformed.left_angle),

@@ -7,9 +7,11 @@ convention ij = k; that convention is what makes ``left_matrix`` and
 ``right_matrix`` act as matrix-vector products.
 """
 
+import math
+
 import numpy as np
 
-from .errors import MalformedInputError, ZeroQuaternionError
+from .errors import MalformedInputError, NotUnitQuaternionError, ZeroQuaternionError
 
 # |w^2 + x^2 + y^2 + z^2 - 1| allowed for a unit quaternion
 UNIT_TOL = 1e-12
@@ -27,19 +29,22 @@ def as_quaternion(q) -> np.ndarray:
         raise MalformedInputError(f"quaternion is not an array of reals: {exc}") from exc
     if q.shape != (4,):
         raise MalformedInputError(f"quaternion must have shape (4,), got {q.shape}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise MalformedInputError("quaternion components must be finite")
     return q
 
 
 def check_unit(q, tol: float = UNIT_TOL) -> np.ndarray:
     """Validate that q lies on the unit 3-sphere within tol."""
-    q = as_quaternion(q)
-    deviation = abs(float(q @ q) - 1.0)
+    return np.array(_check_unit(as_quaternion(q).tolist(), tol))
+
+
+def _check_unit(q, tol: float = UNIT_TOL):
+    """check_unit for a list of four floats; returns q."""
+    w, x, y, z = q
+    deviation = abs(w * w + x * x + y * y + z * z - 1.0)
     if deviation > tol:
-        raise ValueError(
-            f"not a unit quaternion: |q|^2 deviates from 1 by {deviation:.3e}"
-        )
+        raise NotUnitQuaternionError(deviation, tol)
     return q
 
 
@@ -62,7 +67,7 @@ def quat_conjugate(q) -> np.ndarray:
 
 
 def quat_norm(q) -> float:
-    return float(np.linalg.norm(as_quaternion(q)))
+    return math.hypot(*as_quaternion(q).tolist())
 
 
 def normalize(q) -> np.ndarray:
@@ -70,11 +75,16 @@ def normalize(q) -> np.ndarray:
 
     Raises ZeroQuaternionError when the norm is too small to divide by.
     """
-    q = as_quaternion(q)
-    norm = float(np.linalg.norm(q))
+    return np.array(_unit(as_quaternion(q).tolist()))
+
+
+def _unit(q):
+    """normalize for a list of four floats, returning a list."""
+    norm = math.hypot(*q)
     if norm <= DEGENERACY_TOL:
         raise ZeroQuaternionError(norm)
-    return q / norm
+    w, x, y, z = q
+    return [w / norm, x / norm, y / norm, z / norm]
 
 
 def left_matrix(L) -> np.ndarray:
@@ -85,7 +95,7 @@ def left_matrix(L) -> np.ndarray:
     half-line from the origin through the same angle arccos(a): both the
     (w, x) and the (y, z) coordinate planes turn by +arccos(a).
     """
-    a, b, c, d = check_unit(L)
+    a, b, c, d = check_unit(L).tolist()
     return np.array([
         [a, -b, -c, -d],
         [b,  a, -d,  c],
@@ -101,7 +111,7 @@ def right_matrix(R) -> np.ndarray:
     but of the opposite chirality: the (w, x) plane turns by +arccos(p)
     while the (y, z) plane turns by -arccos(p).
     """
-    p, q, r, s = check_unit(R)
+    p, q, r, s = check_unit(R).tolist()
     return np.array([
         [p, -q, -r, -s],
         [q,  p,  s, -r],
@@ -116,8 +126,12 @@ def isoclinic_angle(q) -> float:
     arccos of the scalar part, in [0, pi]. The argument is clamped to
     [-1, 1] so roundoff just past the ends cannot produce NaN.
     """
-    w = float(check_unit(q)[0])
-    return float(np.arccos(min(1.0, max(-1.0, w))))
+    return _angle(as_quaternion(q).tolist())
+
+
+def _angle(q) -> float:
+    """isoclinic_angle for a list of four floats."""
+    return math.acos(min(1.0, max(-1.0, _check_unit(q)[0])))
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,7 @@ of L and R; ``COMPOSITION_TABLE`` is that linear map.
 import numpy as np
 
 from .errors import MalformedInputError, NotOrthogonalError, NotProperRotationError
-from .quat import check_unit, normalize, quat_mul
+from .quat import _check_unit, as_quaternion, normalize, quat_mul
 
 # input validation bounds, deliberately looser than internal arithmetic
 # accuracy so mildly noisy external matrices are accepted
@@ -23,6 +23,7 @@ _HAMILTON = np.array([[quat_mul(a, b) for b in np.eye(4)] for a in np.eye(4)])
 # B @ vec(outer(L, R)). Its entries are 0 and +/-1 and B^T B = 4I, so
 # B^T / 4 inverts it.
 COMPOSITION_TABLE = np.einsum("imc,cjr->rmij", _HAMILTON, _HAMILTON).reshape(16, 16)
+_EYE = np.eye(4)
 
 
 def as_mat4(A) -> np.ndarray:
@@ -33,7 +34,7 @@ def as_mat4(A) -> np.ndarray:
         raise MalformedInputError(f"matrix is not an array of reals: {exc}") from exc
     if A.shape != (4, 4):
         raise MalformedInputError(f"matrix must have shape (4, 4), got {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise MalformedInputError("matrix entries must be finite")
     return A
 
@@ -48,7 +49,7 @@ def validate_rotation(A, ortho_tol: float = ORTHO_TOL,
     repaired; callers wanting a nearby rotation must build one themselves.
     """
     A = as_mat4(A)
-    deviation = float(np.max(np.abs(A.T @ A - np.eye(4))))
+    deviation = float(np.abs(A.T @ A - _EYE).max())
     if deviation > ortho_tol:
         raise NotOrthogonalError(deviation, ortho_tol)
     det = float(np.linalg.det(A))
@@ -63,7 +64,14 @@ def van_elfrinkhof(L, R) -> np.ndarray:
     One product with the composition table. Every entry is bilinear in
     (L, R), hence van_elfrinkhof(-L, -R) is exactly the same matrix.
     """
-    return (COMPOSITION_TABLE @ np.outer(check_unit(L), check_unit(R)).ravel()).reshape(4, 4)
+    return _two_sided(as_quaternion(L).tolist(), as_quaternion(R).tolist()).reshape(4, 4)
+
+
+def _two_sided(L, R) -> np.ndarray:
+    """van_elfrinkhof for lists of four floats, flattened row-major."""
+    _check_unit(L)
+    _check_unit(R)
+    return COMPOSITION_TABLE @ [left * right for left in L for right in R]
 
 
 def random_rotation(seed) -> np.ndarray:

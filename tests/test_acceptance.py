@@ -39,6 +39,7 @@ from oracles import (
     random_improper,
     solve_factor_pair,
 )
+from test_cli import child_env
 
 RESULTS = []
 
@@ -214,10 +215,11 @@ def test_c09_oracle_equivalence():
 def test_c10_cli_round_trip():
     def run(args, stdin_text=""):
         proc = subprocess.run([sys.executable, "-m", "isoclinic", *args],
-                              input=stdin_text, capture_output=True, text=True)
+                              input=stdin_text, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
+    env = child_env()
     worst = 0.0
     for seed in range(100):
         generated = run(["generate", "--seed", str(seed)])

@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from isoclinic import (
     DegenerateNormError,
     IDENTITY,
+    IsoclinicError,
     NormDeviationError,
     NotRankOneError,
     RotationKind,
@@ -266,3 +270,54 @@ def test_classify_pair_threshold():
     loose = classify_pair(near_identity, R, iso_tol=1e-5)
     assert strict.kind is RotationKind.GENERAL
     assert loose.kind is RotationKind.RIGHT_ISOCLINIC
+
+
+# input, the call that rejects it, the error type and the expected measured
+# value, computed from the input by the oracles
+REJECTIONS = {
+    "rotation scaled by 1.5": (
+        lambda: 1.5 * random_rotation(31), decompose, NormDeviationError,
+        lambda A: abs(np.linalg.norm(associate_reference(A)) - 1.0)),
+    "orthogonal, det -1": (
+        lambda: random_improper(np.random.default_rng(32)), decompose, NotRankOneError,
+        lambda A: brute_max_minor(associate_reference(A))),
+    "0.4 E00": (lambda: 0.4 * E00, rank1_factor, DegenerateNormError, lambda M: 0.4),
+    "zero matrix": (lambda: np.zeros((4, 4)), decompose, NormDeviationError, lambda A: 1.0),
+    # the norm itself exceeds the largest float, so its deviation reads inf
+    "norm overflows": (lambda: np.full((4, 4), 1e308), decompose, NormDeviationError,
+                       lambda A: math.inf),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_rejection_stage_and_measured(case):
+    make, call, error, expected = REJECTIONS[case]
+    x = make()
+    with pytest.raises(error) as info:
+        call(x)
+    assert type(info.value) is error
+    assert info.value.measured == pytest.approx(expected(x), rel=0, abs=1e-15)
+
+
+def near_rotation(seed, exponent, improper):
+    """A rotation, or an orthogonal matrix of determinant -1, plus Gaussian
+    noise of scale 10**exponent."""
+    rng = np.random.default_rng(seed)
+    A = random_improper(rng) if improper else random_rotation(rng)
+    return A + 10.0 ** exponent * rng.standard_normal((4, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(
+    arrays(np.float64, (4, 4), elements=st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(near_rotation, seeds, st.integers(-16, 0), st.booleans()),
+))
+def test_every_rejection_is_typed_and_measured(A):
+    """decompose rejects a finite matrix only with an IsoclinicError whose
+    measured value is finite, whenever the matrix's Frobenius norm is a
+    finite float (see "norm overflows" above for when it is not)."""
+    assume(math.isfinite(math.hypot(*A.ravel())))
+    try:
+        decompose(A)
+    except IsoclinicError as exc:
+        assert exc.measured is not None and math.isfinite(exc.measured), exc

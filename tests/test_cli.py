@@ -283,6 +283,23 @@ def test_closed_stdout_exits_quietly():
     assert code == 141
 
 
+def test_undecodable_input_is_a_parse_error(tmp_path):
+    """Input that is not UTF-8, from a file or from stdin, is a parse error
+    (exit 2) with a message and no traceback."""
+    undecodable = b"\xff\xfe\x00"
+    path = tmp_path / "matrix.txt"
+    path.write_bytes(undecodable)
+    # decode stdin strictly, as under a UTF-8 locale; under the POSIX locale
+    # Python would decode it with surrogateescape and never fail
+    env = {**child_env(), "PYTHONIOENCODING": "utf-8:strict"}
+    for args, stdin in (([str(path)], b""), (["-"], undecodable)):
+        proc = subprocess.run([*ENTRYPOINT, "decompose", *args], input=stdin, env=env,
+                              capture_output=True, timeout=60)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 2, stderr
+        assert "cannot read" in stderr and "Traceback" not in stderr, stderr
+
+
 @pytest.mark.skipif(shutil.which("isoclinic") is None,
                     reason="isoclinic executable not on PATH (pip install -e .)")
 def test_installed_console_script_round_trip():

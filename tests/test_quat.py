@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from isoclinic import (
     IDENTITY,
+    IsoclinicError,
+    NotUnitQuaternionError,
     ZeroQuaternionError,
     isoclinic_angle,
     left_matrix,
@@ -14,6 +16,7 @@ from isoclinic import (
     quat_norm,
     random_unit_quaternion,
     right_matrix,
+    van_elfrinkhof,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -176,6 +179,22 @@ def test_unit_check_rejects():
         left_matrix([1.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         isoclinic_angle([0.9, 0.0, 0.0, 0.0])
+
+
+def test_unit_check_is_typed():
+    """A factor off the unit sphere raises an IsoclinicError, still a
+    ValueError, that carries |q.q - 1| as its measured value."""
+    cases = (
+        (van_elfrinkhof, ([1.0, 1.0, 0.0, 0.0], IDENTITY), 1.0),
+        (isoclinic_angle, ([2.0, 0.0, 0.0, 0.0],), 3.0),
+        (left_matrix, ([0.5, 0.0, 0.0, 0.0],), 0.75),
+    )
+    for call, args, deviation in cases:
+        with pytest.raises(IsoclinicError) as info:
+            call(*args)
+        assert isinstance(info.value, NotUnitQuaternionError)
+        assert isinstance(info.value, ValueError)
+        assert info.value.measured == deviation
 
 
 def test_shape_and_finiteness_rejected():
