@@ -6,6 +6,9 @@ read as the quaternions, by P -> L*P*R for a pair of unit quaternions
 (L, R) that is unique up to negating both. This package computes that
 pair, validates the matrix identities behind the construction, and
 classifies rotations by which factor is trivial.
+
+Importing the package does not import numpy; the functions that take or
+return arrays import it when first called.
 """
 
 from .associate import (
@@ -49,7 +52,6 @@ from .invariance import (
     make_frame,
 )
 from .quat import (
-    IDENTITY,
     isoclinic_angle,
     left_matrix,
     normalize,
@@ -62,6 +64,16 @@ from .quat import (
 from .rotation4 import random_rotation, validate_rotation, van_elfrinkhof
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # IDENTITY is an ndarray that quat builds on first use
+    if name == "IDENTITY":
+        from . import quat
+
+        return quat.IDENTITY
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_TOLERANCES",

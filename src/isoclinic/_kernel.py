@@ -1,0 +1,299 @@
+"""The float kernel of the matrix path: plain Python, no numpy.
+
+A 4x4 matrix is the row-major list of its 16 entries and a quaternion the
+list of its four components (w, x, y, z). Every check made on a rotation
+runs here: orthogonality and determinant, the associate matrix, its norm
+and 36 minors, the factor read-off and its sign, the reconstruction and
+the classification. The array API in ``quat``, ``rotation4``,
+``associate`` and ``invariance`` coerces its input once, calls into this
+module and boxes the result; the CLI calls it on the floats it parses, so
+a command that never builds an array never imports numpy.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from operator import mul, sub
+
+from .errors import (
+    DegenerateNormError,
+    NormDeviationError,
+    NotOrthogonalError,
+    NotProperRotationError,
+    NotRankOneError,
+    NotUnitQuaternionError,
+    ReconstructionError,
+    ZeroQuaternionError,
+)
+
+# |w^2 + x^2 + y^2 + z^2 - 1| allowed for a unit quaternion
+UNIT_TOL = 1e-12
+# norms at or below this cannot be normalized meaningfully
+DEGENERACY_TOL = 1e-150
+
+
+def hamilton(p, q):
+    """Hamilton product p*q, with ij = k."""
+    w1, x1, y1, z1 = p
+    w2, x2, y2, z2 = q
+    return [
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ]
+
+
+def conjugate(q):
+    """Negate the vector part; q * conj(q) = (|q|^2, 0, 0, 0)."""
+    w, x, y, z = q
+    return [w, -x, -y, -z]
+
+
+def _basis_product(a, b):
+    """(c, sign) with e_a * e_b = sign * e_c, for the basis (1, i, j, k)."""
+    e = [[float(k == n) for k in range(4)] for n in (a, b)]
+    return next((c, sign) for c, sign in enumerate(hamilton(*e)) if sign)
+
+
+_PRODUCT = [[_basis_product(a, b) for b in range(4)] for a in range(4)]
+# The composition table B, 16x16: column 4i + j is the row-major matrix of
+# P -> e_i*P*e_j, whose column m is e_i*e_m*e_j = sign * e_r, so B holds
+# sign at (4r + m, 4i + j) and zeros elsewhere. The matrix of P -> L*P*R is
+# B vec(outer(L, R)); every row and column of B has four nonzero entries
+# and B^T B = 4I, so B^T / 4 inverts it. TABLE lists (row, column, sign).
+TABLE = tuple(
+    (4 * r + m, 4 * i + j, s1 * s2)
+    for i in range(4) for m in range(4) for j in range(4)
+    for c, s1 in [_PRODUCT[i][m]] for r, s2 in [_PRODUCT[c][j]]
+)
+
+
+def _terms(by, weight):
+    """For each row (by=0) or column (by=1) of B, its four nonzero entries
+    as index along the other side and weight * sign, flattened, by index."""
+    lines = [[] for _ in range(16)]
+    for entry in TABLE:
+        lines[entry[by]].append((entry[1 - by], weight * entry[2]))
+    return tuple(tuple(x for term in sorted(line) for x in term) for line in lines)
+
+
+_ASSOCIATE = _terms(1, 0.25)
+_COMPOSE = _terms(0, 1.0)
+
+# row pairs (i, j) and column pairs (k, l) of all C(4,2)^2 = 36 2x2 minors,
+# as the row-major positions of m_ik, m_jl, m_jk and m_il
+_PAIRS = list(combinations(range(4), 2))
+_MINORS = tuple((4 * i + k, 4 * j + l, 4 * j + k, 4 * i + l)
+                for i, j in _PAIRS for k, l in _PAIRS)
+
+
+# ---- quaternions -------------------------------------------------------------
+
+def check_unit(q, tol=UNIT_TOL):
+    """Raise NotUnitQuaternionError unless q lies on the unit 3-sphere within
+    tol; returns q."""
+    w, x, y, z = q
+    deviation = abs(w * w + x * x + y * y + z * z - 1.0)
+    if deviation > tol:
+        raise NotUnitQuaternionError(deviation, tol)
+    return q
+
+
+def unit(q):
+    """q scaled to unit norm; ZeroQuaternionError when the norm is too small."""
+    norm = math.hypot(*q)
+    if norm <= DEGENERACY_TOL:
+        raise ZeroQuaternionError(norm)
+    w, x, y, z = q
+    return [w / norm, x / norm, y / norm, z / norm]
+
+
+def angle(q):
+    """arccos of the scalar part of the unit quaternion q, clamped to [-1, 1]
+    so roundoff just past the ends cannot produce NaN."""
+    return math.acos(min(1.0, max(-1.0, check_unit(q)[0])))
+
+
+# ---- validation ----------------------------------------------------------------
+
+def gram_deviation(a):
+    """max |A^T A - I|.
+
+    The four diagonal terms come first. Only a product that overflows can
+    make an off-diagonal term NaN, and then a diagonal term is already
+    +inf, which max() keeps against any NaN after it.
+    """
+    (a00, a01, a02, a03, a10, a11, a12, a13,
+     a20, a21, a22, a23, a30, a31, a32, a33) = a
+    return max(
+        abs(a00 * a00 + a10 * a10 + a20 * a20 + a30 * a30 - 1.0),
+        abs(a01 * a01 + a11 * a11 + a21 * a21 + a31 * a31 - 1.0),
+        abs(a02 * a02 + a12 * a12 + a22 * a22 + a32 * a32 - 1.0),
+        abs(a03 * a03 + a13 * a13 + a23 * a23 + a33 * a33 - 1.0),
+        abs(a00 * a01 + a10 * a11 + a20 * a21 + a30 * a31),
+        abs(a00 * a02 + a10 * a12 + a20 * a22 + a30 * a32),
+        abs(a00 * a03 + a10 * a13 + a20 * a23 + a30 * a33),
+        abs(a01 * a02 + a11 * a12 + a21 * a22 + a31 * a32),
+        abs(a01 * a03 + a11 * a13 + a21 * a23 + a31 * a33),
+        abs(a02 * a03 + a12 * a13 + a22 * a23 + a32 * a33),
+    )
+
+
+def determinant(a):
+    """det A, by Laplace expansion along rows 0 and 1: each 2x2 minor of
+    those rows times the complementary minor of rows 2 and 3."""
+    (a00, a01, a02, a03, a10, a11, a12, a13,
+     a20, a21, a22, a23, a30, a31, a32, a33) = a
+    return ((a00 * a11 - a01 * a10) * (a22 * a33 - a23 * a32)
+            - (a00 * a12 - a02 * a10) * (a21 * a33 - a23 * a31)
+            + (a00 * a13 - a03 * a10) * (a21 * a32 - a22 * a31)
+            + (a01 * a12 - a02 * a11) * (a20 * a33 - a23 * a30)
+            - (a01 * a13 - a03 * a11) * (a20 * a32 - a22 * a30)
+            + (a02 * a13 - a03 * a12) * (a20 * a31 - a21 * a30))
+
+
+def validate(a, ortho_tol, det_tol):
+    """Raise NotOrthogonalError or NotProperRotationError unless A is
+    orthogonal with determinant +1 within the tolerances."""
+    deviation = gram_deviation(a)
+    if deviation > ortho_tol:
+        raise NotOrthogonalError(deviation, ortho_tol)
+    det = determinant(a)
+    if abs(det - 1.0) > det_tol:
+        raise NotProperRotationError(det, det_tol)
+
+
+# ---- the associate matrix and its certificates --------------------------------
+
+def associate(a):
+    """The associate matrix B^T vec(A) / 4, row-major: each entry a signed
+    quarter-sum of four entries of A, added in the order of their index
+    after a leading +0.0, as numpy's product with B^T / 4 adds them."""
+    return [0.0 + w0 * a[i0] + w1 * a[i1] + w2 * a[i2] + w3 * a[i3]
+            for i0, w0, i1, w1, i2, w2, i3, w3 in _ASSOCIATE]
+
+
+def max_minor(m):
+    """Largest absolute 2x2 minor of M over all 36; an overflowed one reads inf.
+
+    A minor whose two products both overflow is inf - inf = NaN, which no
+    bound rejects and max() can skip, so any NaN makes the result inf.
+    """
+    minors = [abs(m[ik] * m[jl] - m[jk] * m[il]) for ik, jl, jk, il in _MINORS]
+    worst = max(minors)
+    return math.inf if math.isnan(sum(minors)) else worst
+
+
+def canonical(L, R, sign_tol):
+    """Negate both factors unless the first component of L above sign_tol in
+    magnitude is positive."""
+    anchor = next((component for component in L if abs(component) > sign_tol), 0.0)
+    return ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
+
+
+def read_off(m, norm, tolerances):
+    """Check that M (row-major m, Frobenius norm norm) is rank 1 and split it.
+
+    L starts as the column of the largest entry; one alternating step,
+    R = M^T L and L = M R, each normalized, moves the pair towards the
+    best rank-1 fit of a nearly rank-1 M and gives outer(L, R) the sign
+    of M, so no sign has to be matched afterwards.
+    Returns the canonical (L, R) and the largest absolute minor.
+    """
+    if norm < 0.5:
+        raise DegenerateNormError(norm)
+    worst_minor = max_minor(m)
+    if worst_minor > tolerances.minor_tol:
+        raise NotRankOneError(worst_minor, tolerances.minor_tol)
+    magnitudes = list(map(abs, m))
+    pivot_column = magnitudes.index(max(magnitudes)) % 4
+    L = unit(m[pivot_column::4])
+    R = unit([sum(map(mul, m[column::4], L)) for column in range(4)])
+    L = unit([sum(map(mul, m[row:row + 4], R)) for row in range(0, 16, 4)])
+    residual = max(map(abs, map(sub, m, [left * right for left in L for right in R])))
+    if residual > tolerances.factor_tol:
+        raise NotRankOneError(residual, tolerances.factor_tol)
+    L, R = canonical(L, R, tolerances.sign_tol)
+    return L, R, worst_minor
+
+
+# ---- composition and decomposition ------------------------------------------
+
+def two_sided(L, R):
+    """Row-major matrix of P -> L*P*R for unit quaternions L and R: B times
+    vec(outer(L, R)). Each entry's four terms are added as a two-lane dot
+    product adds them, even and odd columns apart, which is how numpy's
+    product with B rounds, and a final +0.0 gives its sign of zero."""
+    check_unit(L)
+    check_unit(R)
+    o = [left * right for left in L for right in R]
+    return [s0 * o[k0] + s2 * o[k2] + (s1 * o[k1] + s3 * o[k3]) + 0.0
+            for k0, s0, k1, s1, k2, s2, k3, s3 in _COMPOSE]
+
+
+def decompose(a, tolerances):
+    """Split the rotation with row-major entries a into its factor pair.
+
+    Returns (L, R, reconstruction residual, norm deviation, largest minor)
+    or raises the error of the first check that fails.
+    """
+    m = associate(a)
+    norm = math.hypot(*m)
+    norm_deviation = abs(norm - 1.0)
+    if norm_deviation > tolerances.norm_tol:
+        raise NormDeviationError(norm_deviation, tolerances.norm_tol)
+    L, R, worst_minor = read_off(m, norm, tolerances)
+    residual = max(map(abs, map(sub, a, two_sided(L, R))))
+    if residual > tolerances.recon_tol:
+        raise ReconstructionError(residual, tolerances.recon_tol)
+    return L, R, residual, norm_deviation, worst_minor
+
+
+# ---- classification ------------------------------------------------------------
+
+class RotationKind(enum.Enum):
+    IDENTITY = "identity"
+    CENTRAL_REVERSION = "central-reversion"
+    LEFT_ISOCLINIC = "left-isoclinic"
+    RIGHT_ISOCLINIC = "right-isoclinic"
+    GENERAL = "general"
+
+
+@dataclass(frozen=True)
+class RotationClass:
+    """Kind of rotation plus the two factor angles, each in [0, pi]."""
+
+    kind: RotationKind
+    left_angle: float
+    right_angle: float
+
+
+def _trivial_deviation(q):
+    """Distance (max-abs, best sign) of q from the identity quaternion."""
+    w, x, y, z = q
+    return max(min(abs(w - 1.0), abs(w + 1.0)), abs(x), abs(y), abs(z))
+
+
+def classify(L, R, iso_tol):
+    """Classify the rotation generated by the canonical factor pair (L, R).
+
+    Both factors trivial: the identity when the scalar parts agree in
+    sign, the antipodal map otherwise. One trivial factor leaves a purely
+    left- or right-isoclinic rotation; two nontrivial factors make the
+    general case.
+    """
+    left_trivial = _trivial_deviation(L) <= iso_tol
+    right_trivial = _trivial_deviation(R) <= iso_tol
+    if left_trivial and right_trivial:
+        kind = RotationKind.IDENTITY if L[0] * R[0] > 0 else RotationKind.CENTRAL_REVERSION
+    elif right_trivial:
+        kind = RotationKind.LEFT_ISOCLINIC
+    elif left_trivial:
+        kind = RotationKind.RIGHT_ISOCLINIC
+    else:
+        kind = RotationKind.GENERAL
+    return RotationClass(kind=kind, left_angle=angle(L), right_angle=angle(R))

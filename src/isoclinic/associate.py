@@ -13,24 +13,24 @@ The factor pair is unique only up to a joint sign flip: (L, R) and
 (-L, -R) produce the same rotation. ``canonical_pair`` picks the
 representative whose first significantly nonzero left component is
 positive; the other decomposition is always the negated pair.
+
+Each function here coerces its input once, runs the float kernel of
+``_kernel`` and boxes the result in numpy arrays.
 """
 
-import enum
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from operator import mul, sub
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import _kernel
+from ._kernel import RotationClass, RotationKind
+from .quat import _floats
+from .rotation4 import _mat4
 
-from .errors import (
-    DegenerateNormError,
-    NormDeviationError,
-    NotRankOneError,
-    ReconstructionError,
-)
-from .quat import _angle, _unit, as_quaternion
-from .rotation4 import COMPOSITION_TABLE, _two_sided, as_mat4
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-# row pairs (i, j) and column pairs (k, l) of all C(4,2)^2 = 36 2x2 minors,
-# as the row-major positions of m_ik, m_jl, m_jk and m_il
-_PAIRS = list(combinations(range(4), 2))
-_MINORS = tuple((4 * i + k, 4 * j + l, 4 * j + k, 4 * i + l)
-                for i, j in _PAIRS for k, l in _PAIRS)
-# the adjoint of the composition table over 4, which inverts it
-_ASSOC = COMPOSITION_TABLE.T / 4.0
-
 
 def associate_matrix(A) -> np.ndarray:
     """Coordinates of A in the composition table, as a 4x4 grid.
@@ -71,33 +63,33 @@ def associate_matrix(A) -> np.ndarray:
     each entry a signed quarter-sum of four entries of A. For the matrix
     of P -> L*P*R the result is exactly column(L) * row(R).
     """
-    return (_ASSOC @ as_mat4(A).ravel()).reshape(4, 4)
+    import numpy as np
+    return np.array(_kernel.associate(_mat4(A)[1])).reshape(4, 4)
 
 
 def associate_norm(M) -> float:
     """Frobenius norm; exactly 1 when M comes from a rotation matrix."""
-    return math.hypot(*as_mat4(M).ravel().tolist())
+    return math.hypot(*_mat4(M)[1])
 
 
 def minor_2x2(M, i: int, j: int, k: int, l: int) -> float:
     """2x2 minor on rows i < j and columns k < l: m_ik*m_jl - m_jk*m_il."""
+    import numpy as np
     for name, idx in (("i", i), ("j", j), ("k", k), ("l", l)):
         if not isinstance(idx, (int, np.integer)) or not 0 <= idx <= 3:
             raise IndexError(f"index {name}={idx!r} not in 0..3")
     if not (i < j and k < l):
         raise IndexError(f"need i<j and k<l, got rows ({i},{j}) cols ({k},{l})")
-    M = as_mat4(M)
-    return float(M[i, k] * M[j, l] - M[j, k] * M[i, l])
+    m = _mat4(M)[1]
+    return m[4 * i + k] * m[4 * j + l] - m[4 * j + k] * m[4 * i + l]
 
 
 def max_abs_minor(M) -> float:
-    """Largest absolute 2x2 minor over all 36; zero (to roundoff) iff rank <= 1."""
-    return _max_minor(as_mat4(M).ravel().tolist())
+    """Largest absolute 2x2 minor over all 36; zero (to roundoff) iff rank <= 1.
 
-
-def _max_minor(m) -> float:
-    """max_abs_minor for the 16 entries of M as a row-major list of floats."""
-    return max([abs(m[ik] * m[jl] - m[jk] * m[il]) for ik, jl, jk, il in _MINORS])
+    A minor whose products overflow reads inf.
+    """
+    return _kernel.max_minor(_mat4(M)[1])
 
 
 def canonical_pair(L, R, sign_tol: float = DEFAULT_TOLERANCES.sign_tol):
@@ -107,41 +99,10 @@ def canonical_pair(L, R, sign_tol: float = DEFAULT_TOLERANCES.sign_tol):
     quaternions are negated. A unit quaternion always has a component of
     magnitude at least 1/2, so an anchor exists for any sane sign_tol.
     """
-    L, R = _canonical(np.asarray(L, dtype=float).tolist(),
-                      np.asarray(R, dtype=float).tolist(), sign_tol)
+    import numpy as np
+    L, R = _kernel.canonical(np.asarray(L, dtype=float).tolist(),
+                             np.asarray(R, dtype=float).tolist(), sign_tol)
     return np.array(L), np.array(R)
-
-
-def _canonical(L, R, sign_tol):
-    """canonical_pair for lists of four floats."""
-    anchor = next((component for component in L if abs(component) > sign_tol), 0.0)
-    return ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
-
-
-def _read_off(m, norm, tolerances):
-    """Check that M (row-major list m, Frobenius norm norm) is rank 1 and split it.
-
-    L starts as the column of the largest entry; one alternating step,
-    R = M^T L and L = M R, each normalized, moves the pair towards the
-    best rank-1 fit of a nearly rank-1 M and gives outer(L, R) the sign
-    of M, so no sign has to be matched afterwards.
-    Returns the canonical (L, R) as lists and the largest absolute minor.
-    """
-    if norm < 0.5:
-        raise DegenerateNormError(norm)
-    worst_minor = _max_minor(m)
-    if worst_minor > tolerances.minor_tol:
-        raise NotRankOneError(worst_minor, tolerances.minor_tol)
-    magnitudes = list(map(abs, m))
-    pivot_column = magnitudes.index(max(magnitudes)) % 4
-    L = _unit(m[pivot_column::4])
-    R = _unit([sum(map(mul, m[column::4], L)) for column in range(4)])
-    L = _unit([sum(map(mul, m[row:row + 4], R)) for row in range(0, 16, 4)])
-    residual = max(map(abs, map(sub, m, [left * right for left in L for right in R])))
-    if residual > tolerances.factor_tol:
-        raise NotRankOneError(residual, tolerances.factor_tol)
-    L, R = _canonical(L, R, tolerances.sign_tol)
-    return L, R, worst_minor
 
 
 def rank1_factor(M, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -152,8 +113,9 @@ def rank1_factor(M, tolerances: Tolerances = DEFAULT_TOLERANCES):
     carry a factorization and NotRankOneError when the minors, or the
     final refit residual, show M is not (unit-scale) rank 1.
     """
-    m = as_mat4(M).ravel().tolist()
-    L, R, _ = _read_off(m, math.hypot(*m), tolerances)
+    import numpy as np
+    m = _mat4(M)[1]
+    L, R, _ = _kernel.read_off(m, math.hypot(*m), tolerances)
     return np.array(L), np.array(R)
 
 
@@ -182,46 +144,15 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     rotation fail loudly; in particular orthogonal matrices of
     determinant -1 pass the norm check but are caught by the minors.
     """
-    a = as_mat4(A).ravel()
-    m = (_ASSOC @ a).tolist()
-    norm = math.hypot(*m)
-    norm_deviation = abs(norm - 1.0)
-    if norm_deviation > tolerances.norm_tol:
-        raise NormDeviationError(norm_deviation, tolerances.norm_tol)
-    L, R, worst_minor = _read_off(m, norm, tolerances)
-    reconstruction_residual = float(np.abs(a - _two_sided(L, R)).max())
-    if reconstruction_residual > tolerances.recon_tol:
-        raise ReconstructionError(reconstruction_residual, tolerances.recon_tol)
+    import numpy as np
+    L, R, residual, norm_deviation, worst_minor = _kernel.decompose(_mat4(A)[1], tolerances)
     return IsoclinicDecomposition(
         left=np.array(L),
         right=np.array(R),
-        reconstruction_residual=reconstruction_residual,
+        reconstruction_residual=residual,
         norm_deviation=norm_deviation,
         max_minor=worst_minor,
     )
-
-
-class RotationKind(enum.Enum):
-    IDENTITY = "identity"
-    CENTRAL_REVERSION = "central-reversion"
-    LEFT_ISOCLINIC = "left-isoclinic"
-    RIGHT_ISOCLINIC = "right-isoclinic"
-    GENERAL = "general"
-
-
-@dataclass(frozen=True)
-class RotationClass:
-    """Kind of rotation plus the two factor angles, each in [0, pi]."""
-
-    kind: RotationKind
-    left_angle: float
-    right_angle: float
-
-
-def _trivial_deviation(q) -> float:
-    """Distance (max-abs, best sign) of q from the identity quaternion."""
-    w, x, y, z = q
-    return max(min(abs(w - 1.0), abs(w + 1.0)), abs(x), abs(y), abs(z))
 
 
 def classify_pair(L, R, iso_tol: float = DEFAULT_TOLERANCES.iso_tol) -> RotationClass:
@@ -232,23 +163,7 @@ def classify_pair(L, R, iso_tol: float = DEFAULT_TOLERANCES.iso_tol) -> Rotation
     left- or right-isoclinic rotation; two nontrivial factors make the
     general case. Angles are those of the factors as given.
     """
-    L = as_quaternion(L).tolist()
-    R = as_quaternion(R).tolist()
-    left_trivial = _trivial_deviation(L) <= iso_tol
-    right_trivial = _trivial_deviation(R) <= iso_tol
-    if left_trivial and right_trivial:
-        kind = RotationKind.IDENTITY if L[0] * R[0] > 0 else RotationKind.CENTRAL_REVERSION
-    elif right_trivial:
-        kind = RotationKind.LEFT_ISOCLINIC
-    elif left_trivial:
-        kind = RotationKind.RIGHT_ISOCLINIC
-    else:
-        kind = RotationKind.GENERAL
-    return RotationClass(
-        kind=kind,
-        left_angle=_angle(L),
-        right_angle=_angle(R),
-    )
+    return _kernel.classify(_floats(L), _floats(R), iso_tol)
 
 
 def classify(A, iso_tol: float | None = None,
@@ -256,5 +171,5 @@ def classify(A, iso_tol: float | None = None,
     """Decompose A and classify the resulting factor pair."""
     if iso_tol is None:
         iso_tol = tolerances.iso_tol
-    decomposition = decompose(A, tolerances)
-    return classify_pair(decomposition.left, decomposition.right, iso_tol)
+    L, R, *_ = _kernel.decompose(_mat4(A)[1], tolerances)
+    return _kernel.classify(L, R, iso_tol)

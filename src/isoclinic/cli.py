@@ -12,22 +12,17 @@ Exit codes: 0 success, 1 decomposition failure, 2 parse or usage error,
 SIGPIPE, as a shell reports it) when stdout is closed before the output.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
+import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .associate import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    associate_matrix,
-    associate_norm,
-    classify_pair,
-    decompose,
-    max_abs_minor,
-)
+from . import _kernel
+from .associate import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DecompositionError,
     IsoclinicError,
@@ -35,22 +30,26 @@ from .errors import (
     ValidationError,
     ZeroQuaternionError,
 )
-from .quat import normalize
-from .rotation4 import ORTHO_TOL, random_rotation, validate_rotation, van_elfrinkhof
+from .rotation4 import ORTHO_TOL, random_rotation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_DECOMPOSITION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BROKEN_PIPE = 141
+# numpy's limit on the number of array dimensions, which JSON rows must keep
+_MAX_DIMS = 64
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _matrix_line(A) -> str:
-    return " ".join(_fmt(x) for x in np.asarray(A, dtype=float).ravel())
+def _matrix_line(entries) -> str:
+    return " ".join(map(_fmt, entries))
 
 
 def _exit_code(exc: IsoclinicError) -> int:
@@ -67,36 +66,68 @@ def parse_matrix(text: str, fmt: str = "auto") -> np.ndarray:
     auto sniffs: a document whose first nonblank character is '{' is JSON,
     anything else is treated as 16 whitespace-separated reals.
     """
+    import numpy as np
+    return np.array(_parse_entries(text, fmt)).reshape(4, 4)
+
+
+def _parse_entries(text: str, fmt: str) -> list:
+    """parse_matrix, as the 16 entries in row-major order."""
     if fmt == "auto":
         fmt = "json" if text.lstrip()[:1] == "{" else "plain16"
     if fmt == "json":
         try:
             document = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays nested past the interpreter's recursion limit
             raise ParseError(f"invalid JSON input: {exc}") from exc
         if not isinstance(document, dict) or "matrix" not in document:
             raise ParseError('JSON input must be an object with a "matrix" key')
-        rows = document["matrix"]
-        try:
-            A = np.array(rows, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"matrix rows are not numeric: {exc}") from exc
-        if A.shape != (4, 4):
-            raise ParseError(f"matrix must be 4 rows of 4 numbers, got shape {A.shape}")
+        entries = _json_entries(document["matrix"])
     else:
         tokens = text.split()
         if len(tokens) != 16:
             raise ParseError(f"expected 16 numbers, got {len(tokens)}")
         try:
-            A = np.array([float(t) for t in tokens]).reshape(4, 4)
+            entries = [float(t) for t in tokens]
         except ValueError as exc:
             raise ParseError(f"non-numeric token in input: {exc}") from exc
-    if not np.all(np.isfinite(A)):
+    if not all(map(math.isfinite, entries)):
         raise ParseError("matrix entries must be finite")
-    return A
+    return entries
 
 
-def _read_matrix(args) -> np.ndarray:
+def _json_entries(rows) -> list:
+    """The entries of JSON rows, read as np.array(rows, dtype=float) reads
+    them: lists nest, any other value is one real (float() of it, with null
+    as NaN), lists side by side must have the same shape, and a failed
+    conversion is reported before a shape other than 4x4."""
+    shape = _json_shape(rows, 0)
+    flat = [rows]
+    for _ in shape:
+        flat = [item for sublist in flat for item in sublist]
+    try:
+        entries = [math.nan if value is None else float(value) for value in flat]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"matrix rows are not numeric: {exc}") from exc
+    if shape != (4, 4):
+        raise ParseError(f"matrix must be 4 rows of 4 numbers, got shape {shape}")
+    return entries
+
+
+def _json_shape(value, depth):
+    """Shape of nested JSON lists; ParseError when lists side by side differ
+    in shape or they nest deeper than _MAX_DIMS."""
+    if not isinstance(value, list):
+        return ()
+    if depth == _MAX_DIMS:
+        raise ParseError(f"matrix rows are not numeric: more than {_MAX_DIMS} levels of lists")
+    shapes = {_json_shape(item, depth + 1) for item in value}
+    if len(shapes) > 1:
+        raise ParseError("matrix rows are not numeric: rows of unequal length")
+    return (len(value),) + (shapes.pop() if shapes else ())
+
+
+def _read_matrix(args) -> list:
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -105,18 +136,18 @@ def _read_matrix(args) -> np.ndarray:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    return parse_matrix(text, args.format)
+    return _parse_entries(text, args.format)
 
 
-def _parse_quat_arg(text: str, name: str) -> np.ndarray:
+def _parse_quat_arg(text: str, name: str) -> list:
     tokens = text.replace(",", " ").split()
     if len(tokens) != 4:
         raise ParseError(f"--{name} needs 4 numbers, got {len(tokens)}")
     try:
-        q = np.array([float(t) for t in tokens])
+        q = [float(t) for t in tokens]
     except ValueError as exc:
         raise ParseError(f"--{name} has a non-numeric component: {exc}") from exc
-    if not np.all(np.isfinite(q)):
+    if not all(map(math.isfinite, q)):
         raise ParseError(f"--{name} components must be finite")
     return q
 
@@ -160,53 +191,56 @@ def _rejection(args, exc: IsoclinicError) -> int:
     return _exit_code(exc)
 
 
-def _emit_matrix(A, as_json: bool) -> None:
+def _emit_matrix(entries, as_json: bool) -> None:
     if as_json:
-        print(json.dumps({"matrix": np.asarray(A).tolist()}, indent=2))
+        rows = [entries[i:i + 4] for i in range(0, 16, 4)]
+        print(json.dumps({"matrix": rows}, indent=2))
     else:
-        print(_matrix_line(A))
+        print(_matrix_line(entries))
 
 
 def _factor_input(args):
-    """Read, validate, decompose and classify the input matrix."""
-    A = _read_matrix(args)
-    validate_rotation(A, args.ortho_tol, args.ortho_tol)
-    result = decompose(A, _tolerances(args))
-    return result, classify_pair(result.left, result.right, args.iso_tol)
+    """Read, validate, decompose and classify the input matrix; returns
+    (L, R, reconstruction residual, norm deviation, largest minor) and the
+    RotationClass."""
+    entries = _read_matrix(args)
+    _kernel.validate(entries, args.ortho_tol, args.ortho_tol)
+    result = _kernel.decompose(entries, _tolerances(args))
+    return result, _kernel.classify(result[0], result[1], args.iso_tol)
 
 
 def cmd_decompose(args) -> int:
     try:
-        result, kind = _factor_input(args)
+        (left, right, reconstruction, norm_deviation, max_minor), kind = _factor_input(args)
     except (ValidationError, DecompositionError) as exc:
         return _rejection(args, exc)
     if args.json:
         report = {
             "status": "ok",
-            "left": result.left.tolist(),
-            "right": result.right.tolist(),
+            "left": left,
+            "right": right,
             "alternate": "negate both factors for the second decomposition",
             "left_angle": kind.left_angle,
             "right_angle": kind.right_angle,
             "class": kind.kind.value,
             "residuals": {
-                "reconstruction": result.reconstruction_residual,
-                "norm_deviation": result.norm_deviation,
-                "max_minor": result.max_minor,
+                "reconstruction": reconstruction,
+                "norm_deviation": norm_deviation,
+                "max_minor": max_minor,
             },
             "tolerances": _tolerance_fields(args),
         }
         print(json.dumps(report, indent=2))
     else:
-        print(f"left:  {' '.join(_fmt(x) for x in result.left)}")
-        print(f"right: {' '.join(_fmt(x) for x in result.right)}")
+        print(f"left:  {_matrix_line(left)}")
+        print(f"right: {_matrix_line(right)}")
         print("alternate: negate both factors for the second decomposition")
         print(f"left angle:  {_fmt(kind.left_angle)}")
         print(f"right angle: {_fmt(kind.right_angle)}")
         print(f"class: {kind.kind.value}")
-        print(f"reconstruction residual: {_fmt(result.reconstruction_residual)}")
-        print(f"norm deviation: {_fmt(result.norm_deviation)}")
-        print(f"max minor: {_fmt(result.max_minor)}")
+        print(f"reconstruction residual: {_fmt(reconstruction)}")
+        print(f"norm deviation: {_fmt(norm_deviation)}")
+        print(f"max minor: {_fmt(max_minor)}")
     return EXIT_OK
 
 
@@ -215,21 +249,23 @@ def cmd_compose(args) -> int:
     right = _parse_quat_arg(args.right, "right")
     factors = []
     for name, q in (("left", left), ("right", right)):
-        deviation = abs(float(np.linalg.norm(q)) - 1.0)
-        factors.append(normalize(q))
+        deviation = abs(math.hypot(*q) - 1.0)
+        factors.append(_kernel.unit(q))
         if deviation > 1e-12:
             print(f"note: --{name} normalized (norm deviated by {deviation:.3e})",
                   file=sys.stderr)
-    A = van_elfrinkhof(*factors)
-    _emit_matrix(A, args.json)
+    _emit_matrix(_kernel.two_sided(*factors), args.json)
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
+    # the only command that builds arrays, so the only one that imports numpy
+    import numpy as np
     rng = np.random.default_rng(args.seed)
-    matrices = [random_rotation(rng) for _ in range(args.count)]
+    matrices = [random_rotation(rng).ravel().tolist() for _ in range(args.count)]
     if args.json:
-        print(json.dumps({"matrices": [A.tolist() for A in matrices]}, indent=2))
+        rows = [[A[i:i + 4] for i in range(0, 16, 4)] for A in matrices]
+        print(json.dumps({"matrices": rows}, indent=2))
     else:
         for A in matrices:
             print(_matrix_line(A))
@@ -237,12 +273,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    A = _read_matrix(args)
-    ortho_deviation = float(np.max(np.abs(A.T @ A - np.eye(4))))
-    det = float(np.linalg.det(A))
-    M = associate_matrix(A)
-    norm_deviation = abs(associate_norm(M) - 1.0)
-    minor_all = max_abs_minor(M)
+    entries = _read_matrix(args)
+    ortho_deviation = _kernel.gram_deviation(entries)
+    det = _kernel.determinant(entries)
+    M = _kernel.associate(entries)
+    norm_deviation = abs(math.hypot(*M) - 1.0)
+    minor_all = _kernel.max_minor(M)
     tol = _tolerances(args)
     checks = {
         "orthogonality": {"measured": ortho_deviation, "tol": args.ortho_tol,

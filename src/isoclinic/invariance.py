@@ -9,14 +9,20 @@ being right-isoclinic, and the factor angles are all frame-independent,
 which ``check_isocliny_preserved`` verifies for a concrete pair (A, S).
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .associate import DEFAULT_TOLERANCES, RotationClass, Tolerances, classify, decompose
+from . import _kernel
+from ._kernel import hamilton
+from .associate import DEFAULT_TOLERANCES, RotationClass, Tolerances, classify
 from .errors import InvarianceError
-from .quat import left_matrix, right_matrix
-from .rotation4 import as_mat4
+from .quat import _floats
+from .rotation4 import _mat4, as_mat4
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ANGLE_TOL = 1e-9
 
@@ -36,9 +42,10 @@ class SimilarityFrame:
 
 def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFrame:
     """Decompose the frame rotation S and keep its canonical factors."""
-    S = as_mat4(S)
-    decomposition = decompose(S, tolerances)
-    return SimilarityFrame(s=S, s_left=decomposition.left, s_right=decomposition.right)
+    import numpy as np
+    S, entries = _mat4(S)
+    L, R, *_ = _kernel.decompose(entries, tolerances)
+    return SimilarityFrame(s=S, s_left=np.array(L), s_right=np.array(R))
 
 
 def conjugate(A, frame: SimilarityFrame) -> np.ndarray:
@@ -53,17 +60,20 @@ def conjugate_factorwise(A, frame: SimilarityFrame,
                          tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Conjugate each isoclinic factor of A separately, then multiply.
 
-    Splits A into left and right factor matrices, conjugates the left one
-    by the frame's left factor and the right one by the frame's right
-    factor, and returns the product. Equals conjugate(A, frame) because
-    the cross terms commute.
+    Splits A into its factors L and R, conjugates L by the frame's left
+    factor and R by the frame's right factor, and returns the matrix of the
+    conjugated pair. As matrices, left_matrix(S_L)^T left_matrix(L)
+    left_matrix(S_L) is left_matrix(conj(S_L) L S_L) and right_matrix(S_R)^T
+    right_matrix(R) right_matrix(S_R) is right_matrix(S_R R conj(S_R)).
+    Equals conjugate(A, frame) because the cross terms commute.
     """
-    decomposition = decompose(A, tolerances)
-    a_left = left_matrix(decomposition.left)
-    a_right = right_matrix(decomposition.right)
-    s_left = left_matrix(frame.s_left)
-    s_right = right_matrix(frame.s_right)
-    return (s_left.T @ a_left @ s_left) @ (s_right.T @ a_right @ s_right)
+    import numpy as np
+    L, R, *_ = _kernel.decompose(_mat4(A)[1], tolerances)
+    s_left = _floats(frame.s_left)
+    s_right = _floats(frame.s_right)
+    left = hamilton(hamilton(_kernel.conjugate(s_left), L), s_left)
+    right = hamilton(hamilton(s_right, R), _kernel.conjugate(s_right))
+    return np.array(_kernel.two_sided(left, right)).reshape(4, 4)
 
 
 @dataclass(frozen=True)

@@ -3,40 +3,63 @@
 A rotation here is an orthogonal 4x4 matrix with determinant +1, acting on
 column vectors (w, x, y, z) of R^4. Every such matrix is the matrix of a
 two-sided quaternion map P -> L*P*R, which is linear in the outer product
-of L and R; ``COMPOSITION_TABLE`` is that linear map.
+of L and R; ``COMPOSITION_TABLE`` is that linear map. The checks and the
+composition run in ``_kernel`` on Python floats; numpy is imported by the
+functions that take or return arrays, not by importing this module.
 """
 
-import numpy as np
+from __future__ import annotations
 
-from .errors import MalformedInputError, NotOrthogonalError, NotProperRotationError
-from .quat import _check_unit, as_quaternion, normalize, quat_mul
+import math
+from typing import TYPE_CHECKING
+
+from . import _kernel
+from .errors import MalformedInputError
+from .quat import _floats, normalize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # input validation bounds, deliberately looser than internal arithmetic
 # accuracy so mildly noisy external matrices are accepted
 ORTHO_TOL = 1e-9
 DET_TOL = 1e-9
 
-# e_a * e_b = sum over c of _HAMILTON[a, b, c] * e_c, for the basis (1, i, j, k)
-_HAMILTON = np.array([[quat_mul(a, b) for b in np.eye(4)] for a in np.eye(4)])
-# B, 16x16: column 4*i + j is the row-major matrix of P -> e_i*P*e_j, whose
-# column m is e_i * e_m * e_j, so the matrix of P -> L*P*R is
-# B @ vec(outer(L, R)). Its entries are 0 and +/-1 and B^T B = 4I, so
-# B^T / 4 inverts it.
-COMPOSITION_TABLE = np.einsum("imc,cjr->rmij", _HAMILTON, _HAMILTON).reshape(16, 16)
-_EYE = np.eye(4)
+
+def __getattr__(name):
+    # COMPOSITION_TABLE, the 16x16 table B of _kernel.TABLE as an ndarray:
+    # column 4*i + j is the row-major matrix of P -> e_i*P*e_j, so the matrix
+    # of P -> L*P*R is B @ vec(outer(L, R)); its entries are 0 and +/-1 and
+    # B^T B = 4I. Built on first use so importing the module does not
+    # import numpy.
+    if name == "COMPOSITION_TABLE":
+        import numpy as np
+        global COMPOSITION_TABLE
+        COMPOSITION_TABLE = np.zeros((16, 16))
+        for row, column, sign in _kernel.TABLE:
+            COMPOSITION_TABLE[row, column] = sign
+        return COMPOSITION_TABLE
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_mat4(A) -> np.ndarray:
     """Coerce to a float array of shape (4, 4) with finite entries."""
+    return _mat4(A)[0]
+
+
+def _mat4(A):
+    """as_mat4, and its 16 entries as a row-major list of floats."""
+    import numpy as np
     try:
         A = np.asarray(A, dtype=float)
     except (TypeError, ValueError) as exc:
         raise MalformedInputError(f"matrix is not an array of reals: {exc}") from exc
     if A.shape != (4, 4):
         raise MalformedInputError(f"matrix must have shape (4, 4), got {A.shape}")
-    if not np.isfinite(A).all():
+    entries = A.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
         raise MalformedInputError("matrix entries must be finite")
-    return A
+    return A, entries
 
 
 def validate_rotation(A, ortho_tol: float = ORTHO_TOL,
@@ -48,30 +71,20 @@ def validate_rotation(A, ortho_tol: float = ORTHO_TOL,
     carrying the determinant. A matrix that fails is rejected, never
     repaired; callers wanting a nearby rotation must build one themselves.
     """
-    A = as_mat4(A)
-    deviation = float(np.abs(A.T @ A - _EYE).max())
-    if deviation > ortho_tol:
-        raise NotOrthogonalError(deviation, ortho_tol)
-    det = float(np.linalg.det(A))
-    if abs(det - 1.0) > det_tol:
-        raise NotProperRotationError(det, det_tol)
+    A, entries = _mat4(A)
+    _kernel.validate(entries, ortho_tol, det_tol)
     return A
 
 
 def van_elfrinkhof(L, R) -> np.ndarray:
     """Matrix of P -> L*P*R for unit quaternions L and R.
 
-    One product with the composition table. Every entry is bilinear in
-    (L, R), hence van_elfrinkhof(-L, -R) is exactly the same matrix.
+    The composition table applied to vec(outer(L, R)). Every entry is
+    bilinear in (L, R), hence van_elfrinkhof(-L, -R) is exactly the same
+    matrix.
     """
-    return _two_sided(as_quaternion(L).tolist(), as_quaternion(R).tolist()).reshape(4, 4)
-
-
-def _two_sided(L, R) -> np.ndarray:
-    """van_elfrinkhof for lists of four floats, flattened row-major."""
-    _check_unit(L)
-    _check_unit(R)
-    return COMPOSITION_TABLE @ [left * right for left in L for right in R]
+    import numpy as np
+    return np.array(_kernel.two_sided(_floats(L), _floats(R))).reshape(4, 4)
 
 
 def random_rotation(seed) -> np.ndarray:
@@ -81,6 +94,7 @@ def random_rotation(seed) -> np.ndarray:
     uniform factors make the composition uniform on the whole group.
     Accepts an int seed or an existing numpy Generator.
     """
+    import numpy as np
     rng = np.random.default_rng(seed)
     L = normalize(rng.standard_normal(4))
     R = normalize(rng.standard_normal(4))

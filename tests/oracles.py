@@ -7,6 +7,7 @@ an SVD, and minors are scanned with plain Python loops, so agreement with
 the library is evidence rather than tautology.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -82,6 +83,24 @@ def brute_max_minor(M):
         for k, l in combinations(range(4), 2):
             worst = max(worst, abs(M[i, k] * M[j, l] - M[j, k] * M[i, l]))
     return worst
+
+
+def exact_det(A):
+    """Determinant of A in exact rational arithmetic, by elimination."""
+    rows = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
+    det = Fraction(1)
+    for c in range(4):
+        pivot = next((r for r in range(c, 4) if rows[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, 4):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det
 
 
 def pair_deviation(pair_a, pair_b):

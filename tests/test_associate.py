@@ -321,3 +321,17 @@ def test_every_rejection_is_typed_and_measured(A):
         decompose(A)
     except IsoclinicError as exc:
         assert exc.measured is not None and math.isfinite(exc.measured), exc
+
+
+def test_overflowed_minor_reads_inf():
+    """A minor whose two products overflow is inf - inf = NaN, which passes
+    any bound; the scan reports it as inf and rank1_factor rejects it at the
+    minor stage. In the second matrix the overflowed minor is the last one
+    scanned, behind 35 minors of 0."""
+    corner = np.zeros((4, 4))
+    corner[2:, 2:] = 1e200
+    for M in (np.full((4, 4), 1e200), corner):
+        assert max_abs_minor(M) == math.inf
+        with pytest.raises(NotRankOneError) as info:
+            rank1_factor(M)
+        assert info.value.measured == math.inf

@@ -304,3 +304,104 @@ def test_undecodable_input_is_a_parse_error(tmp_path):
                     reason="isoclinic executable not on PATH (pip install -e .)")
 def test_installed_console_script_round_trip():
     assert_round_trip(["isoclinic"])
+
+
+def _json(matrix):
+    return json.dumps({"matrix": matrix})
+
+
+def _eye_with(entry):
+    """The 4x4 identity as JSON rows, with its first entry replaced."""
+    rows = np.eye(4).tolist()
+    rows[0][0] = entry
+    return _json(rows)
+
+
+def _nested(depth):
+    value = 1.0
+    for _ in range(depth):
+        value = [value]
+    return _json(value)
+
+
+NOT_NUMERIC = "error: matrix rows are not numeric"
+NOT_FINITE = "error: matrix entries must be finite"
+
+
+def _shape(shape):
+    return f"error: matrix must be 4 rows of 4 numbers, got shape {shape}"
+
+
+# input text, exit code of `isoclinic decompose`, start of its stderr. JSON
+# rows are read as np.array(rows, dtype=float) reads them: numbers, booleans
+# and numeric strings are reals, null is NaN, ragged nesting is not numeric,
+# a conversion failure is reported before a wrong shape and a wrong shape
+# before a non-finite entry.
+PARSE_TABLE = {
+    "numeric strings": (_json([["1", "0", "0", "0"], ["0", "1.0", "0", "0"],
+                               ["0", "0", " 1 ", "0"], ["0", "0", "0", "1e0"]]), 0, ""),
+    "booleans": (_json((np.eye(4) == 1).tolist()), 0, ""),
+    "string with underscore": (_eye_with("1_0"), 3, "rejected: matrix is not orthogonal"),
+    "null entry": (_eye_with(None), 2, NOT_FINITE),
+    "null matrix": (_json(None), 2, _shape(())),
+    "nan string": (_eye_with("nan"), 2, NOT_FINITE),
+    "inf string": (_eye_with("inf"), 2, NOT_FINITE),
+    "Infinity string": (_eye_with("-Infinity"), 2, NOT_FINITE),
+    "NaN token": ('{"matrix": [[NaN, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+                  2, NOT_FINITE),
+    "number past the float range": (_eye_with(1e400), 2, NOT_FINITE),
+    "non-numeric string": (_eye_with("x"), 2, NOT_NUMERIC),
+    "hex string": (_eye_with("0x1"), 2, NOT_NUMERIC),
+    "empty string": (_eye_with(""), 2, NOT_NUMERIC),
+    "object entry": (_eye_with({}), 2, NOT_NUMERIC),
+    "object matrix": (_json({"a": 1}), 2, NOT_NUMERIC),
+    "string matrix": (_json("abc"), 2, NOT_NUMERIC),
+    "numeric string matrix": (_json("5"), 2, _shape(())),
+    "number matrix": (_json(5), 2, _shape(())),
+    "ragged rows": (_json([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+                    2, NOT_NUMERIC),
+    "empty first row": (_json([[], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), 2, NOT_NUMERIC),
+    "list entry": (_eye_with([0]), 2, NOT_NUMERIC),
+    "scalar row": (_json([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], 5]), 2, NOT_NUMERIC),
+    "rows as strings": (_json(["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]), 2, NOT_NUMERIC),
+    "4x4x1": (_json(np.eye(4)[:, :, None].tolist()), 2, _shape((4, 4, 1))),
+    "16 in one row": (_json(np.eye(4).ravel().tolist()), 2, _shape((16,))),
+    "5 rows": (_json([[1, 0, 0, 0]] * 5), 2, _shape((5, 4))),
+    "empty rows": (_json([[], [], [], []]), 2, _shape((4, 0))),
+    "empty matrix": (_json([]), 2, _shape((0,))),
+    "object in a wrong shape": (_json([[{}]]), 2, NOT_NUMERIC),
+    "nan string in a wrong shape": (_json([["nan"]]), 2, _shape((1, 1))),
+    "64 levels": (_nested(64), 2, _shape((1,) * 64)),
+    "65 levels": (_nested(65), 2, NOT_NUMERIC),
+    "plain16": (IDENTITY16, 0, ""),
+    "plain16, 15 numbers": ("1 " * 15, 2, "error: expected 16 numbers, got 15"),
+    "plain16, 17 numbers": ("1 " * 17, 2, "error: expected 16 numbers, got 17"),
+    "plain16, nan token": ("nan " + "0 " * 15, 2, NOT_FINITE),
+    "plain16, Infinity token": ("0 " * 15 + "-Infinity", 2, NOT_FINITE),
+    "plain16, 1e400": ("1e400 " + "0 " * 15, 2, NOT_FINITE),
+    "plain16, word": ("x " + "0 " * 15, 2, "error: non-numeric token in input"),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_TABLE))
+def test_parse_table(case, monkeypatch):
+    text, expected_code, expected_stderr = PARSE_TABLE[case]
+    code, out, err = run_cli(["decompose"], text, monkeypatch)
+    assert code == expected_code, err
+    assert err.startswith(expected_stderr), err
+    if expected_code == 2:
+        with pytest.raises(ParseError):
+            parse_matrix(text)
+    else:
+        A = parse_matrix(text)
+        assert type(A) is np.ndarray and A.shape == (4, 4) and A.dtype == np.float64
+
+
+def test_json_past_the_parser_limits_is_a_parse_error(monkeypatch):
+    """A JSON integer no float can hold is not numeric, and arrays nested
+    past the recursion limit are invalid JSON: exit 2, no traceback."""
+    code, _, err = run_cli(["decompose"], _eye_with(10 ** 400), monkeypatch)
+    assert code == 2 and err.startswith(NOT_NUMERIC), err
+    deep = '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    code, _, err = run_cli(["decompose"], deep, monkeypatch)
+    assert code == 2 and err.startswith("error: invalid JSON input"), err

@@ -1,0 +1,55 @@
+"""Importing the package, and every CLI command except generate, runs
+without numpy: nothing they do builds an array."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from test_cli import IDENTITY16, child_env
+
+# runs `python -m isoclinic ARGS` in this process, then prints the exit code
+# and the numpy modules loaded by then as one JSON line on stderr
+CHILD = """
+import json, runpy, sys
+args = json.loads(sys.argv[1])
+code = None
+if args is not None:
+    sys.argv = ["isoclinic", *args]
+    try:
+        runpy.run_module("isoclinic", run_name="__main__", alter_sys=True)
+    except SystemExit as exit:
+        code = exit.code
+else:
+    import isoclinic
+loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("numpy."))
+print(json.dumps({"code": code, "numpy": loaded}), file=sys.stderr)
+"""
+
+
+def run_child(args, stdin=""):
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(args)], input=stdin,
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1]), proc.stdout
+
+
+@pytest.mark.parametrize("args, stdin, code", [
+    (None, "", None),
+    (["decompose", "--json"], IDENTITY16, 0),
+    (["decompose"], "2 " * 16, 3),
+    (["classify"], IDENTITY16, 0),
+    (["verify", "--json"], IDENTITY16, 0),
+    (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0),
+], ids=["import", "decompose", "decompose-rejected", "classify", "verify", "compose"])
+def test_numpy_is_not_imported(args, stdin, code):
+    report, _ = run_child(args, stdin)
+    assert report == {"code": code, "numpy": []}
+
+
+def test_generate_imports_numpy():
+    """The check above sees numpy when it is loaded: generate builds arrays."""
+    report, out = run_child(["generate", "--seed", "3"])
+    assert report["code"] == 0 and "numpy" in report["numpy"]
+    assert len(out.split()) == 16

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from isoclinic import (
     IDENTITY,
+    associate_matrix,
     IsoclinicError,
     MalformedInputError,
     NotOrthogonalError,
@@ -184,3 +186,26 @@ def test_malformed_input_is_typed():
     for q in ([1.0, np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, [0.0], 0.0, 0.0]):
         with pytest.raises(MalformedInputError):
             normalize(q)
+
+
+def test_overflowing_gram_is_not_orthogonal():
+    """Products past the float range make an off-diagonal entry of A^T A
+    inf - inf = NaN, which no bound rejects; the deviation still reads inf."""
+    A = np.diag([0.0, 0.0, 1.0, 1.0])
+    A[:2, :2] = [[1e200, 1e200], [1e200, -1e200]]
+    with pytest.raises(NotOrthogonalError) as info:
+        validate_rotation(A)
+    assert info.value.measured == math.inf
+
+
+def test_zero_entries_are_positive_zero():
+    """Entries that sum to zero are +0.0, as numpy's product with the table
+    gives them, so printed matrices never show -0.0, even for factors with
+    -0.0 components."""
+    basis = np.eye(4)
+    pairs = [(L, R) for L in (*basis, *-basis) for R in basis]
+    pairs.append(([0.0, -0.0, 0.0, -1.0], [0.0, 0.6, -0.0, 0.8]))
+    for L, R in pairs:
+        A = van_elfrinkhof(L, R)
+        for M in (A, associate_matrix(A)):
+            assert not np.signbit(M[M == 0]).any()
