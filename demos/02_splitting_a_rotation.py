@@ -40,7 +40,10 @@ print("\nrecovered left: ", result.left)
 print("true left:      ", L0)
 print("recovered right:", result.right)
 print("true right:     ", R0)
-print("reconstruction residual:", result.reconstruction_residual)
+# decompose certifies its answer with one number: the Frobenius distance
+# from A to the rotation rebuilt from the factors, which is twice the
+# distance of M from their outer product.
+print("distance ||A - Q||_F:", result.distance)
 
 # The pair is only determined up to negating both members. The library
 # always hands back the pair whose first significant left component is
@@ -55,5 +58,5 @@ print("max |A - rebuild from mixed signs| :", np.max(np.abs(A - mixed)), " (far 
 # Works for any rotation, of course, including random ones.
 B = random_rotation(2024)
 rb = decompose(B)
-print("\nrandom rotation residual:", rb.reconstruction_residual,
-      " minors:", rb.max_minor)
+print("\nrandom rotation distance:", rb.distance,
+      " norm deviation:", rb.norm_deviation)

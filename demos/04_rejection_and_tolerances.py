@@ -1,15 +1,16 @@
-# How non-rotations get rejected, and what the tolerances mean.
+# How non-rotations get rejected, and what the tolerance means.
 #
-# decompose never repairs its input. Each stage measures one number and
-# raises a typed error carrying it when the number is too big, so a caller
-# can tell a reflection from noise from garbage.
+# decompose never repairs its input. It measures one number, the Frobenius
+# distance from the input to the rotation rebuilt from the factors it reads
+# off, and raises a typed error carrying it when the number is too big, so
+# a caller can tell a reflection from noise from garbage.
 
 import numpy as np
 
 from isoclinic import (
     NormDeviationError,
     NotProperRotationError,
-    NotRankOneError,
+    ReconstructionError,
     Tolerances,
     associate_matrix,
     associate_norm,
@@ -29,43 +30,46 @@ try:
 except NotProperRotationError as exc:
     print("validate_rotation:", exc)
 
-# ...but the decomposition pipeline rejects it on its own: the recombined
-# matrix of an improper orthogonal matrix still has unit norm, yet it is
-# rank 2, so the minor check trips. There is no factor pair to find.
+# ...but the decomposition rejects it on its own. The recombined matrix of
+# an improper orthogonal matrix has unit norm, but it is not rank 1: its
+# four singular values are all 1/2, so 2M is orthogonal. No factor pair
+# comes closer than distance 2.
 M = associate_matrix(reflection)
 print("\nrecombination of the reflection:\n", M)
 print("its norm:", associate_norm(M), " largest minor:", max_abs_minor(M))
+print("singular values:", np.linalg.svd(M, compute_uv=False))
 try:
     decompose(reflection)
-except NotRankOneError as exc:
+except ReconstructionError as exc:
     print("decompose:", exc)
 
-# Even if every tolerance is thrown wide open, the forced factor pair
+# Even if the tolerance is thrown wide open, the forced factor pair
 # cannot reconstruct the reflection; rotations are simply the wrong model.
-wide_open = Tolerances(norm_tol=10, minor_tol=10, factor_tol=10, recon_tol=10)
-forced = decompose(reflection, wide_open)
-print("forced reconstruction misses by:", forced.reconstruction_residual)
+forced = decompose(reflection, Tolerances(dist_tol=10))
+print("forced reconstruction misses by:", forced.distance)
 
-# A scaled matrix fails earlier, at the norm stage.
+# A scaled matrix fails before any read-off, at the norm: the norm's
+# deviation from 1 is at most half the distance, so it is checked against
+# dist_tol / 2.
 try:
     decompose(0.9 * np.eye(4))
 except NormDeviationError as exc:
     print("\nscaled input:", exc)
 
-# Mild noise is a different story: the defaults accept inputs that are
-# rotations up to about 1e-10 and report honest residuals for them.
+# Mild noise is a different story: the default dist_tol, twice the
+# orthogonality bound of validate_rotation, accepts whatever validation
+# accepts, and the result reports how far from SO(4) the input was.
 rng = np.random.default_rng(7)
 A = random_rotation(rng)
 noisy = A + 1e-11 * rng.standard_normal((4, 4))
 result = decompose(noisy)
 print("\nnoisy rotation accepted:")
-print("  largest minor:          ", result.max_minor)
-print("  norm deviation:         ", result.norm_deviation)
-print("  reconstruction residual:", result.reconstruction_residual)
+print("  distance:      ", result.distance)
+print("  norm deviation:", result.norm_deviation)
 
 # The same input fails under a stricter policy; tolerances are a value you
 # pass, not a global setting.
 try:
-    decompose(noisy, Tolerances(minor_tol=1e-14))
-except NotRankOneError as exc:
+    decompose(noisy, Tolerances(dist_tol=1e-14))
+except NormDeviationError as exc:
     print("\nstrict policy on the same input:", exc)

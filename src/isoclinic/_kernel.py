@@ -4,7 +4,7 @@ A 4x4 matrix is the row-major list of its 16 entries and a quaternion the
 list of its four components (w, x, y, z). Every check made on a rotation
 runs here: orthogonality and determinant, the associate matrix, its norm
 and 36 minors, the factor read-off and its sign, the reconstruction and
-the classification. The array API in ``quat``, ``rotation4``,
+its distance, and the classification. The array API in ``quat``, ``rotation4``,
 ``associate`` and ``invariance`` coerces its input once, calls into this
 module and boxes the result; the CLI calls it on the floats it parses, so
 a command that never builds an array never imports numpy.
@@ -16,14 +16,13 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul, sub
+from operator import sub
 
 from .errors import (
     DegenerateNormError,
     NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
-    NotRankOneError,
     NotUnitQuaternionError,
     ReconstructionError,
     ZeroQuaternionError,
@@ -195,30 +194,28 @@ def canonical(L, R, sign_tol):
     return ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
 
 
-def read_off(m, norm, tolerances):
-    """Check that M (row-major m, Frobenius norm norm) is rank 1 and split it.
+def read_off(m):
+    """The unit pair (L, R) whose outer product is nearest to M (row-major m).
 
     L starts as the column of the largest entry; one alternating step,
-    R = M^T L and L = M R, each normalized, moves the pair towards the
-    best rank-1 fit of a nearly rank-1 M and gives outer(L, R) the sign
-    of M, so no sign has to be matched afterwards.
-    Returns the canonical (L, R) and the largest absolute minor.
+    R = M^T L and L = M R, each normalized, moves the pair to the top
+    singular pair of a nearly rank-1 M and gives outer(L, R) the sign of
+    M. Each sum adds in index order after a leading 0.0, so a sum of
+    negative zeros is +0.0 and the factors keep their signs of zero.
     """
-    if norm < 0.5:
-        raise DegenerateNormError(norm)
-    worst_minor = max_minor(m)
-    if worst_minor > tolerances.minor_tol:
-        raise NotRankOneError(worst_minor, tolerances.minor_tol)
+    (m00, m01, m02, m03, m10, m11, m12, m13,
+     m20, m21, m22, m23, m30, m31, m32, m33) = m
     magnitudes = list(map(abs, m))
-    pivot_column = magnitudes.index(max(magnitudes)) % 4
-    L = unit(m[pivot_column::4])
-    R = unit([sum(map(mul, m[column::4], L)) for column in range(4)])
-    L = unit([sum(map(mul, m[row:row + 4], R)) for row in range(0, 16, 4)])
-    residual = max(map(abs, map(sub, m, [left * right for left in L for right in R])))
-    if residual > tolerances.factor_tol:
-        raise NotRankOneError(residual, tolerances.factor_tol)
-    L, R = canonical(L, R, tolerances.sign_tol)
-    return L, R, worst_minor
+    l0, l1, l2, l3 = unit(m[magnitudes.index(max(magnitudes)) % 4::4])
+    R = r0, r1, r2, r3 = unit([0.0 + m00 * l0 + m10 * l1 + m20 * l2 + m30 * l3,
+                               0.0 + m01 * l0 + m11 * l1 + m21 * l2 + m31 * l3,
+                               0.0 + m02 * l0 + m12 * l1 + m22 * l2 + m32 * l3,
+                               0.0 + m03 * l0 + m13 * l1 + m23 * l2 + m33 * l3])
+    L = unit([0.0 + m00 * r0 + m01 * r1 + m02 * r2 + m03 * r3,
+              0.0 + m10 * r0 + m11 * r1 + m12 * r2 + m13 * r3,
+              0.0 + m20 * r0 + m21 * r1 + m22 * r2 + m23 * r3,
+              0.0 + m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3])
+    return L, R
 
 
 # ---- composition and decomposition ------------------------------------------
@@ -235,22 +232,33 @@ def two_sided(L, R):
             for k0, s0, k1, s1, k2, s2, k3, s3 in _COMPOSE]
 
 
+def nearest(a, m):
+    """The pair read off M = associate(a) and the distance ||A - Q||_F to
+    the rotation Q it generates, which is 2 ||M - outer(L, R)||_F since
+    B^T B = 4I: near SO(4), the distance of A from the group."""
+    L, R = read_off(m)
+    return L, R, math.hypot(*map(sub, a, two_sided(L, R)))
+
+
 def decompose(a, tolerances):
     """Split the rotation with row-major entries a into its factor pair.
 
-    Returns (L, R, reconstruction residual, norm deviation, largest minor)
-    or raises the error of the first check that fails.
+    Returns (L, R, distance, norm deviation) or raises the error of the
+    first check that fails. |norm(M) - 1| <= ||M - outer(L, R)||_F for
+    every unit pair, so a norm deviation above dist_tol / 2 already puts
+    the distance above dist_tol, and it is rejected before any read-off.
     """
     m = associate(a)
     norm = math.hypot(*m)
     norm_deviation = abs(norm - 1.0)
-    if norm_deviation > tolerances.norm_tol:
-        raise NormDeviationError(norm_deviation, tolerances.norm_tol)
-    L, R, worst_minor = read_off(m, norm, tolerances)
-    residual = max(map(abs, map(sub, a, two_sided(L, R))))
-    if residual > tolerances.recon_tol:
-        raise ReconstructionError(residual, tolerances.recon_tol)
-    return L, R, residual, norm_deviation, worst_minor
+    if norm_deviation > tolerances.dist_tol / 2:
+        raise NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
+    if norm < 0.5:
+        raise DegenerateNormError(norm)
+    L, R, distance = nearest(a, m)
+    if distance > tolerances.dist_tol:
+        raise ReconstructionError(distance, tolerances.dist_tol)
+    return (*canonical(L, R, tolerances.sign_tol), distance, norm_deviation)
 
 
 # ---- classification ------------------------------------------------------------

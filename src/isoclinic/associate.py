@@ -5,9 +5,9 @@ of A in the composition table of ``rotation4``, arranged on a 4x4 grid.
 When A is the matrix of the two-sided quaternion map P -> L*P*R, it equals
 the outer product column(L) * row(R): a rank-1 matrix of unit Frobenius
 norm whose rows and columns are scalar multiples of the two factors.
-``decompose`` checks those two properties, reads the factors off, and
-verifies the reconstruction, so any matrix that is not close to a 4D
-rotation is rejected by one of the checks instead of producing garbage.
+``decompose`` reads the factors off and measures one number, the
+Frobenius distance from A to the rotation they rebuild, so any matrix
+that is not close to a 4D rotation is rejected instead of producing garbage.
 
 The factor pair is unique only up to a joint sign flip: (L, R) and
 (-L, -R) produce the same rotation. ``canonical_pair`` picks the
@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import TYPE_CHECKING
 
 from . import _kernel
 from ._kernel import RotationClass, RotationKind
+from .errors import DegenerateNormError, NotRankOneError
 from .quat import _floats
-from .rotation4 import _mat4
+from .rotation4 import ORTHO_TOL, _mat4
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,20 +39,19 @@ if TYPE_CHECKING:
 class Tolerances:
     """Acceptance thresholds for the decomposition pipeline.
 
-    norm_tol      bound on |Frobenius norm - 1| of the associate matrix
-    minor_tol     bound on the largest absolute 2x2 minor
-    factor_tol    bound on the max-abs residual of the rank-1 refit
-    recon_tol     bound on the max-abs residual of the rebuilt rotation
     sign_tol      magnitude a component must exceed to anchor the sign
     iso_tol       component deviation under which a factor counts as +/-1
+    dist_tol      bound on the Frobenius distance ||A - Q||_F from the
+                  input to the rotation rebuilt from its factors
+
+    The default dist_tol is twice validation's ORTHO_TOL: to first order
+    the distance of a matrix from SO(4) is at most twice its largest
+    |A^T A - I| entry, so what validation accepts, decompose accepts.
     """
 
-    norm_tol: float = 1e-10
-    minor_tol: float = 1e-10
-    factor_tol: float = 1e-10
-    recon_tol: float = 1e-9
     sign_tol: float = 1e-8
     iso_tol: float = 1e-9
+    dist_tol: float = 2 * ORTHO_TOL
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -109,49 +110,60 @@ def rank1_factor(M, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """Split a unit-norm rank-1 matrix into its canonical unit factor pair.
 
     Returns (L, R) with outer(L, R) matching M entrywise within
-    factor_tol. Raises DegenerateNormError when the norm is too small to
+    dist_tol / 2. Raises DegenerateNormError when the norm is too small to
     carry a factorization and NotRankOneError when the minors, or the
-    final refit residual, show M is not (unit-scale) rank 1.
+    final refit residual, exceed dist_tol / 2 and so show M is not
+    (unit-scale) rank 1.
     """
     import numpy as np
     m = _mat4(M)[1]
-    L, R, _ = _kernel.read_off(m, math.hypot(*m), tolerances)
+    norm = math.hypot(*m)
+    if norm < 0.5:
+        raise DegenerateNormError(norm)
+    bound = tolerances.dist_tol / 2
+    worst_minor = _kernel.max_minor(m)
+    if worst_minor > bound:
+        raise NotRankOneError(worst_minor, bound)
+    L, R = _kernel.canonical(*_kernel.read_off(m), tolerances.sign_tol)
+    residual = max(map(abs, map(sub, m, [left * right for left in L for right in R])))
+    if residual > bound:
+        raise NotRankOneError(residual, bound)
     return np.array(L), np.array(R)
 
 
 @dataclass(frozen=True, eq=False)
 class IsoclinicDecomposition:
-    """Canonical factor pair of a rotation plus the measured residuals.
+    """Canonical factor pair of a rotation plus its measured certificate.
 
     The alternate decomposition is always (-left, -right); no third pair
-    exists. reconstruction_residual is the max-abs difference between the
-    input and the rotation rebuilt from the factors.
+    exists. distance is ||A - Q||_F for the rotation Q rebuilt from the
+    factors, the distance of A from SO(4) near the group; norm_deviation
+    is |norm(M) - 1| of the associate matrix, at most distance / 2.
     """
 
     left: np.ndarray
     right: np.ndarray
-    reconstruction_residual: float
+    distance: float
     norm_deviation: float
-    max_minor: float
 
 
 def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomposition:
     """Factor a rotation matrix into its two isoclinic unit quaternions.
 
-    Pipeline: form the associate matrix, check unit norm, check all 36
-    minors, read off the factors, rebuild and compare. Each check raises
-    its own error carrying the measured value, so inputs far from a 4D
-    rotation fail loudly; in particular orthogonal matrices of
-    determinant -1 pass the norm check but are caught by the minors.
+    Pipeline: form the associate matrix, read off the factors, rebuild
+    and measure the Frobenius distance to the input. A distance above
+    dist_tol raises ReconstructionError carrying it; a norm deviation
+    above dist_tol / 2, which bounds the distance from below, raises
+    NormDeviationError before the read-off. Orthogonal matrices of
+    determinant -1 keep unit norm but lie at distance 2.
     """
     import numpy as np
-    L, R, residual, norm_deviation, worst_minor = _kernel.decompose(_mat4(A)[1], tolerances)
+    L, R, distance, norm_deviation = _kernel.decompose(_mat4(A)[1], tolerances)
     return IsoclinicDecomposition(
         left=np.array(L),
         right=np.array(R),
-        reconstruction_residual=residual,
+        distance=distance,
         norm_deviation=norm_deviation,
-        max_minor=worst_minor,
     )
 
 

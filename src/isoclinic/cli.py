@@ -152,26 +152,9 @@ def _parse_quat_arg(text: str, name: str) -> list:
     return q
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        minor_tol=args.minor_tol,
-        recon_tol=args.recon_tol,
-        iso_tol=args.iso_tol,
-    )
-
-
 def _tolerance_fields(args) -> dict:
-    tol = _tolerances(args)
-    return {
-        "ortho_tol": args.ortho_tol,
-        "det_tol": args.ortho_tol,
-        "norm_tol": tol.norm_tol,
-        "minor_tol": tol.minor_tol,
-        "factor_tol": tol.factor_tol,
-        "recon_tol": tol.recon_tol,
-        "sign_tol": tol.sign_tol,
-        "iso_tol": tol.iso_tol,
-    }
+    """The tolerances the flags set."""
+    return {"ortho_tol": args.ortho_tol, "dist_tol": args.dist_tol, "iso_tol": args.iso_tol}
 
 
 def _rejection(args, exc: IsoclinicError) -> int:
@@ -201,17 +184,16 @@ def _emit_matrix(entries, as_json: bool) -> None:
 
 def _factor_input(args):
     """Read, validate, decompose and classify the input matrix; returns
-    (L, R, reconstruction residual, norm deviation, largest minor) and the
-    RotationClass."""
+    (L, R, distance, norm deviation) and the RotationClass."""
     entries = _read_matrix(args)
     _kernel.validate(entries, args.ortho_tol, args.ortho_tol)
-    result = _kernel.decompose(entries, _tolerances(args))
+    result = _kernel.decompose(entries, Tolerances(dist_tol=args.dist_tol))
     return result, _kernel.classify(result[0], result[1], args.iso_tol)
 
 
 def cmd_decompose(args) -> int:
     try:
-        (left, right, reconstruction, norm_deviation, max_minor), kind = _factor_input(args)
+        (left, right, distance, norm_deviation), kind = _factor_input(args)
     except (ValidationError, DecompositionError) as exc:
         return _rejection(args, exc)
     if args.json:
@@ -224,9 +206,8 @@ def cmd_decompose(args) -> int:
             "right_angle": kind.right_angle,
             "class": kind.kind.value,
             "residuals": {
-                "reconstruction": reconstruction,
+                "distance": distance,
                 "norm_deviation": norm_deviation,
-                "max_minor": max_minor,
             },
             "tolerances": _tolerance_fields(args),
         }
@@ -238,9 +219,8 @@ def cmd_decompose(args) -> int:
         print(f"left angle:  {_fmt(kind.left_angle)}")
         print(f"right angle: {_fmt(kind.right_angle)}")
         print(f"class: {kind.kind.value}")
-        print(f"reconstruction residual: {_fmt(reconstruction)}")
+        print(f"distance: {_fmt(distance)}")
         print(f"norm deviation: {_fmt(norm_deviation)}")
-        print(f"max minor: {_fmt(max_minor)}")
     return EXIT_OK
 
 
@@ -276,19 +256,18 @@ def cmd_verify(args) -> int:
     entries = _read_matrix(args)
     ortho_deviation = _kernel.gram_deviation(entries)
     det = _kernel.determinant(entries)
-    M = _kernel.associate(entries)
-    norm_deviation = abs(math.hypot(*M) - 1.0)
-    minor_all = _kernel.max_minor(M)
-    tol = _tolerances(args)
+    try:
+        distance = _kernel.nearest(entries, _kernel.associate(entries))[2]
+    except ZeroQuaternionError:
+        # every entry of M is below 1e-150, so every rotation lies at 2.0
+        distance = 2.0
     checks = {
         "orthogonality": {"measured": ortho_deviation, "tol": args.ortho_tol,
                           "pass": ortho_deviation <= args.ortho_tol},
         "determinant": {"measured": det, "tol": args.ortho_tol,
                         "pass": abs(det - 1.0) <= args.ortho_tol},
-        "norm_deviation": {"measured": norm_deviation, "tol": tol.norm_tol,
-                           "pass": norm_deviation <= tol.norm_tol},
-        "max_minor": {"measured": minor_all, "tol": tol.minor_tol,
-                      "pass": minor_all <= tol.minor_tol},
+        "distance": {"measured": distance, "tol": args.dist_tol,
+                     "pass": distance <= args.dist_tol},
     }
     ok = all(entry["pass"] for entry in checks.values())
     if args.json:
@@ -352,12 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance_flags = argparse.ArgumentParser(add_help=False)
     tolerance_flags.add_argument("--ortho-tol", type=float, default=ORTHO_TOL,
                                  help="orthogonality and determinant tolerance")
-    tolerance_flags.add_argument("--minor-tol", type=float,
-                                 default=DEFAULT_TOLERANCES.minor_tol,
-                                 help="2x2 minor tolerance")
-    tolerance_flags.add_argument("--recon-tol", type=float,
-                                 default=DEFAULT_TOLERANCES.recon_tol,
-                                 help="reconstruction residual tolerance")
+    tolerance_flags.add_argument("--dist-tol", type=float,
+                                 default=DEFAULT_TOLERANCES.dist_tol,
+                                 help="Frobenius distance tolerance between the input "
+                                      "and the rotation rebuilt from its factors")
     tolerance_flags.add_argument("--iso-tol", type=float,
                                  default=DEFAULT_TOLERANCES.iso_tol,
                                  help="trivial-factor threshold for classification")
@@ -390,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser(
         "verify", parents=[matrix_input, tolerance_flags, json_flag],
-        help="report orthogonality, determinant, norm and minor checks")
+        help="report orthogonality, determinant and distance checks")
     p.set_defaults(func=cmd_verify)
 
     p = subparsers.add_parser(

@@ -100,8 +100,8 @@ class DegenerateNormError(DecompositionError):
 class ReconstructionError(DecompositionError):
     def __init__(self, residual, tol):
         super().__init__(
-            f"factor pair does not reproduce the input: max residual {residual:.6g} "
-            f"exceeds {tol:.1e}"
+            f"factor pair does not reproduce the input: distance ||A - Q||_F = "
+            f"{residual:.6g} exceeds {tol:.1e}"
         )
         self.residual = residual
         self.tol = tol

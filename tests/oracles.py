@@ -3,8 +3,9 @@
 Nothing here reuses the package's composition table or its factor
 read-off: the associate matrix and the two-sided product are spelled out
 entry by entry, factors are recovered by a generic 16x16 linear solve plus
-an SVD, and minors are scanned with plain Python loops, so agreement with
-the library is evidence rather than tautology.
+an SVD, the nearest rotation is the SVD's special Procrustes projection,
+and minors are scanned with plain Python loops, so agreement with the
+library is evidence rather than tautology.
 """
 
 from fractions import Fraction
@@ -73,6 +74,18 @@ def solve_factor_pair(A):
     grid = coefficients.reshape(4, 4)
     u, s, vt = np.linalg.svd(grid)
     return u[:, 0], vt[0]
+
+
+def procrustes(A):
+    """Nearest rotation to A in the Frobenius norm, from numpy's SVD.
+
+    With A = U S V^T, the nearest orthogonal matrix is U V^T; when its
+    determinant is -1, the nearest rotation flips the singular direction
+    of the smallest singular value instead.
+    """
+    u, _, vt = np.linalg.svd(np.asarray(A, dtype=float))
+    flip = np.sign(np.linalg.det(u @ vt))
+    return u @ np.diag([1.0, 1.0, 1.0, flip]) @ vt
 
 
 def brute_max_minor(M):

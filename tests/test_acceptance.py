@@ -65,7 +65,7 @@ def criterion(number, description):
 @criterion(1, "decomposition round trip, 10000 random factor pairs, < 5 s")
 def test_c01_decomposition_round_trip():
     rng = np.random.default_rng(20260819)
-    worst_component = worst_residual = 0.0
+    worst_component = worst_distance = 0.0
     start = time.perf_counter()
     for _ in range(10000):
         L0 = normalize(rng.standard_normal(4))
@@ -75,13 +75,13 @@ def test_c01_decomposition_round_trip():
         worst_component = max(worst_component,
                               float(np.max(np.abs(result.left - cL))),
                               float(np.max(np.abs(result.right - cR))))
-        worst_residual = max(worst_residual, result.reconstruction_residual)
+        worst_distance = max(worst_distance, result.distance)
     elapsed = time.perf_counter() - start
     assert worst_component <= 1e-12, f"component error {worst_component:.3e}"
-    assert worst_residual <= 1e-12, f"reconstruction residual {worst_residual:.3e}"
+    assert worst_distance <= 1e-12, f"distance {worst_distance:.3e}"
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s"
     return (f"worst component {worst_component:.2e}, "
-            f"worst residual {worst_residual:.2e}, {elapsed:.2f}s")
+            f"worst distance {worst_distance:.2e}, {elapsed:.2f}s")
 
 
 @criterion(2, "unit Frobenius norm of the recombination, 10000 rotations")
@@ -178,7 +178,7 @@ def test_c07_invariance_suite():
 
 @criterion(8, "orthogonal matrices with determinant -1 are rejected, 101 cases")
 def test_c08_improper_rejection():
-    loose = Tolerances(norm_tol=10.0, minor_tol=10.0, factor_tol=10.0, recon_tol=10.0)
+    loose = Tolerances(dist_tol=10.0)
     rng = np.random.default_rng(8)
     cases = [np.diag([1.0, 1.0, 1.0, -1.0])]
     cases += [random_improper(rng) for _ in range(100)]
@@ -190,12 +190,14 @@ def test_c08_improper_rejection():
             pass
         else:
             raise AssertionError("improper matrix was not rejected")
-        # even with every tolerance wide open, the best factor pair misses
-        # the input by a wide margin
+        # even with the tolerance wide open, the best factor pair misses the
+        # input by a wide margin: every improper orthogonal matrix lies at
+        # Frobenius distance 2 from SO(4)
         forced = decompose(A, loose)
-        closest = min(closest, forced.reconstruction_residual)
-    assert closest >= 1e-6, f"closest reconstruction {closest:.3e}"
-    return f"closest reconstruction {closest:.2e}"
+        assert abs(forced.distance - 2.0) <= 1e-14, f"distance {forced.distance!r}"
+        closest = min(closest, forced.distance)
+    assert closest >= 1e-6, f"closest distance {closest:.3e}"
+    return f"closest distance {closest:.2e}"
 
 
 @criterion(9, "factor read-off matches a generic solve-plus-SVD oracle, 100 rotations")

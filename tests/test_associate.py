@@ -12,6 +12,7 @@ from isoclinic import (
     IsoclinicError,
     NormDeviationError,
     NotRankOneError,
+    ReconstructionError,
     RotationKind,
     Tolerances,
     associate_matrix,
@@ -27,9 +28,16 @@ from isoclinic import (
     random_rotation,
     rank1_factor,
     right_matrix,
+    validate_rotation,
     van_elfrinkhof,
 )
-from oracles import associate_reference, brute_max_minor, pair_deviation, random_improper
+from oracles import (
+    associate_reference,
+    brute_max_minor,
+    pair_deviation,
+    procrustes,
+    random_improper,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -159,9 +167,29 @@ def test_decompose_identity():
     result = decompose(np.eye(4))
     assert np.array_equal(result.left, IDENTITY)
     assert np.array_equal(result.right, IDENTITY)
-    assert result.reconstruction_residual == 0.0
+    assert result.distance == 0.0
     assert result.norm_deviation == 0.0
-    assert result.max_minor == 0.0
+
+
+# exact rotations of the identity-factor kinds, with their factors as
+# decompose has always returned them, signs of zero included
+SIGNED_ZEROS = {
+    "identity": (np.eye(4), [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),
+    "central reversion": (-np.eye(4), [1.0, -0.0, -0.0, -0.0], [-1.0, -0.0, -0.0, -0.0]),
+    "left-isoclinic": (-left_matrix([0.5, 0.5, 0.5, 0.5]), [0.5, 0.5, 0.5, 0.5],
+                       [-1.0, -0.0, -0.0, -0.0]),
+    "right-isoclinic": (right_matrix([0.0, -0.6, 0.0, 0.8]), [1.0, 0.0, 0.0, 0.0],
+                        [0.0, -0.6, 0.0, 0.8]),
+}
+
+
+@pytest.mark.parametrize("case", list(SIGNED_ZEROS))
+def test_decompose_keeps_signs_of_zero(case):
+    A, left, right = SIGNED_ZEROS[case]
+    result = decompose(A)
+    for got, want in ((result.left, left), (result.right, right)):
+        assert got.tolist() == want
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
 def test_decompose_pure_left_rotation():
@@ -181,7 +209,7 @@ def test_decompose_round_trip(seed):
     A = van_elfrinkhof(L0, R0)
     result = decompose(A)
     assert pair_deviation((result.left, result.right), (L0, R0)) <= 1e-12
-    assert result.reconstruction_residual <= 1e-12
+    assert result.distance <= 1e-12
     assert np.max(np.abs(van_elfrinkhof(result.left, result.right) - A)) <= 1e-12
 
 
@@ -193,12 +221,16 @@ def test_decompose_canonical_sign_invariant():
 
 
 def test_decompose_rejects_improper():
-    with pytest.raises(NotRankOneError):
+    """An orthogonal matrix of determinant -1 keeps unit norm; its nearest
+    rotation lies at Frobenius distance exactly 2."""
+    with pytest.raises(ReconstructionError) as info:
         decompose(np.diag([1.0, 1.0, 1.0, -1.0]))
+    assert info.value.measured == 2.0
     rng = np.random.default_rng(13)
     for _ in range(20):
-        with pytest.raises(NotRankOneError):
+        with pytest.raises(ReconstructionError) as info:
             decompose(random_improper(rng))
+        assert abs(info.value.measured - 2.0) <= 1e-14
 
 
 def test_decompose_rejects_scaled_input():
@@ -209,22 +241,71 @@ def test_decompose_rejects_scaled_input():
 
 
 def test_decompose_tolerates_tiny_noise():
-    """Perturbations around 1e-11 leave small nonzero minors, below
-    minor_tol, and still reconstruct well below the acceptance threshold."""
+    """Perturbations around 1e-11 leave a small nonzero distance, well
+    below dist_tol, and a norm deviation below half of it."""
     rng = np.random.default_rng(21)
     A = random_rotation(rng)
     noisy = A + 1e-11 * rng.standard_normal((4, 4))
     result = decompose(noisy)
-    assert 0 < result.max_minor <= 1e-10
-    assert result.reconstruction_residual <= 1e-9
+    assert 0 < result.distance <= 1e-10
+    assert result.norm_deviation <= result.distance / 2
 
 
 def test_decompose_strict_tolerances_reject_noise():
+    """Noise of 1e-11 passes the defaults but not a stricter policy. Below
+    twice the norm deviation the norm check rejects; between that and the
+    distance the distance check does, with the SVD oracle's distance."""
     rng = np.random.default_rng(22)
     A = random_rotation(rng)
     noisy = A + 1e-11 * rng.standard_normal((4, 4))
-    with pytest.raises(NotRankOneError):
-        decompose(noisy, Tolerances(minor_tol=1e-14))
+    result = decompose(noisy)
+    with pytest.raises(NormDeviationError) as info:
+        decompose(noisy, Tolerances(dist_tol=1e-14))
+    assert info.value.measured == result.norm_deviation
+    between = Tolerances(dist_tol=(2 * result.norm_deviation + result.distance) / 2)
+    with pytest.raises(ReconstructionError) as info:
+        decompose(noisy, between)
+    assert info.value.measured == pytest.approx(np.linalg.norm(noisy - procrustes(noisy)),
+                                                rel=0, abs=1e-14)
+
+
+def test_zero_matrix_is_degenerate_under_open_tolerances():
+    """With the norm check wide open a zero matrix still fails as a
+    DecompositionError, never as a ZeroQuaternionError from normalizing."""
+    wide_open = Tolerances(dist_tol=10.0)
+    for A in (np.zeros((4, 4)), 1e-200 * np.eye(4)):
+        with pytest.raises(DegenerateNormError) as info:
+            decompose(A, wide_open)
+        assert info.value.measured == associate_norm(associate_matrix(A))
+
+
+def near_rotation(seed, exponent, improper):
+    """A rotation, or an orthogonal matrix of determinant -1, plus Gaussian
+    noise of scale 10**exponent."""
+    rng = np.random.default_rng(seed)
+    A = random_improper(rng) if improper else random_rotation(rng)
+    return A + 10.0 ** exponent * rng.standard_normal((4, 4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.builds(near_rotation, seeds, st.floats(-12, -8), st.just(False)))
+def test_validated_matrices_decompose(A):
+    """Whatever validate_rotation accepts under its default bounds,
+    decompose accepts under its own."""
+    try:
+        validate_rotation(A)
+    except IsoclinicError:
+        return
+    decompose(A)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.builds(near_rotation, seeds, st.floats(-16, -6), st.just(False)))
+def test_distance_is_the_distance_to_so4(A):
+    """Near SO(4) the distance decompose measures is that of A from the
+    nearest rotation, which the SVD oracle computes independently."""
+    result = decompose(A, Tolerances(dist_tol=1.0))
+    assert abs(result.distance - np.linalg.norm(A - procrustes(A))) <= 1e-14
 
 
 def test_only_two_sign_choices_reconstruct():
@@ -279,8 +360,8 @@ REJECTIONS = {
         lambda: 1.5 * random_rotation(31), decompose, NormDeviationError,
         lambda A: abs(np.linalg.norm(associate_reference(A)) - 1.0)),
     "orthogonal, det -1": (
-        lambda: random_improper(np.random.default_rng(32)), decompose, NotRankOneError,
-        lambda A: brute_max_minor(associate_reference(A))),
+        lambda: random_improper(np.random.default_rng(32)), decompose, ReconstructionError,
+        lambda A: np.linalg.norm(A - procrustes(A))),
     "0.4 E00": (lambda: 0.4 * E00, rank1_factor, DegenerateNormError, lambda M: 0.4),
     "zero matrix": (lambda: np.zeros((4, 4)), decompose, NormDeviationError, lambda A: 1.0),
     # the norm itself exceeds the largest float, so its deviation reads inf
@@ -297,14 +378,6 @@ def test_rejection_stage_and_measured(case):
         call(x)
     assert type(info.value) is error
     assert info.value.measured == pytest.approx(expected(x), rel=0, abs=1e-15)
-
-
-def near_rotation(seed, exponent, improper):
-    """A rotation, or an orthogonal matrix of determinant -1, plus Gaussian
-    noise of scale 10**exponent."""
-    rng = np.random.default_rng(seed)
-    A = random_improper(rng) if improper else random_rotation(rng)
-    return A + 10.0 ** exponent * rng.standard_normal((4, 4))
 
 
 @settings(deadline=None, max_examples=300)

@@ -82,8 +82,8 @@ def test_decompose_json_report(monkeypatch):
     assert report["status"] == "ok"
     assert report["class"] == "general"
     assert len(report["left"]) == 4 and len(report["right"]) == 4
-    assert report["residuals"]["reconstruction"] <= 1e-12
-    assert report["tolerances"]["recon_tol"] == 1e-9
+    assert report["residuals"]["distance"] <= 1e-12
+    assert report["tolerances"] == {"ortho_tol": 1e-9, "dist_tol": 2e-9, "iso_tol": 1e-9}
 
 
 def test_decompose_json_rejection_report(monkeypatch):
@@ -153,7 +153,7 @@ def test_verify_identity(monkeypatch):
     code, out, _ = run_cli(["verify"], IDENTITY16, monkeypatch)
     assert code == 0
     assert "overall: ok" in out
-    assert out.count("[pass]") == 4
+    assert out.count("[pass]") == 3
 
 
 def test_verify_scaled_matrix(monkeypatch):
@@ -163,6 +163,14 @@ def test_verify_scaled_matrix(monkeypatch):
     assert "overall: rejected" in out
 
 
+def test_verify_zero_matrix(monkeypatch):
+    """M = 0 gives no factor pair to read off, and every rotation lies at
+    Frobenius distance 2 from the zero matrix."""
+    code, out, _ = run_cli(["verify"], "0 " * 16, monkeypatch)
+    assert code == 3
+    assert "distance: 2.0 [FAIL]" in out
+
+
 def test_verify_reflection_reports_determinant(monkeypatch):
     code, out, _ = run_cli(["verify", "--json"], REFLECTION16, monkeypatch)
     assert code == 3
@@ -170,14 +178,15 @@ def test_verify_reflection_reports_determinant(monkeypatch):
     assert report["status"] == "rejected"
     assert report["checks"]["determinant"]["pass"] is False
     assert report["checks"]["orthogonality"]["pass"] is True
-    assert report["checks"]["max_minor"]["measured"] == pytest.approx(0.25)
+    assert report["checks"]["distance"]["measured"] == 2.0
+    assert report["checks"]["distance"]["pass"] is False
 
 
 def test_verify_minor_failure_exit_code(monkeypatch):
-    # orthogonality passes but an impossibly tight minor tolerance rejects,
-    # exercising the decomposition-failure exit code
+    # orthogonality passes but an impossibly tight distance tolerance
+    # rejects, exercising the decomposition-failure exit code
     matrix_line = " ".join(repr(float(v)) for v in random_rotation(9).ravel())
-    code, out, _ = run_cli(["verify", "--minor-tol", "1e-20"], matrix_line, monkeypatch)
+    code, out, _ = run_cli(["verify", "--dist-tol", "1e-20"], matrix_line, monkeypatch)
     assert code == 1
     assert "overall: rejected" in out
 

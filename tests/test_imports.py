@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+from isoclinic import random_rotation
 from test_cli import IDENTITY16, child_env
+
+# a rotation whose distance from its rebuild is roundoff, not 0
+ROTATION16 = " ".join(map(repr, random_rotation(9).ravel().tolist()))
 
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code
 # and the numpy modules loaded by then as one JSON line on stderr
@@ -39,10 +43,13 @@ def run_child(args, stdin=""):
     (None, "", None),
     (["decompose", "--json"], IDENTITY16, 0),
     (["decompose"], "2 " * 16, 3),
+    (["decompose", "--dist-tol", "1e-20"], ROTATION16, 1),
     (["classify"], IDENTITY16, 0),
     (["verify", "--json"], IDENTITY16, 0),
+    (["verify", "--json", "--dist-tol", "1e-20"], ROTATION16, 1),
     (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0),
-], ids=["import", "decompose", "decompose-rejected", "classify", "verify", "compose"])
+], ids=["import", "decompose", "decompose-rejected", "decompose-distance-rejected",
+        "classify", "verify", "verify-distance-rejected", "compose"])
 def test_numpy_is_not_imported(args, stdin, code):
     report, _ = run_child(args, stdin)
     assert report == {"code": code, "numpy": []}
