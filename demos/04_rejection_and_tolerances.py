@@ -73,3 +73,16 @@ try:
     decompose(noisy, Tolerances(dist_tol=1e-14))
 except NormDeviationError as exc:
     print("\nstrict policy on the same input:", exc)
+
+# One Tolerances carries every bound. Loosening ortho_tol moves dist_tol
+# with it, to twice its value, so a rotation with noise of 1e-7 that the
+# looser validation accepts is split under the same object.
+noisy = A + 1e-7 * rng.standard_normal((4, 4))
+loose = Tolerances(ortho_tol=1e-6)
+print("\nloose policy:", loose)
+validate_rotation(noisy, loose)
+print("  noise 1e-7 validated and split, distance", decompose(noisy, loose).distance)
+try:
+    decompose(noisy)
+except NormDeviationError as exc:
+    print("  the default policy rejects it:", exc)

@@ -25,7 +25,6 @@ from .associate import (
     decompose,
     max_abs_minor,
     minor_2x2,
-    rank1_factor,
 )
 from .errors import (
     DecompositionError,
@@ -36,7 +35,6 @@ from .errors import (
     NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
-    NotRankOneError,
     NotUnitQuaternionError,
     ParseError,
     ReconstructionError,
@@ -88,7 +86,6 @@ __all__ = [
     "NormDeviationError",
     "NotOrthogonalError",
     "NotProperRotationError",
-    "NotRankOneError",
     "NotUnitQuaternionError",
     "ParseError",
     "ReconstructionError",
@@ -118,7 +115,6 @@ __all__ = [
     "quat_norm",
     "random_rotation",
     "random_unit_quaternion",
-    "rank1_factor",
     "right_matrix",
     "validate_rotation",
     "van_elfrinkhof",

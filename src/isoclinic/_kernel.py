@@ -4,10 +4,12 @@ A 4x4 matrix is the row-major list of its 16 entries and a quaternion the
 list of its four components (w, x, y, z). Every check made on a rotation
 runs here: orthogonality and determinant, the associate matrix, its norm
 and 36 minors, the factor read-off and its sign, the reconstruction and
-its distance, and the classification. The array API in ``quat``, ``rotation4``,
-``associate`` and ``invariance`` coerces its input once, calls into this
-module and boxes the result; the CLI calls it on the floats it parses, so
-a command that never builds an array never imports numpy.
+its distance, and the classification, each against a bound of the one
+``Tolerances`` object the caller passes. The array API in ``quat``,
+``rotation4``, ``associate`` and ``invariance`` coerces its input once,
+calls into this module and boxes the result; the CLI calls it on the
+floats it parses, so a command that never builds an array never imports
+numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +34,35 @@ from .errors import (
 UNIT_TOL = 1e-12
 # norms at or below this cannot be normalized meaningfully
 DEGENERACY_TOL = 1e-150
+# magnitude a component of L must exceed to anchor the joint sign; a unit
+# quaternion always has a component of magnitude at least 1/2
+SIGN_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Acceptance bounds of every check on a rotation.
+
+    ortho_tol     bound on max |A^T A - I| and on |det A - 1|
+    dist_tol      bound on the Frobenius distance ||A - Q||_F from the
+                  input to the rotation rebuilt from its factors
+    iso_tol       component deviation under which a factor counts as +/-1
+
+    dist_tol defaults to twice ortho_tol: to first order the distance of a
+    matrix from SO(4) is at most twice its largest |A^T A - I| entry, so
+    what validation accepts, decompose accepts under the same object.
+    """
+
+    ortho_tol: float = 1e-9
+    dist_tol: float | None = None
+    iso_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.dist_tol is None:
+            object.__setattr__(self, "dist_tol", 2 * self.ortho_tol)
+
+
+DEFAULT_TOLERANCES = Tolerances()
 
 
 def hamilton(p, q):
@@ -92,13 +123,13 @@ _MINORS = tuple((4 * i + k, 4 * j + l, 4 * j + k, 4 * i + l)
 
 # ---- quaternions -------------------------------------------------------------
 
-def check_unit(q, tol=UNIT_TOL):
+def check_unit(q):
     """Raise NotUnitQuaternionError unless q lies on the unit 3-sphere within
-    tol; returns q."""
+    UNIT_TOL; returns q."""
     w, x, y, z = q
     deviation = abs(w * w + x * x + y * y + z * z - 1.0)
-    if deviation > tol:
-        raise NotUnitQuaternionError(deviation, tol)
+    if deviation > UNIT_TOL:
+        raise NotUnitQuaternionError(deviation, UNIT_TOL)
     return q
 
 
@@ -155,15 +186,16 @@ def determinant(a):
             + (a02 * a13 - a03 * a12) * (a20 * a31 - a21 * a30))
 
 
-def validate(a, ortho_tol, det_tol):
+def validate(a, tolerances):
     """Raise NotOrthogonalError or NotProperRotationError unless A is
-    orthogonal with determinant +1 within the tolerances."""
+    orthogonal with determinant +1, both within tolerances.ortho_tol."""
+    bound = tolerances.ortho_tol
     deviation = gram_deviation(a)
-    if deviation > ortho_tol:
-        raise NotOrthogonalError(deviation, ortho_tol)
+    if deviation > bound:
+        raise NotOrthogonalError(deviation, bound)
     det = determinant(a)
-    if abs(det - 1.0) > det_tol:
-        raise NotProperRotationError(det, det_tol)
+    if abs(det - 1.0) > bound:
+        raise NotProperRotationError(det, bound)
 
 
 # ---- the associate matrix and its certificates --------------------------------
@@ -187,10 +219,10 @@ def max_minor(m):
     return math.inf if math.isnan(sum(minors)) else worst
 
 
-def canonical(L, R, sign_tol):
-    """Negate both factors unless the first component of L above sign_tol in
+def canonical(L, R):
+    """Negate both factors unless the first component of L above SIGN_TOL in
     magnitude is positive."""
-    anchor = next((component for component in L if abs(component) > sign_tol), 0.0)
+    anchor = next((component for component in L if abs(component) > SIGN_TOL), 0.0)
     return ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
 
 
@@ -224,9 +256,8 @@ def two_sided(L, R):
     """Row-major matrix of P -> L*P*R for unit quaternions L and R: B times
     vec(outer(L, R)). Each entry's four terms are added as a two-lane dot
     product adds them, even and odd columns apart, which is how numpy's
-    product with B rounds, and a final +0.0 gives its sign of zero."""
-    check_unit(L)
-    check_unit(R)
+    product with B rounds, and a final +0.0 gives its sign of zero. Callers
+    that take L and R from outside check them with check_unit first."""
     o = [left * right for left in L for right in R]
     return [s0 * o[k0] + s2 * o[k2] + (s1 * o[k1] + s3 * o[k3]) + 0.0
             for k0, s0, k1, s1, k2, s2, k3, s3 in _COMPOSE]
@@ -258,7 +289,7 @@ def decompose(a, tolerances):
     L, R, distance = nearest(a, m)
     if distance > tolerances.dist_tol:
         raise ReconstructionError(distance, tolerances.dist_tol)
-    return (*canonical(L, R, tolerances.sign_tol), distance, norm_deviation)
+    return (*canonical(L, R), distance, norm_deviation)
 
 
 # ---- classification ------------------------------------------------------------
@@ -286,16 +317,16 @@ def _trivial_deviation(q):
     return max(min(abs(w - 1.0), abs(w + 1.0)), abs(x), abs(y), abs(z))
 
 
-def classify(L, R, iso_tol):
+def classify(L, R, tolerances):
     """Classify the rotation generated by the canonical factor pair (L, R).
 
-    Both factors trivial: the identity when the scalar parts agree in
-    sign, the antipodal map otherwise. One trivial factor leaves a purely
-    left- or right-isoclinic rotation; two nontrivial factors make the
-    general case.
+    A factor is trivial within tolerances.iso_tol of +/-1. Both factors
+    trivial: the identity when the scalar parts agree in sign, the
+    antipodal map otherwise. One trivial factor leaves a purely left- or
+    right-isoclinic rotation; two nontrivial factors make the general case.
     """
-    left_trivial = _trivial_deviation(L) <= iso_tol
-    right_trivial = _trivial_deviation(R) <= iso_tol
+    left_trivial = _trivial_deviation(L) <= tolerances.iso_tol
+    right_trivial = _trivial_deviation(R) <= tolerances.iso_tol
     if left_trivial and right_trivial:
         kind = RotationKind.IDENTITY if L[0] * R[0] > 0 else RotationKind.CENTRAL_REVERSION
     elif right_trivial:

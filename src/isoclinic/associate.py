@@ -11,7 +11,7 @@ that is not close to a 4D rotation is rejected instead of producing garbage.
 
 The factor pair is unique only up to a joint sign flip: (L, R) and
 (-L, -R) produce the same rotation. ``canonical_pair`` picks the
-representative whose first significantly nonzero left component is
+representative whose first left component above SIGN_TOL in magnitude is
 positive; the other decomposition is always the negated pair.
 
 Each function here coerces its input once, runs the float kernel of
@@ -22,39 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
 from typing import TYPE_CHECKING
 
 from . import _kernel
-from ._kernel import RotationClass, RotationKind
-from .errors import DegenerateNormError, NotRankOneError
+from ._kernel import DEFAULT_TOLERANCES, RotationClass, RotationKind, Tolerances
 from .quat import _floats
-from .rotation4 import ORTHO_TOL, _mat4
+from .rotation4 import _mat4
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Acceptance thresholds for the decomposition pipeline.
-
-    sign_tol      magnitude a component must exceed to anchor the sign
-    iso_tol       component deviation under which a factor counts as +/-1
-    dist_tol      bound on the Frobenius distance ||A - Q||_F from the
-                  input to the rotation rebuilt from its factors
-
-    The default dist_tol is twice validation's ORTHO_TOL: to first order
-    the distance of a matrix from SO(4) is at most twice its largest
-    |A^T A - I| entry, so what validation accepts, decompose accepts.
-    """
-
-    sign_tol: float = 1e-8
-    iso_tol: float = 1e-9
-    dist_tol: float = 2 * ORTHO_TOL
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 def associate_matrix(A) -> np.ndarray:
@@ -93,41 +69,16 @@ def max_abs_minor(M) -> float:
     return _kernel.max_minor(_mat4(M)[1])
 
 
-def canonical_pair(L, R, sign_tol: float = DEFAULT_TOLERANCES.sign_tol):
-    """Resolve the joint sign: first left component above sign_tol is positive.
+def canonical_pair(L, R):
+    """Resolve the joint sign: first left component above SIGN_TOL is positive.
 
     Scans L as (w, x, y, z); if the anchoring component is negative, both
     quaternions are negated. A unit quaternion always has a component of
-    magnitude at least 1/2, so an anchor exists for any sane sign_tol.
+    magnitude at least 1/2, so an anchor exists.
     """
     import numpy as np
     L, R = _kernel.canonical(np.asarray(L, dtype=float).tolist(),
-                             np.asarray(R, dtype=float).tolist(), sign_tol)
-    return np.array(L), np.array(R)
-
-
-def rank1_factor(M, tolerances: Tolerances = DEFAULT_TOLERANCES):
-    """Split a unit-norm rank-1 matrix into its canonical unit factor pair.
-
-    Returns (L, R) with outer(L, R) matching M entrywise within
-    dist_tol / 2. Raises DegenerateNormError when the norm is too small to
-    carry a factorization and NotRankOneError when the minors, or the
-    final refit residual, exceed dist_tol / 2 and so show M is not
-    (unit-scale) rank 1.
-    """
-    import numpy as np
-    m = _mat4(M)[1]
-    norm = math.hypot(*m)
-    if norm < 0.5:
-        raise DegenerateNormError(norm)
-    bound = tolerances.dist_tol / 2
-    worst_minor = _kernel.max_minor(m)
-    if worst_minor > bound:
-        raise NotRankOneError(worst_minor, bound)
-    L, R = _kernel.canonical(*_kernel.read_off(m), tolerances.sign_tol)
-    residual = max(map(abs, map(sub, m, [left * right for left in L for right in R])))
-    if residual > bound:
-        raise NotRankOneError(residual, bound)
+                             np.asarray(R, dtype=float).tolist())
     return np.array(L), np.array(R)
 
 
@@ -167,21 +118,19 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     )
 
 
-def classify_pair(L, R, iso_tol: float = DEFAULT_TOLERANCES.iso_tol) -> RotationClass:
+def classify_pair(L, R, tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:
     """Classify the rotation generated by a canonical factor pair.
 
-    Both factors trivial: the identity when the scalar parts agree in
-    sign, the antipodal map otherwise. One trivial factor leaves a purely
-    left- or right-isoclinic rotation; two nontrivial factors make the
-    general case. Angles are those of the factors as given.
+    A factor is trivial within tolerances.iso_tol of +/-1. Both factors
+    trivial: the identity when the scalar parts agree in sign, the
+    antipodal map otherwise. One trivial factor leaves a purely left- or
+    right-isoclinic rotation; two nontrivial factors make the general
+    case. Angles are those of the factors as given.
     """
-    return _kernel.classify(_floats(L), _floats(R), iso_tol)
+    return _kernel.classify(_floats(L), _floats(R), tolerances)
 
 
-def classify(A, iso_tol: float | None = None,
-             tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:
-    """Decompose A and classify the resulting factor pair."""
-    if iso_tol is None:
-        iso_tol = tolerances.iso_tol
+def classify(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:
+    """Decompose A and classify the resulting factor pair, both under tolerances."""
     L, R, *_ = _kernel.decompose(_mat4(A)[1], tolerances)
-    return _kernel.classify(L, R, iso_tol)
+    return _kernel.classify(L, R, tolerances)

@@ -19,10 +19,9 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from . import _kernel
-from .associate import DEFAULT_TOLERANCES, Tolerances
+from ._kernel import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DecompositionError,
     IsoclinicError,
@@ -30,10 +29,7 @@ from .errors import (
     ValidationError,
     ZeroQuaternionError,
 )
-from .rotation4 import ORTHO_TOL, random_rotation
-
-if TYPE_CHECKING:
-    import numpy as np
+from .rotation4 import random_rotation
 
 EXIT_OK = 0
 EXIT_DECOMPOSITION = 1
@@ -60,18 +56,19 @@ def _exit_code(exc: IsoclinicError) -> int:
     return EXIT_DECOMPOSITION
 
 
-def parse_matrix(text: str, fmt: str = "auto") -> np.ndarray:
-    """Parse one matrix from text in plain16 or JSON form.
+def _json_number(x):
+    """x as a JSON number, or None (null) when x is None or not finite:
+    strict JSON has no Infinity or NaN."""
+    return None if x is None or not math.isfinite(x) else float(x)
+
+
+def parse_matrix(text: str, fmt: str = "auto") -> list:
+    """Parse one matrix from text in plain16 or JSON form, as its 16 entries
+    in row-major order.
 
     auto sniffs: a document whose first nonblank character is '{' is JSON,
     anything else is treated as 16 whitespace-separated reals.
     """
-    import numpy as np
-    return np.array(_parse_entries(text, fmt)).reshape(4, 4)
-
-
-def _parse_entries(text: str, fmt: str) -> list:
-    """parse_matrix, as the 16 entries in row-major order."""
     if fmt == "auto":
         fmt = "json" if text.lstrip()[:1] == "{" else "plain16"
     if fmt == "json":
@@ -136,7 +133,7 @@ def _read_matrix(args) -> list:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    return _parse_entries(text, args.format)
+    return parse_matrix(text, args.format)
 
 
 def _parse_quat_arg(text: str, name: str) -> list:
@@ -152,11 +149,6 @@ def _parse_quat_arg(text: str, name: str) -> list:
     return q
 
 
-def _tolerance_fields(args) -> dict:
-    """The tolerances the flags set."""
-    return {"ortho_tol": args.ortho_tol, "dist_tol": args.dist_tol, "iso_tol": args.iso_tol}
-
-
 def _rejection(args, exc: IsoclinicError) -> int:
     """Emit a rejection report and return the exit code for exc."""
     if args.json:
@@ -165,9 +157,9 @@ def _rejection(args, exc: IsoclinicError) -> int:
             "error": {
                 "type": type(exc).__name__,
                 "message": str(exc),
-                "measured": None if exc.measured is None else float(exc.measured),
+                "measured": _json_number(exc.measured),
             },
-            "tolerances": _tolerance_fields(args),
+            "tolerances": vars(args.tolerances),
         }
         print(json.dumps(report, indent=2))
     print(f"rejected: {exc}", file=sys.stderr)
@@ -186,9 +178,9 @@ def _factor_input(args):
     """Read, validate, decompose and classify the input matrix; returns
     (L, R, distance, norm deviation) and the RotationClass."""
     entries = _read_matrix(args)
-    _kernel.validate(entries, args.ortho_tol, args.ortho_tol)
-    result = _kernel.decompose(entries, Tolerances(dist_tol=args.dist_tol))
-    return result, _kernel.classify(result[0], result[1], args.iso_tol)
+    _kernel.validate(entries, args.tolerances)
+    result = _kernel.decompose(entries, args.tolerances)
+    return result, _kernel.classify(result[0], result[1], args.tolerances)
 
 
 def cmd_decompose(args) -> int:
@@ -209,7 +201,7 @@ def cmd_decompose(args) -> int:
                 "distance": distance,
                 "norm_deviation": norm_deviation,
             },
-            "tolerances": _tolerance_fields(args),
+            "tolerances": vars(args.tolerances),
         }
         print(json.dumps(report, indent=2))
     else:
@@ -253,6 +245,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    tolerances = args.tolerances
     entries = _read_matrix(args)
     ortho_deviation = _kernel.gram_deviation(entries)
     det = _kernel.determinant(entries)
@@ -262,18 +255,20 @@ def cmd_verify(args) -> int:
         # every entry of M is below 1e-150, so every rotation lies at 2.0
         distance = 2.0
     checks = {
-        "orthogonality": {"measured": ortho_deviation, "tol": args.ortho_tol,
-                          "pass": ortho_deviation <= args.ortho_tol},
-        "determinant": {"measured": det, "tol": args.ortho_tol,
-                        "pass": abs(det - 1.0) <= args.ortho_tol},
-        "distance": {"measured": distance, "tol": args.dist_tol,
-                     "pass": distance <= args.dist_tol},
+        "orthogonality": {"measured": ortho_deviation, "tol": tolerances.ortho_tol,
+                          "pass": ortho_deviation <= tolerances.ortho_tol},
+        "determinant": {"measured": det, "tol": tolerances.ortho_tol,
+                        "pass": abs(det - 1.0) <= tolerances.ortho_tol},
+        "distance": {"measured": distance, "tol": tolerances.dist_tol,
+                     "pass": distance <= tolerances.dist_tol},
     }
     ok = all(entry["pass"] for entry in checks.values())
     if args.json:
+        for entry in checks.values():
+            entry["measured"] = _json_number(entry["measured"])
         print(json.dumps({"status": "ok" if ok else "rejected",
                           "checks": checks,
-                          "tolerances": _tolerance_fields(args)}, indent=2))
+                          "tolerances": vars(tolerances)}, indent=2))
     else:
         for name, entry in checks.items():
             verdict = "pass" if entry["pass"] else "FAIL"
@@ -296,7 +291,7 @@ def cmd_classify(args) -> int:
                           "class": kind.kind.value,
                           "left_angle": kind.left_angle,
                           "right_angle": kind.right_angle,
-                          "tolerances": _tolerance_fields(args)}, indent=2))
+                          "tolerances": vars(args.tolerances)}, indent=2))
     else:
         print(f"class: {kind.kind.value}")
         print(f"left angle:  {_fmt(kind.left_angle)}")
@@ -329,12 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
                               default="auto", help="input format (default: sniff)")
 
     tolerance_flags = argparse.ArgumentParser(add_help=False)
-    tolerance_flags.add_argument("--ortho-tol", type=float, default=ORTHO_TOL,
+    tolerance_flags.add_argument("--ortho-tol", type=float,
+                                 default=DEFAULT_TOLERANCES.ortho_tol,
                                  help="orthogonality and determinant tolerance")
-    tolerance_flags.add_argument("--dist-tol", type=float,
-                                 default=DEFAULT_TOLERANCES.dist_tol,
+    tolerance_flags.add_argument("--dist-tol", type=float, default=None,
                                  help="Frobenius distance tolerance between the input "
-                                      "and the rotation rebuilt from its factors")
+                                      "and the rotation rebuilt from its factors "
+                                      "(default: twice --ortho-tol)")
     tolerance_flags.add_argument("--iso-tol", type=float,
                                  default=DEFAULT_TOLERANCES.iso_tol,
                                  help="trivial-factor threshold for classification")
@@ -399,6 +395,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_vector_values(list(argv)))
+    if "ortho_tol" in args:
+        # decompose, verify and classify: the three tolerance flags make the
+        # one bound object every check of the command reads
+        args.tolerances = Tolerances(args.ortho_tol, args.dist_tol, args.iso_tol)
     try:
         return args.func(args)
     except IsoclinicError as exc:

@@ -79,17 +79,6 @@ class NormDeviationError(DecompositionError):
         self.measured = deviation
 
 
-class NotRankOneError(DecompositionError):
-    def __init__(self, max_minor, tol):
-        super().__init__(
-            f"associate matrix is not rank 1: max |2x2 minor| = {max_minor:.6g} "
-            f"exceeds {tol:.1e}"
-        )
-        self.max_minor = max_minor
-        self.tol = tol
-        self.measured = max_minor
-
-
 class DegenerateNormError(DecompositionError):
     def __init__(self, norm):
         super().__init__(f"matrix norm {norm:.6g} too small to factor (need >= 0.5)")

@@ -24,6 +24,7 @@ from .rotation4 import _mat4, as_mat4
 if TYPE_CHECKING:
     import numpy as np
 
+# bound on the drift of either factor angle under a frame change
 ANGLE_TOL = 1e-9
 
 
@@ -65,12 +66,13 @@ def conjugate_factorwise(A, frame: SimilarityFrame,
     conjugated pair. As matrices, left_matrix(S_L)^T left_matrix(L)
     left_matrix(S_L) is left_matrix(conj(S_L) L S_L) and right_matrix(S_R)^T
     right_matrix(R) right_matrix(S_R) is right_matrix(S_R R conj(S_R)).
-    Equals conjugate(A, frame) because the cross terms commute.
+    Equals conjugate(A, frame) because the cross terms commute. Raises
+    NotUnitQuaternionError when a factor of the frame is off the unit sphere.
     """
     import numpy as np
     L, R, *_ = _kernel.decompose(_mat4(A)[1], tolerances)
-    s_left = _floats(frame.s_left)
-    s_right = _floats(frame.s_right)
+    s_left = _kernel.check_unit(_floats(frame.s_left))
+    s_right = _kernel.check_unit(_floats(frame.s_right))
     left = hamilton(hamilton(_kernel.conjugate(s_left), L), s_left)
     right = hamilton(hamilton(s_right, R), _kernel.conjugate(s_right))
     return np.array(_kernel.two_sided(left, right)).reshape(4, 4)
@@ -86,16 +88,15 @@ class InvarianceReport:
 
 
 def check_isocliny_preserved(A, frame: SimilarityFrame,
-                             angle_tol: float = ANGLE_TOL,
                              tolerances: Tolerances = DEFAULT_TOLERANCES) -> InvarianceReport:
     """Verify the kind and angles of A survive conjugation by the frame.
 
-    Classifies A and S^T A S, then asserts equal kind and factor angles
-    within angle_tol, raising InvarianceError with both classifications on
-    any mismatch. Returns the report when the check passes.
+    Classifies A and S^T A S under tolerances, then asserts equal kind and
+    factor angles within ANGLE_TOL, raising InvarianceError with both
+    classifications on any mismatch. Returns the report when the check passes.
     """
-    original = classify(A, tolerances=tolerances)
-    transformed = classify(conjugate(A, frame), tolerances=tolerances)
+    original = classify(A, tolerances)
+    transformed = classify(conjugate(A, frame), tolerances)
     angle_deviation = max(
         abs(original.left_angle - transformed.left_angle),
         abs(original.right_angle - transformed.right_angle),
@@ -105,10 +106,10 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
             f"rotation kind changed under frame change: "
             f"{original.kind.value} became {transformed.kind.value}"
         )
-    if angle_deviation > angle_tol:
+    if angle_deviation > ANGLE_TOL:
         raise InvarianceError(
             f"factor angles drifted by {angle_deviation:.6g} under frame change "
-            f"(tolerance {angle_tol:.1e})"
+            f"(tolerance {ANGLE_TOL:.1e})"
         )
     return InvarianceReport(
         original=original,

@@ -48,12 +48,6 @@ def _floats(q):
     return components
 
 
-def check_unit(q, tol: float = UNIT_TOL) -> np.ndarray:
-    """Validate that q lies on the unit 3-sphere within tol."""
-    import numpy as np
-    return np.array(_kernel.check_unit(_floats(q), tol))
-
-
 def quat_mul(lhs, rhs) -> np.ndarray:
     """Hamilton product lhs * rhs."""
     import numpy as np

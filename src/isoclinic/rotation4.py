@@ -14,16 +14,12 @@ import math
 from typing import TYPE_CHECKING
 
 from . import _kernel
+from ._kernel import DEFAULT_TOLERANCES, Tolerances
 from .errors import MalformedInputError
 from .quat import _floats, normalize
 
 if TYPE_CHECKING:
     import numpy as np
-
-# input validation bounds, deliberately looser than internal arithmetic
-# accuracy so mildly noisy external matrices are accepted
-ORTHO_TOL = 1e-9
-DET_TOL = 1e-9
 
 
 def __getattr__(name):
@@ -62,17 +58,18 @@ def _mat4(A):
     return A, entries
 
 
-def validate_rotation(A, ortho_tol: float = ORTHO_TOL,
-                      det_tol: float = DET_TOL) -> np.ndarray:
-    """Check that A is orthogonal with determinant +1, within tolerances.
+def validate_rotation(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Check that A is orthogonal with determinant +1, within ortho_tol.
 
-    Returns A as an ndarray on success. Raises NotOrthogonalError carrying
-    the max-abs deviation of A^T A from I, or NotProperRotationError
-    carrying the determinant. A matrix that fails is rejected, never
-    repaired; callers wanting a nearby rotation must build one themselves.
+    The one bound tolerances.ortho_tol applies to max |A^T A - I| and to
+    |det A - 1|. Returns A as an ndarray on success. Raises
+    NotOrthogonalError carrying the max-abs deviation of A^T A from I, or
+    NotProperRotationError carrying the determinant. A matrix that fails is
+    rejected, never repaired; callers wanting a nearby rotation must build
+    one themselves.
     """
     A, entries = _mat4(A)
-    _kernel.validate(entries, ortho_tol, det_tol)
+    _kernel.validate(entries, tolerances)
     return A
 
 
@@ -81,10 +78,11 @@ def van_elfrinkhof(L, R) -> np.ndarray:
 
     The composition table applied to vec(outer(L, R)). Every entry is
     bilinear in (L, R), hence van_elfrinkhof(-L, -R) is exactly the same
-    matrix.
+    matrix. Raises NotUnitQuaternionError for a factor off the unit sphere.
     """
     import numpy as np
-    return np.array(_kernel.two_sided(_floats(L), _floats(R))).reshape(4, 4)
+    L, R = _kernel.check_unit(_floats(L)), _kernel.check_unit(_floats(R))
+    return np.array(_kernel.two_sided(L, R)).reshape(4, 4)
 
 
 def random_rotation(seed) -> np.ndarray:

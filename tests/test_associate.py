@@ -11,7 +11,6 @@ from isoclinic import (
     IDENTITY,
     IsoclinicError,
     NormDeviationError,
-    NotRankOneError,
     ReconstructionError,
     RotationKind,
     Tolerances,
@@ -26,7 +25,6 @@ from isoclinic import (
     minor_2x2,
     normalize,
     random_rotation,
-    rank1_factor,
     right_matrix,
     validate_rotation,
     van_elfrinkhof,
@@ -112,47 +110,13 @@ def test_max_abs_minor_matches_brute_scan():
     assert max_abs_minor(np.eye(4)) == 1.0
 
 
-def test_rank1_factor_corner_cases():
-    L, R = rank1_factor(E00)
-    assert np.array_equal(L, IDENTITY)
-    assert np.array_equal(R, IDENTITY)
-    # canonical sign puts the flip on the right factor
-    L, R = rank1_factor(-E00)
-    assert np.array_equal(L, IDENTITY)
-    assert np.array_equal(R, -IDENTITY)
-
-
-@settings(deadline=None)
-@given(seeds)
-def test_rank1_factor_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    L0 = normalize(rng.standard_normal(4))
-    R0 = normalize(rng.standard_normal(4))
-    L, R = rank1_factor(np.outer(L0, R0))
-    assert pair_deviation((L, R), (L0, R0)) <= 1e-12
-    # the returned representative is the canonical one
-    cL, cR = canonical_pair(L0, R0)
-    assert max(np.max(np.abs(L - cL)), np.max(np.abs(R - cR))) <= 1e-12
-
-
-def test_rank1_factor_rejects():
-    with pytest.raises(DegenerateNormError):
-        rank1_factor(0.2 * E00)
-    with pytest.raises(NotRankOneError):
-        rank1_factor(np.eye(4))
-    # rank 1 but wrongly scaled: minors vanish, the refit residual catches it
-    scaled = 0.8 * np.outer(normalize([1.0, 2.0, 0.0, 1.0]), normalize([2.0, 1.0, 1.0, 0.0]))
-    with pytest.raises(NotRankOneError):
-        rank1_factor(scaled)
-
-
 def test_canonical_pair():
     L = np.array([-0.5, 0.5, 0.5, 0.5])
     R = np.array([0.0, 1.0, 0.0, 0.0])
     cL, cR = canonical_pair(L, R)
     assert np.array_equal(cL, -L)
     assert np.array_equal(cR, -R)
-    # components below sign_tol do not anchor the sign
+    # components below SIGN_TOL do not anchor the sign
     L = np.array([1e-12, -0.8, 0.6, 0.0])
     cL, cR = canonical_pair(L, R)
     assert np.array_equal(cL, -L)
@@ -288,15 +252,20 @@ def near_rotation(seed, exponent, improper):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.builds(near_rotation, seeds, st.floats(-12, -8), st.just(False)))
-def test_validated_matrices_decompose(A):
-    """Whatever validate_rotation accepts under its default bounds,
-    decompose accepts under its own."""
+@given(seeds, st.floats(-12, -6), st.floats(-2, 0.5))
+def test_validated_matrices_decompose(seed, log_tol, noise_offset):
+    """Under one Tolerances(ortho_tol=t), t from 1e-12 to 1e-6, whatever
+    validate_rotation accepts, decompose and classify accept: dist_tol
+    follows ortho_tol. The noise is drawn on the scale of t, where the
+    bounds meet."""
+    tolerances = Tolerances(ortho_tol=10.0 ** log_tol)
+    A = near_rotation(seed, log_tol + noise_offset, False)
     try:
-        validate_rotation(A)
+        validate_rotation(A, tolerances)
     except IsoclinicError:
         return
-    decompose(A)
+    decompose(A, tolerances)
+    classify(A, tolerances)
 
 
 @settings(deadline=None, max_examples=300)
@@ -347,8 +316,8 @@ def test_classify_general():
 def test_classify_pair_threshold():
     near_identity = normalize([1.0, 1e-6, 0.0, 0.0])
     R = normalize([1.0, 2.0, 3.0, 4.0])
-    strict = classify_pair(near_identity, R, iso_tol=1e-9)
-    loose = classify_pair(near_identity, R, iso_tol=1e-5)
+    strict = classify_pair(near_identity, R, Tolerances(iso_tol=1e-9))
+    loose = classify_pair(near_identity, R, Tolerances(iso_tol=1e-5))
     assert strict.kind is RotationKind.GENERAL
     assert loose.kind is RotationKind.RIGHT_ISOCLINIC
 
@@ -362,7 +331,10 @@ REJECTIONS = {
     "orthogonal, det -1": (
         lambda: random_improper(np.random.default_rng(32)), decompose, ReconstructionError,
         lambda A: np.linalg.norm(A - procrustes(A))),
-    "0.4 E00": (lambda: 0.4 * E00, rank1_factor, DegenerateNormError, lambda M: 0.4),
+    # 0.4 I, whose associate matrix is 0.4 E00: its norm passes a wide-open
+    # dist_tol but is too small to read a pair off
+    "0.4 E00": (lambda: 0.4 * np.eye(4), lambda A: decompose(A, Tolerances(dist_tol=10.0)),
+                DegenerateNormError, lambda A: 0.4),
     "zero matrix": (lambda: np.zeros((4, 4)), decompose, NormDeviationError, lambda A: 1.0),
     # the norm itself exceeds the largest float, so its deviation reads inf
     "norm overflows": (lambda: np.full((4, 4), 1e308), decompose, NormDeviationError,
@@ -397,14 +369,10 @@ def test_every_rejection_is_typed_and_measured(A):
 
 
 def test_overflowed_minor_reads_inf():
-    """A minor whose two products overflow is inf - inf = NaN, which passes
-    any bound; the scan reports it as inf and rank1_factor rejects it at the
-    minor stage. In the second matrix the overflowed minor is the last one
-    scanned, behind 35 minors of 0."""
+    """A minor whose two products overflow is inf - inf = NaN, which would
+    pass any bound; the scan reports it as inf. In the second matrix the
+    overflowed minor is the last one scanned, behind 35 minors of 0."""
     corner = np.zeros((4, 4))
     corner[2:, 2:] = 1e200
     for M in (np.full((4, 4), 1e200), corner):
         assert max_abs_minor(M) == math.inf
-        with pytest.raises(NotRankOneError) as info:
-            rank1_factor(M)
-        assert info.value.measured == math.inf

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import json
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import isoclinic
-from isoclinic import ParseError, random_rotation
-from isoclinic.cli import main, parse_matrix
+from isoclinic import DEFAULT_TOLERANCES, ParseError, Tolerances, random_rotation
+from isoclinic.cli import build_parser, main, parse_matrix
 
 IDENTITY16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1"
 REFLECTION16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 -1"
@@ -32,16 +33,18 @@ def run_cli(args, stdin_text="", monkeypatch=None):
     return code, out.getvalue(), err.getvalue()
 
 
+EYE16 = np.eye(4).ravel().tolist()
+
+
 def test_parse_matrix_plain16():
-    A = parse_matrix(IDENTITY16)
-    assert np.array_equal(A, np.eye(4))
+    assert parse_matrix(IDENTITY16) == EYE16
 
 
 def test_parse_matrix_json():
     text = json.dumps({"matrix": np.eye(4).tolist()})
-    assert np.array_equal(parse_matrix(text), np.eye(4))
+    assert parse_matrix(text) == EYE16
     # auto-sniffing picks JSON from the leading brace
-    assert np.array_equal(parse_matrix("  " + text, "auto"), np.eye(4))
+    assert parse_matrix("  " + text, "auto") == EYE16
 
 
 def test_parse_matrix_errors():
@@ -138,7 +141,7 @@ def test_generate_output_is_a_rotation():
 
     _, out, _ = run_cli(["generate", "--seed", "42"])
     A = np.array(out.split(), dtype=float).reshape(4, 4)
-    validate_rotation(A, ortho_tol=1e-12, det_tol=1e-12)
+    validate_rotation(A, Tolerances(ortho_tol=1e-12))
 
 
 def test_generate_json():
@@ -189,6 +192,60 @@ def test_verify_minor_failure_exit_code(monkeypatch):
     code, out, _ = run_cli(["verify", "--dist-tol", "1e-20"], matrix_line, monkeypatch)
     assert code == 1
     assert "overall: rejected" in out
+
+
+def _noisy_rotation16():
+    """The seed-5 rotation plus Gaussian noise of 1e-7: max |A^T A - I| is
+    2.6e-7 and its associate norm deviates from 1 by 6.0e-8."""
+    rng = np.random.default_rng(5)
+    A = random_rotation(rng) + 1e-7 * rng.standard_normal((4, 4))
+    return " ".join(map(repr, A.ravel().tolist()))
+
+
+def test_ortho_tol_moves_the_distance_bound(monkeypatch):
+    """--ortho-tol sets one Tolerances whose dist_tol is twice it, so what
+    validation accepts under it, decomposition accepts; an explicit
+    --dist-tol still overrides the derived bound."""
+    noisy = _noisy_rotation16()
+    for command in ("decompose", "classify", "verify"):
+        code, out, err = run_cli([command, "--ortho-tol", "1e-6"], noisy, monkeypatch)
+        assert code == 0, out + err
+    code, out, _ = run_cli(["decompose", "--json", "--ortho-tol", "1e-6"], noisy, monkeypatch)
+    assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-6, "dist_tol": 2e-6,
+                                             "iso_tol": 1e-9}
+    code, _, err = run_cli(["decompose", "--ortho-tol", "1e-6", "--dist-tol", "2e-9"],
+                           noisy, monkeypatch)
+    assert code == 1 and "norm deviates from 1" in err, err
+
+
+def test_tolerance_flags_match_tolerances():
+    """The tolerance flags of each checking command are the fields of
+    Tolerances, one to one, and their defaults make the default object."""
+    fields = {field.name for field in dataclasses.fields(Tolerances)}
+    for command in ("decompose", "classify", "verify"):
+        args = vars(build_parser().parse_args([command]))
+        flags = {name: args[name] for name in set(args) - {"command", "func", "input",
+                                                            "format", "json"}}
+        assert set(flags) == fields
+        assert Tolerances(**flags) == DEFAULT_TOLERANCES
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_json_reports_are_strict(monkeypatch):
+    """Sixteen 1e308 entries overflow the checks to inf and NaN; the JSON
+    reports write those as null, and the message keeps the number."""
+    code, out, _ = run_cli(["verify", "--json"], "1e308 " * 16, monkeypatch)
+    assert code == 3
+    checks = json.loads(out, parse_constant=_reject_constant)["checks"]
+    assert [entry["measured"] for entry in checks.values()] == [None, None, None]
+    code, out, _ = run_cli(["decompose", "--json"], "1e308 " * 16, monkeypatch)
+    assert code == 3
+    error = json.loads(out, parse_constant=_reject_constant)["error"]
+    assert error["type"] == "NotOrthogonalError"
+    assert error["measured"] is None and "= inf" in error["message"]
 
 
 def test_classify_outputs(monkeypatch):
@@ -402,8 +459,8 @@ def test_parse_table(case, monkeypatch):
         with pytest.raises(ParseError):
             parse_matrix(text)
     else:
-        A = parse_matrix(text)
-        assert type(A) is np.ndarray and A.shape == (4, 4) and A.dtype == np.float64
+        entries = parse_matrix(text)
+        assert len(entries) == 16 and all(type(x) is float for x in entries)
 
 
 def test_json_past_the_parser_limits_is_a_parse_error(monkeypatch):

@@ -1,5 +1,6 @@
 """Importing the package, and every CLI command except generate, runs
-without numpy: nothing they do builds an array."""
+without numpy: nothing they do builds an array. Every name the package
+exports resolves."""
 
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+import isoclinic
 from isoclinic import random_rotation
 from test_cli import IDENTITY16, child_env
 
@@ -60,3 +62,13 @@ def test_generate_imports_numpy():
     report, out = run_child(["generate", "--seed", "3"])
     assert report["code"] == 0 and "numpy" in report["numpy"]
     assert len(out.split()) == 16
+
+
+def test_exported_names_exist():
+    """Each name in __all__ resolves, and the names removed with the
+    rank-1 side path and the per-check bounds are exported no more."""
+    for name in isoclinic.__all__:
+        getattr(isoclinic, name)
+    removed = {"rank1_factor", "NotRankOneError", "check_unit", "ORTHO_TOL", "DET_TOL"}
+    assert not removed & set(isoclinic.__all__)
+    assert not [name for name in removed if hasattr(isoclinic, name)]

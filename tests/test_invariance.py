@@ -4,6 +4,7 @@ import pytest
 from isoclinic import (
     IDENTITY,
     InvarianceError,
+    NotUnitQuaternionError,
     RotationKind,
     SimilarityFrame,
     check_isocliny_preserved,
@@ -138,3 +139,13 @@ def test_improper_frame_is_detected():
     fake = SimilarityFrame(s=reflection, s_left=IDENTITY, s_right=IDENTITY)
     with pytest.raises(InvarianceError):
         check_isocliny_preserved(left_matrix([0.0, 1.0, 0.0, 0.0]), fake)
+
+
+def test_non_unit_frame_factor_is_rejected():
+    """conjugate_factorwise checks the frame's public factors where they
+    enter, so a frame whose s_left is off the unit sphere is rejected."""
+    frame = make_frame(random_rotation(42))
+    scaled = SimilarityFrame(s=frame.s, s_left=2.0 * frame.s_left, s_right=frame.s_right)
+    with pytest.raises(NotUnitQuaternionError) as info:
+        conjugate_factorwise(random_rotation(43), scaled)
+    assert info.value.measured == pytest.approx(3.0, abs=1e-14)

@@ -13,6 +13,7 @@ from isoclinic import (
     MalformedInputError,
     NotOrthogonalError,
     NotProperRotationError,
+    Tolerances,
     decompose,
     left_matrix,
     normalize,
@@ -53,7 +54,7 @@ def test_validate_rotation_tolerances_are_adjustable():
     noisy = A + 1e-7
     with pytest.raises(NotOrthogonalError):
         validate_rotation(noisy)
-    validate_rotation(noisy, ortho_tol=1e-5, det_tol=1e-5)
+    validate_rotation(noisy, Tolerances(ortho_tol=1e-5))
 
 
 def test_van_elfrinkhof_fixed_cases():
@@ -130,7 +131,7 @@ def test_apply_preserves_length(seed):
 
 def test_random_rotation_is_valid_and_deterministic():
     for seed in range(30):
-        validate_rotation(random_rotation(seed), ortho_tol=1e-12, det_tol=1e-12)
+        validate_rotation(random_rotation(seed), Tolerances(ortho_tol=1e-12))
     assert np.array_equal(random_rotation(7), random_rotation(7))
     assert np.max(np.abs(random_rotation(7) - random_rotation(8))) > 1e-6
 
