@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from operator import sub
+from typing import NamedTuple
 
 from .errors import (
     DegenerateNormError,
@@ -39,8 +39,13 @@ DEGENERACY_TOL = 1e-150
 SIGN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class _Bounds(NamedTuple):
+    ortho_tol: float
+    dist_tol: float
+    iso_tol: float
+
+
+class Tolerances(_Bounds):
     """Acceptance bounds of every check on a rotation.
 
     ortho_tol     bound on max |A^T A - I| and on |det A - 1|
@@ -51,15 +56,26 @@ class Tolerances:
     dist_tol defaults to twice ortho_tol: to first order the distance of a
     matrix from SO(4) is at most twice its largest |A^T A - I| entry, so
     what validation accepts, decompose accepts under the same object.
+    A bound that is NaN or negative raises ValueError naming its field:
+    NaN would pass every check and a negative bound would fail an exact one.
     """
 
-    ortho_tol: float = 1e-9
-    dist_tol: float | None = None
-    iso_tol: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dist_tol is None:
-            object.__setattr__(self, "dist_tol", 2 * self.ortho_tol)
+    def __new__(cls, ortho_tol: float = 1e-9, dist_tol: float | None = None,
+                iso_tol: float = 1e-9):
+        if dist_tol is None:
+            dist_tol = 2 * ortho_tol
+        self = super().__new__(cls, ortho_tol, dist_tol, iso_tol)
+        for name, bound in zip(self._fields, self):
+            if not bound >= 0:
+                raise ValueError(f"{name} must be a non-negative number, got {bound!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make; route it through the checks above
+        return cls(*iterable)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -302,8 +318,7 @@ class RotationKind(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class RotationClass:
+class RotationClass(NamedTuple):
     """Kind of rotation plus the two factor angles, each in [0, pi]."""
 
     kind: RotationKind

@@ -21,8 +21,7 @@ Each function here coerces its input once, runs the float kernel of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernel
 from ._kernel import DEFAULT_TOLERANCES, RotationClass, RotationKind, Tolerances
@@ -82,20 +81,25 @@ def canonical_pair(L, R):
     return np.array(L), np.array(R)
 
 
-@dataclass(frozen=True, eq=False)
-class IsoclinicDecomposition:
+class IsoclinicDecomposition(NamedTuple):
     """Canonical factor pair of a rotation plus its measured certificate.
 
     The alternate decomposition is always (-left, -right); no third pair
     exists. distance is ||A - Q||_F for the rotation Q rebuilt from the
     factors, the distance of A from SO(4) near the group; norm_deviation
     is |norm(M) - 1| of the associate matrix, at most distance / 2.
+    Equality and hashing are by identity: comparing the array fields
+    elementwise has no single truth value.
     """
 
     left: np.ndarray
     right: np.ndarray
     distance: float
     norm_deviation: float
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomposition:

@@ -15,6 +15,7 @@ SIGPIPE, as a shell reports it) when stdout is closed before the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -159,7 +160,7 @@ def _rejection(args, exc: IsoclinicError) -> int:
                 "message": str(exc),
                 "measured": _json_number(exc.measured),
             },
-            "tolerances": vars(args.tolerances),
+            "tolerances": args.tolerances._asdict(),
         }
         print(json.dumps(report, indent=2))
     print(f"rejected: {exc}", file=sys.stderr)
@@ -201,7 +202,7 @@ def cmd_decompose(args) -> int:
                 "distance": distance,
                 "norm_deviation": norm_deviation,
             },
-            "tolerances": vars(args.tolerances),
+            "tolerances": args.tolerances._asdict(),
         }
         print(json.dumps(report, indent=2))
     else:
@@ -268,7 +269,7 @@ def cmd_verify(args) -> int:
             entry["measured"] = _json_number(entry["measured"])
         print(json.dumps({"status": "ok" if ok else "rejected",
                           "checks": checks,
-                          "tolerances": vars(tolerances)}, indent=2))
+                          "tolerances": tolerances._asdict()}, indent=2))
     else:
         for name, entry in checks.items():
             verdict = "pass" if entry["pass"] else "FAIL"
@@ -291,7 +292,7 @@ def cmd_classify(args) -> int:
                           "class": kind.kind.value,
                           "left_angle": kind.left_angle,
                           "right_angle": kind.right_angle,
-                          "tolerances": vars(args.tolerances)}, indent=2))
+                          "tolerances": args.tolerances._asdict()}, indent=2))
     else:
         print(f"class: {kind.kind.value}")
         print(f"left angle:  {_fmt(kind.left_angle)}")
@@ -309,7 +310,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, and building it costs more than a whole request."""
     parser = argparse.ArgumentParser(
         prog="isoclinic",
         description="Split 4x4 rotation matrices into left- and right-isoclinic "
@@ -394,11 +398,15 @@ def _attach_vector_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_attach_vector_values(list(argv)))
+    parser = build_parser()
+    args = parser.parse_args(_attach_vector_values(list(argv)))
     if "ortho_tol" in args:
         # decompose, verify and classify: the three tolerance flags make the
         # one bound object every check of the command reads
-        args.tolerances = Tolerances(args.ortho_tol, args.dist_tol, args.iso_tol)
+        try:
+            args.tolerances = Tolerances(args.ortho_tol, args.dist_tol, args.iso_tol)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except IsoclinicError as exc:

@@ -11,8 +11,7 @@ which ``check_isocliny_preserved`` verifies for a concrete pair (A, S).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _kernel
 from ._kernel import hamilton
@@ -28,17 +27,21 @@ if TYPE_CHECKING:
 ANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class SimilarityFrame:
+class SimilarityFrame(NamedTuple):
     """A coordinate rotation S together with its own factor pair.
 
     Either sign choice of the pair gives the same conjugation, since S
-    itself is unchanged by the joint flip.
+    itself is unchanged by the joint flip. Equality and hashing are by
+    identity, as for IsoclinicDecomposition.
     """
 
     s: np.ndarray
     s_left: np.ndarray
     s_right: np.ndarray
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFrame:
@@ -78,8 +81,7 @@ def conjugate_factorwise(A, frame: SimilarityFrame,
     return np.array(_kernel.two_sided(left, right)).reshape(4, 4)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Classification of a rotation before and after a frame change."""
 
     original: RotationClass

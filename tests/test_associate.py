@@ -135,6 +135,33 @@ def test_decompose_identity():
     assert result.norm_deviation == 0.0
 
 
+def test_decomposition_unpacks_and_compares_by_identity():
+    """The result unpacks as (left, right, distance, norm_deviation); == and
+    hash are by identity, since comparing its arrays elementwise has no
+    single truth value."""
+    result, again = decompose(np.eye(4)), decompose(np.eye(4))
+    left, right, distance, norm_deviation = result
+    assert (left, right) == (result.left, result.right)
+    assert (distance, norm_deviation) == (result.distance, result.norm_deviation)
+    assert result == result and not result != result
+    assert result != again and not result == again
+    assert len({result, again, result}) == 2
+
+
+@pytest.mark.parametrize("bound", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("field", ["ortho_tol", "dist_tol", "iso_tol"])
+def test_tolerances_reject_nan_and_negative_bounds(field, bound):
+    """A NaN bound would pass every check and a negative one fail exact
+    input; both raise ValueError naming the field, from the constructor
+    and from _replace. Zero and infinity are bounds."""
+    with pytest.raises(ValueError, match=f"^{field} must be a non-negative number"):
+        Tolerances(**{field: bound})
+    with pytest.raises(ValueError, match=f"^{field} must be a non-negative number"):
+        Tolerances()._replace(**{field: bound})
+    edges = Tolerances(**{field: 0.0}), Tolerances(**{field: math.inf})
+    assert [getattr(t, field) for t in edges] == [0.0, math.inf]
+
+
 # exact rotations of the identity-factor kinds, with their factors as
 # decompose has always returned them, signs of zero included
 SIGNED_ZEROS = {

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import io
 import json
@@ -221,13 +220,42 @@ def test_ortho_tol_moves_the_distance_bound(monkeypatch):
 def test_tolerance_flags_match_tolerances():
     """The tolerance flags of each checking command are the fields of
     Tolerances, one to one, and their defaults make the default object."""
-    fields = {field.name for field in dataclasses.fields(Tolerances)}
+    fields = set(Tolerances._fields)
     for command in ("decompose", "classify", "verify"):
         args = vars(build_parser().parse_args([command]))
         flags = {name: args[name] for name in set(args) - {"command", "func", "input",
                                                             "format", "json"}}
         assert set(flags) == fields
         assert Tolerances(**flags) == DEFAULT_TOLERANCES
+
+
+def test_parser_is_built_once(monkeypatch):
+    """One parser serves every main() call of a process, and a flag given
+    to one call does not carry over to the next."""
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(["decompose", "--ortho-tol", "1e-6", "--json"], IDENTITY16,
+                           monkeypatch)
+    assert code == 0 and json.loads(out)["tolerances"]["ortho_tol"] == 1e-6
+    code, out, _ = run_cli(["decompose", "--json"], IDENTITY16, monkeypatch)
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-9, "dist_tol": 2e-9,
+                                             "iso_tol": 1e-9}
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("flag", ["--ortho-tol", "--dist-tol", "--iso-tol"])
+def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, capsys):
+    """A NaN bound passed every check (2I was accepted under --ortho-tol
+    nan) and a negative one failed exact input (the identity was rejected
+    under --ortho-tol -1); either is a usage error naming the field."""
+    for command in ("decompose", "classify", "verify"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2"))
+        with pytest.raises(SystemExit) as exited:
+            main([command, flag, value])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[2:].replace('-', '_')} must be a non-negative number" in captured.err
 
 
 def _reject_constant(token):

@@ -1,6 +1,7 @@
 """Importing the package, and every CLI command except generate, runs
-without numpy: nothing they do builds an array. Every name the package
-exports resolves."""
+without numpy, since nothing they do builds an array, and without
+dataclasses or inspect, whose imports cost more than a request. Every
+name the package exports resolves."""
 
 import json
 import subprocess
@@ -15,8 +16,9 @@ from test_cli import IDENTITY16, child_env
 # a rotation whose distance from its rebuild is roundoff, not 0
 ROTATION16 = " ".join(map(repr, random_rotation(9).ravel().tolist()))
 
-# runs `python -m isoclinic ARGS` in this process, then prints the exit code
-# and the numpy modules loaded by then as one JSON line on stderr
+# runs `python -m isoclinic ARGS` in this process, then prints the exit code,
+# the numpy modules and which of dataclasses and inspect are loaded by then
+# as one JSON line on stderr
 CHILD = """
 import json, runpy, sys
 args = json.loads(sys.argv[1])
@@ -30,7 +32,8 @@ if args is not None:
 else:
     import isoclinic
 loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("numpy."))
-print(json.dumps({"code": code, "numpy": loaded}), file=sys.stderr)
+stdlib = sorted({"dataclasses", "inspect"} & set(sys.modules))
+print(json.dumps({"code": code, "numpy": loaded, "stdlib": stdlib}), file=sys.stderr)
 """
 
 
@@ -54,13 +57,15 @@ def run_child(args, stdin=""):
         "classify", "verify", "verify-distance-rejected", "compose"])
 def test_numpy_is_not_imported(args, stdin, code):
     report, _ = run_child(args, stdin)
-    assert report == {"code": code, "numpy": []}
+    assert report == {"code": code, "numpy": [], "stdlib": []}
 
 
 def test_generate_imports_numpy():
-    """The check above sees numpy when it is loaded: generate builds arrays."""
+    """The check above sees numpy when it is loaded: generate builds arrays,
+    and numpy imports inspect."""
     report, out = run_child(["generate", "--seed", "3"])
     assert report["code"] == 0 and "numpy" in report["numpy"]
+    assert "inspect" in report["stdlib"]
     assert len(out.split()) == 16
 
 

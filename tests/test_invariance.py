@@ -85,6 +85,9 @@ def test_frame_sign_choice_is_irrelevant():
     assert np.array_equal(conjugate(A, frame), conjugate(A, flipped))
     assert np.array_equal(conjugate_factorwise(A, frame),
                           conjugate_factorwise(A, flipped))
+    # frames compare by identity: their arrays have no elementwise truth value
+    assert frame == frame and frame != flipped and frame != make_frame(S)
+    assert len({frame, flipped, frame}) == 2
 
 
 def test_quaternion_level_conjugation():
