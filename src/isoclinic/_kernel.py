@@ -153,7 +153,7 @@ def unit(q):
     """q scaled to unit norm; ZeroQuaternionError when the norm is too small."""
     norm = math.hypot(*q)
     if norm <= DEGENERACY_TOL:
-        raise ZeroQuaternionError(norm)
+        raise ZeroQuaternionError(norm, DEGENERACY_TOL)
     w, x, y, z = q
     return [w / norm, x / norm, y / norm, z / norm]
 
@@ -301,7 +301,7 @@ def decompose(a, tolerances):
     if norm_deviation > tolerances.dist_tol / 2:
         raise NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
     if norm < 0.5:
-        raise DegenerateNormError(norm)
+        raise DegenerateNormError(norm, 0.5)
     L, R, distance = nearest(a, m)
     if distance > tolerances.dist_tol:
         raise ReconstructionError(distance, tolerances.dist_tol)

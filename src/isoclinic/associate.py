@@ -76,8 +76,7 @@ def canonical_pair(L, R):
     magnitude at least 1/2, so an anchor exists.
     """
     import numpy as np
-    L, R = _kernel.canonical(np.asarray(L, dtype=float).tolist(),
-                             np.asarray(R, dtype=float).tolist())
+    L, R = _kernel.canonical(_floats(L), _floats(R))
     return np.array(L), np.array(R)
 
 

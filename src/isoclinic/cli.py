@@ -2,10 +2,10 @@
 
 Subcommands: decompose, compose, generate, verify, classify. Matrices come
 from a file path or stdin as 16 whitespace-separated reals in row-major
-order (plain16) or as JSON {"matrix": [[...], [...], [...], [...]]}; the
-format is sniffed unless --format says otherwise. All numbers are printed
-with repr, the shortest decimal that round-trips binary64, so piping output
-back in is lossless.
+order (plain16) or as JSON {"matrix": [[...], [...], [...], [...]]}: input
+whose first nonblank character is '{' is JSON. All numbers are printed with
+repr, the shortest decimal that round-trips binary64, so piping output back
+in is lossless.
 
 Exit codes: 0 success, 1 decomposition failure, 2 parse or usage error,
 3 validation failure (non-rotation input or zero quaternion), 141 (128 +
@@ -63,16 +63,14 @@ def _json_number(x):
     return None if x is None or not math.isfinite(x) else float(x)
 
 
-def parse_matrix(text: str, fmt: str = "auto") -> list:
+def parse_matrix(text: str) -> list:
     """Parse one matrix from text in plain16 or JSON form, as its 16 entries
     in row-major order.
 
-    auto sniffs: a document whose first nonblank character is '{' is JSON,
-    anything else is treated as 16 whitespace-separated reals.
+    A document whose first nonblank character is '{' is JSON, anything else
+    is treated as 16 whitespace-separated reals.
     """
-    if fmt == "auto":
-        fmt = "json" if text.lstrip()[:1] == "{" else "plain16"
-    if fmt == "json":
+    if text.lstrip()[:1] == "{":
         try:
             document = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -134,7 +132,7 @@ def _read_matrix(args) -> list:
                 text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    return parse_matrix(text, args.format)
+    return parse_matrix(text)
 
 
 def _parse_quat_arg(text: str, name: str) -> list:
@@ -185,10 +183,7 @@ def _factor_input(args):
 
 
 def cmd_decompose(args) -> int:
-    try:
-        (left, right, distance, norm_deviation), kind = _factor_input(args)
-    except (ValidationError, DecompositionError) as exc:
-        return _rejection(args, exc)
+    (left, right, distance, norm_deviation), kind = _factor_input(args)
     if args.json:
         report = {
             "status": "ok",
@@ -283,10 +278,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        _, kind = _factor_input(args)
-    except (ValidationError, DecompositionError) as exc:
-        return _rejection(args, exc)
+    _, kind = _factor_input(args)
     if args.json:
         print(json.dumps({"status": "ok",
                           "class": kind.kind.value,
@@ -310,6 +302,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bound(field: str):
+    """argparse type of the flag for Tolerances.<field>, checked by Tolerances."""
+    def bound(text: str) -> float:
+        value = float(text)
+        try:
+            Tolerances(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    bound.__name__ = "float"  # argparse's message on a non-number: "invalid float value"
+    return bound
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: parsing leaves
@@ -324,18 +329,16 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_input = argparse.ArgumentParser(add_help=False)
     matrix_input.add_argument("input", nargs="?", default="-",
                               help="matrix file path, or - for stdin (default)")
-    matrix_input.add_argument("--format", choices=["auto", "plain16", "json"],
-                              default="auto", help="input format (default: sniff)")
 
     tolerance_flags = argparse.ArgumentParser(add_help=False)
-    tolerance_flags.add_argument("--ortho-tol", type=float,
+    tolerance_flags.add_argument("--ortho-tol", type=_bound("ortho_tol"),
                                  default=DEFAULT_TOLERANCES.ortho_tol,
                                  help="orthogonality and determinant tolerance")
-    tolerance_flags.add_argument("--dist-tol", type=float, default=None,
+    tolerance_flags.add_argument("--dist-tol", type=_bound("dist_tol"), default=None,
                                  help="Frobenius distance tolerance between the input "
                                       "and the rotation rebuilt from its factors "
                                       "(default: twice --ortho-tol)")
-    tolerance_flags.add_argument("--iso-tol", type=float,
+    tolerance_flags.add_argument("--iso-tol", type=_bound("iso_tol"),
                                  default=DEFAULT_TOLERANCES.iso_tol,
                                  help="trivial-factor threshold for classification")
 
@@ -398,17 +401,15 @@ def _attach_vector_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_attach_vector_values(list(argv)))
+    args = build_parser().parse_args(_attach_vector_values(list(argv)))
     if "ortho_tol" in args:
         # decompose, verify and classify: the three tolerance flags make the
         # one bound object every check of the command reads
-        try:
-            args.tolerances = Tolerances(args.ortho_tol, args.dist_tol, args.iso_tol)
-        except ValueError as exc:
-            parser.error(str(exc))
+        args.tolerances = Tolerances(args.ortho_tol, args.dist_tol, args.iso_tol)
     try:
         return args.func(args)
+    except (ValidationError, DecompositionError) as exc:
+        return _rejection(args, exc)
     except IsoclinicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
-Every numerical rejection carries the measured quantity in `measured` so
-callers (and the CLI) can report how far the input missed the tolerance.
+Every numerical rejection carries the measured quantity in `measured` and
+the bound it was held against in `tol`, so callers (and the CLI) can
+report how far the input missed the tolerance.
 """
 
 
@@ -11,13 +12,20 @@ class IsoclinicError(Exception):
     measured = None
 
 
-class ZeroQuaternionError(IsoclinicError):
+class _Measured(IsoclinicError):
+    """A measured value that missed its bound; the message is the class
+    template filled in with `measured` and `tol`."""
+
+    def __init__(self, measured, tol):
+        self.measured = measured
+        self.tol = tol
+        super().__init__(self.template.format_map(vars(self)))
+
+
+class ZeroQuaternionError(_Measured):
     """Normalization was requested for a quaternion with (near-)zero norm."""
 
-    def __init__(self, norm):
-        super().__init__(f"cannot normalize quaternion with norm {norm:.3e}")
-        self.norm = norm
-        self.measured = norm
+    template = "cannot normalize quaternion with norm {measured:.3e}"
 
 
 class ValidationError(IsoclinicError):
@@ -31,70 +39,37 @@ class MalformedInputError(ValidationError, ValueError):
     """
 
 
-class NotUnitQuaternionError(ValidationError, ValueError):
-    """A quaternion is off the unit 3-sphere; also a ValueError, as before it had a type."""
+class NotUnitQuaternionError(_Measured, ValidationError, ValueError):
+    """A quaternion is off the unit 3-sphere; also a ValueError."""
 
-    def __init__(self, deviation, tol):
-        super().__init__(
-            f"not a unit quaternion: |q|^2 deviates from 1 by {deviation:.3e} "
-            f"(tolerance {tol:.1e})"
-        )
-        self.deviation = deviation
-        self.tol = tol
-        self.measured = deviation
+    template = ("not a unit quaternion: |q|^2 deviates from 1 by {measured:.3e} "
+                "(tolerance {tol:.1e})")
 
 
-class NotOrthogonalError(ValidationError):
-    def __init__(self, deviation, tol):
-        super().__init__(
-            f"matrix is not orthogonal: max |A^T A - I| = {deviation:.6g} "
-            f"exceeds {tol:.1e}"
-        )
-        self.deviation = deviation
-        self.tol = tol
-        self.measured = deviation
+class NotOrthogonalError(_Measured, ValidationError):
+    template = "matrix is not orthogonal: max |A^T A - I| = {measured:.6g} exceeds {tol:.1e}"
 
 
-class NotProperRotationError(ValidationError):
-    def __init__(self, det, tol):
-        super().__init__(
-            f"matrix is not a proper rotation: det = {det:.15g}, expected 1 within {tol:.1e}"
-        )
-        self.det = det
-        self.tol = tol
-        self.measured = det
+class NotProperRotationError(_Measured, ValidationError):
+    template = ("matrix is not a proper rotation: det = {measured:.15g}, "
+                "expected 1 within {tol:.1e}")
 
 
 class DecompositionError(IsoclinicError):
     """The isoclinic factorization failed; input too far from SO(4)."""
 
 
-class NormDeviationError(DecompositionError):
-    def __init__(self, deviation, tol):
-        super().__init__(
-            f"associate matrix norm deviates from 1 by {deviation:.6g} (tolerance {tol:.1e})"
-        )
-        self.deviation = deviation
-        self.tol = tol
-        self.measured = deviation
+class NormDeviationError(_Measured, DecompositionError):
+    template = "associate matrix norm deviates from 1 by {measured:.6g} (tolerance {tol:.1e})"
 
 
-class DegenerateNormError(DecompositionError):
-    def __init__(self, norm):
-        super().__init__(f"matrix norm {norm:.6g} too small to factor (need >= 0.5)")
-        self.norm = norm
-        self.measured = norm
+class DegenerateNormError(_Measured, DecompositionError):
+    template = "matrix norm {measured:.6g} too small to factor (need >= {tol:g})"
 
 
-class ReconstructionError(DecompositionError):
-    def __init__(self, residual, tol):
-        super().__init__(
-            f"factor pair does not reproduce the input: distance ||A - Q||_F = "
-            f"{residual:.6g} exceeds {tol:.1e}"
-        )
-        self.residual = residual
-        self.tol = tol
-        self.measured = residual
+class ReconstructionError(_Measured, DecompositionError):
+    template = ("factor pair does not reproduce the input: distance ||A - Q||_F = "
+                "{measured:.6g} exceeds {tol:.1e}")
 
 
 class InvarianceError(IsoclinicError):

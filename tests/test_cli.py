@@ -43,7 +43,7 @@ def test_parse_matrix_json():
     text = json.dumps({"matrix": np.eye(4).tolist()})
     assert parse_matrix(text) == EYE16
     # auto-sniffing picks JSON from the leading brace
-    assert parse_matrix("  " + text, "auto") == EYE16
+    assert parse_matrix("  " + text) == EYE16
 
 
 def test_parse_matrix_errors():
@@ -223,8 +223,7 @@ def test_tolerance_flags_match_tolerances():
     fields = set(Tolerances._fields)
     for command in ("decompose", "classify", "verify"):
         args = vars(build_parser().parse_args([command]))
-        flags = {name: args[name] for name in set(args) - {"command", "func", "input",
-                                                            "format", "json"}}
+        flags = {name: args[name] for name in set(args) - {"command", "func", "input", "json"}}
         assert set(flags) == fields
         assert Tolerances(**flags) == DEFAULT_TOLERANCES
 
@@ -256,6 +255,22 @@ def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, ca
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{flag[2:].replace('-', '_')} must be a non-negative number" in captured.err
+        assert captured.err.startswith(f"usage: isoclinic {command}"), captured.err
+
+
+# decompose, classify and verify, plain and --json, on I, -I, diag(1,1,1,-1),
+# 2I, the zero matrix, a NaN entry and 15 numbers: stdin, exit code, stdout
+# and stderr, each recorded verbatim
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{' '.join(case['args'])}, {case['input']}" for case in GOLDEN])
+def test_golden_output(case, monkeypatch):
+    """The checking commands print what they printed when the table was
+    recorded, byte for byte, and exit with the same code."""
+    assert run_cli(case["args"], case["stdin"], monkeypatch) == (
+        case["exit"], case["stdout"], case["stderr"])
 
 
 def _reject_constant(token):
@@ -301,12 +316,6 @@ def test_file_input(tmp_path, monkeypatch):
     code, _, err = run_cli(["decompose", str(tmp_path / "missing.txt")])
     assert code == 2
     assert "cannot read" in err
-
-
-def test_format_override(monkeypatch):
-    text = json.dumps({"matrix": np.eye(4).tolist()})
-    code, _, err = run_cli(["decompose", "--format", "plain16"], text, monkeypatch)
-    assert code == 2
 
 
 # The wrapper that setuptools writes for [project.scripts] does this much;

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from isoclinic import (
     IDENTITY,
     associate_matrix,
+    associate_norm,
+    canonical_pair,
+    classify,
+    classify_pair,
     IsoclinicError,
     MalformedInputError,
     NotOrthogonalError,
@@ -16,6 +20,8 @@ from isoclinic import (
     Tolerances,
     decompose,
     left_matrix,
+    make_frame,
+    max_abs_minor,
     normalize,
     quat_mul,
     random_rotation,
@@ -43,10 +49,10 @@ def test_validate_rotation():
     assert np.array_equal(validate_rotation(np.eye(4)), np.eye(4))
     with pytest.raises(NotProperRotationError) as info:
         validate_rotation(np.diag([1.0, 1.0, 1.0, -1.0]))
-    assert info.value.det == pytest.approx(-1.0, abs=1e-12)
+    assert info.value.measured == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(NotOrthogonalError) as info:
         validate_rotation(2.0 * np.eye(4))
-    assert info.value.deviation == pytest.approx(3.0, abs=1e-12)
+    assert info.value.measured == pytest.approx(3.0, abs=1e-12)
 
 
 def test_validate_rotation_tolerances_are_adjustable():
@@ -170,7 +176,8 @@ def test_bad_shapes_rejected():
 
 def test_malformed_input_is_typed():
     """NaN, inf, ragged or non-numeric entries and every wrong shape raise
-    an IsoclinicError, which is still a ValueError."""
+    an IsoclinicError, which is still a ValueError, at every public entry
+    point that takes a matrix or a quaternion."""
     A = random_rotation(42)
     malformed = [A[:3], A[:, :3], A.ravel(), np.hstack([A, np.zeros((4, 1))]), A[None], 1.0,
                  [[1.0, 0.0], [0.0]], [["a"] * 4] * 4]
@@ -178,15 +185,21 @@ def test_malformed_input_is_typed():
         nonfinite = A.copy()
         nonfinite.flat[i] = bad
         malformed.append(nonfinite)
-    for entry in (validate_rotation, decompose):
-        for bad in malformed:
-            with pytest.raises(IsoclinicError) as info:
-                entry(bad)
-            assert isinstance(info.value, MalformedInputError)
-            assert isinstance(info.value, ValueError)
-    for q in ([1.0, np.nan, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, [0.0], 0.0, 0.0]):
-        with pytest.raises(MalformedInputError):
-            normalize(q)
+    calls = [(entry, (bad,)) for bad in malformed
+             for entry in (validate_rotation, decompose, associate_matrix, associate_norm,
+                           max_abs_minor, classify, make_frame)]
+    bad_quaternions = [[1.0, np.nan, 0.0, 0.0], [1.0, -np.inf, 0.0, 0.0], [1.0, 0.0, 0.0],
+                       [1.0, 0.0, 0.0, 0.0, 0.0], [IDENTITY], [1.0, [0.0], 0.0, 0.0],
+                       "abcd", 1.0]
+    for q in bad_quaternions:
+        calls += [(normalize, (q,)), (left_matrix, (q,))]
+        calls += [(entry, args) for entry in (canonical_pair, classify_pair, quat_mul)
+                  for args in ((q, IDENTITY), (IDENTITY, q))]
+    for entry, args in calls:
+        with pytest.raises(IsoclinicError) as info:
+            entry(*args)
+        assert isinstance(info.value, MalformedInputError), (entry.__name__, args)
+        assert isinstance(info.value, ValueError)
 
 
 def test_overflowing_gram_is_not_orthogonal():
