@@ -41,7 +41,7 @@ print("true left:      ", L0)
 print("recovered right:", result.right)
 print("true right:     ", R0)
 # decompose certifies its answer with one number: the Frobenius distance
-# from A to the rotation rebuilt from the factors, which is twice the
+# from A to the rotation the factors generate, read off as twice the
 # distance of M from their outer product.
 print("distance ||A - Q||_F:", result.distance)
 

@@ -1,7 +1,7 @@
 # How non-rotations get rejected, and what the tolerance means.
 #
 # decompose never repairs its input. It measures one number, the Frobenius
-# distance from the input to the rotation rebuilt from the factors it reads
+# distance from the input to the rotation generated by the factors it reads
 # off, and raises a typed error carrying it when the number is too big, so
 # a caller can tell a reflection from noise from garbage.
 

@@ -3,13 +3,12 @@
 A 4x4 matrix is the row-major list of its 16 entries and a quaternion the
 list of its four components (w, x, y, z). Every check made on a rotation
 runs here: orthogonality and determinant, the associate matrix, its norm
-and 36 minors, the factor read-off and its sign, the reconstruction and
-its distance, and the classification, each against a bound of the one
-``Tolerances`` object the caller passes. The array API in ``quat``,
-``rotation4``, ``associate`` and ``invariance`` coerces its input once,
-calls into this module and boxes the result; the CLI calls it on the
-floats it parses, so a command that never builds an array never imports
-numpy.
+and 36 minors, the factor read-off with its distance, the sign, and the
+classification, each against a bound of the one ``Tolerances`` object the
+caller passes. The array API in ``quat``, ``rotation4``, ``associate``
+and ``invariance`` coerces its input once, calls into this module and
+boxes the result; the CLI calls it on the floats it parses, so a command
+that never builds an array never imports numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import enum
 import math
 from itertools import combinations
-from operator import sub
 from typing import NamedTuple
 
 from .errors import (
@@ -50,7 +48,7 @@ class Tolerances(_Bounds):
 
     ortho_tol     bound on max |A^T A - I| and on |det A - 1|
     dist_tol      bound on the Frobenius distance ||A - Q||_F from the
-                  input to the rotation rebuilt from its factors
+                  input to the rotation its factors generate
     iso_tol       component deviation under which a factor counts as +/-1
 
     dist_tol defaults to twice ortho_tol: to first order the distance of a
@@ -238,18 +236,26 @@ def max_minor(m):
 def canonical(L, R):
     """Negate both factors unless the first component of L above SIGN_TOL in
     magnitude is positive."""
-    anchor = next((component for component in L if abs(component) > SIGN_TOL), 0.0)
-    return ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
+    for component in L:
+        if abs(component) > SIGN_TOL:
+            if component < 0:
+                return [-c for c in L], [-c for c in R]
+            break
+    return L, R
 
 
-def read_off(m):
-    """The unit pair (L, R) whose outer product is nearest to M (row-major m).
+def nearest(m):
+    """The unit pair (L, R) whose outer product is nearest to M (row-major
+    m), and the distance 2 ||M - outer(L, R)||_F.
 
     L starts as the column of the largest entry; one alternating step,
     R = M^T L and L = M R, each normalized, moves the pair to the top
     singular pair of a nearly rank-1 M and gives outer(L, R) the sign of
     M. Each sum adds in index order after a leading 0.0, so a sum of
     negative zeros is +0.0 and the factors keep their signs of zero.
+    Since B^T B = 4I the distance equals ||A - Q||_F for M = associate(a)
+    and the rotation Q the pair generates: near SO(4), the distance of A
+    from the group.
     """
     (m00, m01, m02, m03, m10, m11, m12, m13,
      m20, m21, m22, m23, m30, m31, m32, m33) = m
@@ -259,11 +265,15 @@ def read_off(m):
                                0.0 + m01 * l0 + m11 * l1 + m21 * l2 + m31 * l3,
                                0.0 + m02 * l0 + m12 * l1 + m22 * l2 + m32 * l3,
                                0.0 + m03 * l0 + m13 * l1 + m23 * l2 + m33 * l3])
-    L = unit([0.0 + m00 * r0 + m01 * r1 + m02 * r2 + m03 * r3,
-              0.0 + m10 * r0 + m11 * r1 + m12 * r2 + m13 * r3,
-              0.0 + m20 * r0 + m21 * r1 + m22 * r2 + m23 * r3,
-              0.0 + m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3])
-    return L, R
+    L = l0, l1, l2, l3 = unit([0.0 + m00 * r0 + m01 * r1 + m02 * r2 + m03 * r3,
+                               0.0 + m10 * r0 + m11 * r1 + m12 * r2 + m13 * r3,
+                               0.0 + m20 * r0 + m21 * r1 + m22 * r2 + m23 * r3,
+                               0.0 + m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3])
+    return L, R, 2.0 * math.hypot(
+        m00 - l0 * r0, m01 - l0 * r1, m02 - l0 * r2, m03 - l0 * r3,
+        m10 - l1 * r0, m11 - l1 * r1, m12 - l1 * r2, m13 - l1 * r3,
+        m20 - l2 * r0, m21 - l2 * r1, m22 - l2 * r2, m23 - l2 * r3,
+        m30 - l3 * r0, m31 - l3 * r1, m32 - l3 * r2, m33 - l3 * r3)
 
 
 # ---- composition and decomposition ------------------------------------------
@@ -277,14 +287,6 @@ def two_sided(L, R):
     o = [left * right for left in L for right in R]
     return [s0 * o[k0] + s2 * o[k2] + (s1 * o[k1] + s3 * o[k3]) + 0.0
             for k0, s0, k1, s1, k2, s2, k3, s3 in _COMPOSE]
-
-
-def nearest(a, m):
-    """The pair read off M = associate(a) and the distance ||A - Q||_F to
-    the rotation Q it generates, which is 2 ||M - outer(L, R)||_F since
-    B^T B = 4I: near SO(4), the distance of A from the group."""
-    L, R = read_off(m)
-    return L, R, math.hypot(*map(sub, a, two_sided(L, R)))
 
 
 def decompose(a, tolerances):
@@ -302,7 +304,7 @@ def decompose(a, tolerances):
         raise NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
     if norm < 0.5:
         raise DegenerateNormError(norm, 0.5)
-    L, R, distance = nearest(a, m)
+    L, R, distance = nearest(m)
     if distance > tolerances.dist_tol:
         raise ReconstructionError(distance, tolerances.dist_tol)
     return (*canonical(L, R), distance, norm_deviation)

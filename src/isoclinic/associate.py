@@ -5,9 +5,9 @@ of A in the composition table of ``rotation4``, arranged on a 4x4 grid.
 When A is the matrix of the two-sided quaternion map P -> L*P*R, it equals
 the outer product column(L) * row(R): a rank-1 matrix of unit Frobenius
 norm whose rows and columns are scalar multiples of the two factors.
-``decompose`` reads the factors off and measures one number, the
-Frobenius distance from A to the rotation they rebuild, so any matrix
-that is not close to a 4D rotation is rejected instead of producing garbage.
+``decompose`` reads off the factors and, in the same pass, one number:
+the Frobenius distance from A to the rotation they generate. Any matrix
+not close to a 4D rotation is rejected instead of producing garbage.
 
 The factor pair is unique only up to a joint sign flip: (L, R) and
 (-L, -R) produce the same rotation. ``canonical_pair`` picks the
@@ -84,8 +84,8 @@ class IsoclinicDecomposition(NamedTuple):
     """Canonical factor pair of a rotation plus its measured certificate.
 
     The alternate decomposition is always (-left, -right); no third pair
-    exists. distance is ||A - Q||_F for the rotation Q rebuilt from the
-    factors, the distance of A from SO(4) near the group; norm_deviation
+    exists. distance is ||A - Q||_F for the rotation Q the factors
+    generate, the distance of A from SO(4) near the group; norm_deviation
     is |norm(M) - 1| of the associate matrix, at most distance / 2.
     Equality and hashing are by identity: comparing the array fields
     elementwise has no single truth value.
@@ -104,8 +104,9 @@ class IsoclinicDecomposition(NamedTuple):
 def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomposition:
     """Factor a rotation matrix into its two isoclinic unit quaternions.
 
-    Pipeline: form the associate matrix, read off the factors, rebuild
-    and measure the Frobenius distance to the input. A distance above
+    Pipeline: form the associate matrix M, then read off the factors and,
+    in the same pass, the Frobenius distance 2 ||M - outer(L, R)||_F from
+    the input to the rotation they generate. A distance above
     dist_tol raises ReconstructionError carrying it; a norm deviation
     above dist_tol / 2, which bounds the distance from below, raises
     NormDeviationError before the read-off. Orthogonal matrices of

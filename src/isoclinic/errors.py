@@ -21,6 +21,10 @@ class _Measured(IsoclinicError):
         self.tol = tol
         super().__init__(self.template.format_map(vars(self)))
 
+    def __reduce__(self):
+        # Exception rebuilds from args, which hold only the message
+        return type(self), (self.measured, self.tol)
+
 
 class ZeroQuaternionError(_Measured):
     """Normalization was requested for a quaternion with (near-)zero norm."""

@@ -97,8 +97,10 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
     factor angles within ANGLE_TOL, raising InvarianceError with both
     classifications on any mismatch. Returns the report when the check passes.
     """
-    original = classify(A, tolerances)
-    transformed = classify(conjugate(A, frame), tolerances)
+    A, entries = _mat4(A)
+    L, R, *_ = _kernel.decompose(entries, tolerances)
+    original = _kernel.classify(L, R, tolerances)
+    transformed = classify(frame.s.T @ A @ frame.s, tolerances)
     angle_deviation = max(
         abs(original.left_angle - transformed.left_angle),
         abs(original.right_angle - transformed.right_angle),

@@ -1,10 +1,14 @@
 """The rejection record: every measured rejection carries its value and bound."""
 
+import copy
+import pickle
+
 import pytest
 
 from isoclinic import (
     DecompositionError,
     DegenerateNormError,
+    IsoclinicError,
     NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
@@ -49,3 +53,28 @@ def test_rejection_record(cls, measured, tol, message, ancestry):
     assert exc.tol == tol
     bases = (ValidationError, DecompositionError, ValueError)
     assert tuple(isinstance(exc, base) for base in bases) == ancestry
+
+
+def _subclasses(cls):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _subclasses(subclass)
+
+
+ERRORS = sorted({cls for cls in _subclasses(IsoclinicError) if not cls.__name__.startswith("_")},
+                key=lambda cls: cls.__name__)
+MEASURED = {record[0]: record[1:3] for record in RECORDS}
+
+
+@pytest.mark.parametrize("clone", [lambda exc: pickle.loads(pickle.dumps(exc)), copy.copy],
+                         ids=["pickle", "copy"])
+@pytest.mark.parametrize("cls", ERRORS, ids=[cls.__name__ for cls in ERRORS])
+def test_error_survives_pickle_and_copy(cls, clone):
+    """A rejection sent to another process, or copied, keeps its type,
+    message, value and bound; Exception alone rebuilds from the message."""
+    exc = cls(*MEASURED.get(cls, ("the input was wrong",)))
+    twin = clone(exc)
+    assert type(twin) is cls
+    assert str(twin) == str(exc)
+    assert twin.measured == exc.measured
+    assert getattr(twin, "tol", None) == getattr(exc, "tol", None)

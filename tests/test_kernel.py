@@ -1,13 +1,16 @@
 """The float kernel against numpy and the independent oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoclinic import _kernel, random_rotation
-from oracles import associate_reference, exact_det, random_improper
+from isoclinic import Tolerances, _kernel, random_rotation
+from isoclinic._kernel import SIGN_TOL
+from oracles import associate_reference, bilinear_composition, exact_det, random_improper
 
 EPS = np.finfo(float).eps
 seeds = st.integers(0, 2**32 - 1)
@@ -46,3 +49,43 @@ def test_kernel_checks_match_numpy(A):
     reference = associate_reference(A).ravel()
     assert np.abs(np.array(_kernel.associate(a)) - reference).max() <= EPS
 
+
+scaled = st.builds(lambda seed, scale: scale * random_rotation(seed), seeds,
+                   st.floats(0.1, 10.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(families | scaled)
+def test_associate_distance_is_the_frobenius_distance(A):
+    """The distance read off M, 2 ||M - outer(L, R)||_F, is ||A - Q||_F for
+    the rotation Q the factors generate, built by the oracle's bilinear
+    formula; so for a rejected matrix too, and from decompose when the
+    distance bound is lifted."""
+    a = A.ravel().tolist()
+    m = _kernel.associate(a)
+    bound = 8 * EPS * max(1.0, float(np.linalg.norm(A)))
+    L, R, distance = _kernel.nearest(m)
+    assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
+    if math.hypot(*m) >= 0.5:
+        L, R, distance, _ = _kernel.decompose(a, Tolerances(dist_tol=math.inf))
+        assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
+
+
+@pytest.mark.parametrize("L", [
+    [0.0, -0.6, 0.8, 0.0],
+    [-0.0, 0.6, -0.8, -0.0],
+    [SIGN_TOL, -0.6, 0.8, 0.0],
+    [-SIGN_TOL, 0.6, -0.8, 0.0],
+    [-0.6, 0.8, 0.0, -0.0],
+    [0.6, -0.8, -0.0, 0.0],
+    [SIGN_TOL, -SIGN_TOL, 0.0, -0.0],
+], ids=["leading +0", "leading -0", "+SIGN_TOL skipped", "-SIGN_TOL skipped",
+        "negative anchor", "positive anchor", "no anchor"])
+def test_canonical_edge_cases(L):
+    """The first component of L above SIGN_TOL in magnitude decides the
+    joint sign, as the generator rule written out here does; signs of zero
+    included."""
+    R = [0.0, -0.0, 0.5, -1.0]
+    anchor = next((c for c in L if abs(c) > SIGN_TOL), 0.0)
+    expected = ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
+    assert repr(_kernel.canonical(L, R)) == repr(expected)
