@@ -2,13 +2,18 @@
 
 A 4x4 matrix is the row-major list of its 16 entries and a quaternion the
 list of its four components (w, x, y, z). Every check made on a rotation
-runs here: orthogonality and determinant, the associate matrix, its norm
-and 36 minors, the factor read-off with its distance, the sign, and the
+runs here: orthogonality and determinant, the associate matrix and its
+norm, the factor read-off with its distance, the sign, and the
 classification, each against a bound of the one ``Tolerances`` object the
 caller passes. The array API in ``quat``, ``rotation4``, ``associate``
 and ``invariance`` coerces its input once, calls into this module and
 boxes the result; the CLI calls it on the floats it parses, so a command
 that never builds an array never imports numpy.
+
+``associate``, ``distance``, ``decompose`` and ``two_sided`` are not
+written here: their straight-line source (``_SOURCES``) is generated from
+the composition table ``TABLE`` when the module is imported, and each is
+compiled into this namespace the first time it is read.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from itertools import combinations
+from math import hypot
 from typing import NamedTuple
 
 from .errors import (
@@ -116,18 +122,6 @@ TABLE = tuple(
 )
 
 
-def _terms(by, weight):
-    """For each row (by=0) or column (by=1) of B, its four nonzero entries
-    as index along the other side and weight * sign, flattened, by index."""
-    lines = [[] for _ in range(16)]
-    for entry in TABLE:
-        lines[entry[by]].append((entry[1 - by], weight * entry[2]))
-    return tuple(tuple(x for term in sorted(line) for x in term) for line in lines)
-
-
-_ASSOCIATE = _terms(1, 0.25)
-_COMPOSE = _terms(0, 1.0)
-
 # row pairs (i, j) and column pairs (k, l) of all C(4,2)^2 = 36 2x2 minors,
 # as the row-major positions of m_ik, m_jl, m_jk and m_il
 _PAIRS = list(combinations(range(4), 2))
@@ -214,14 +208,6 @@ def validate(a, tolerances):
 
 # ---- the associate matrix and its certificates --------------------------------
 
-def associate(a):
-    """The associate matrix B^T vec(A) / 4, row-major: each entry a signed
-    quarter-sum of four entries of A, added in the order of their index
-    after a leading +0.0, as numpy's product with B^T / 4 adds them."""
-    return [0.0 + w0 * a[i0] + w1 * a[i1] + w2 * a[i2] + w3 * a[i3]
-            for i0, w0, i1, w1, i2, w2, i3, w3 in _ASSOCIATE]
-
-
 def max_minor(m):
     """Largest absolute 2x2 minor of M over all 36; an overflowed one reads inf.
 
@@ -244,51 +230,83 @@ def canonical(L, R):
     return L, R
 
 
-def nearest(m):
-    """The unit pair (L, R) whose outer product is nearest to M (row-major
-    m), and the distance 2 ||M - outer(L, R)||_F.
+# ---- the straight-line kernel, generated from TABLE --------------------------
+#
+# associate, distance, decompose and two_sided are fixed sequences of float
+# operations. Their source is written out below from TABLE at import, and
+# each runs on unpacked locals: no index tuple is read at run time and no
+# list is built between the associate matrix and the read-off. Each entry of
+# M keeps the 0.25 weight on every term, since a sum of quarters of four
+# finite floats cannot overflow where a quarter of their sum can.
 
-    L starts as the column of the largest entry; one alternating step,
-    R = M^T L and L = M R, each normalized, moves the pair to the top
-    singular pair of a nearly rank-1 M and gives outer(L, R) the sign of
-    M. Each sum adds in index order after a leading 0.0, so a sum of
-    negative zeros is +0.0 and the factors keep their signs of zero.
-    Since B^T B = 4I the distance equals ||A - Q||_F for M = associate(a)
-    and the rotation Q the pair generates: near SO(4), the distance of A
-    from the group.
-    """
-    (m00, m01, m02, m03, m10, m11, m12, m13,
-     m20, m21, m22, m23, m30, m31, m32, m33) = m
-    magnitudes = list(map(abs, m))
-    l0, l1, l2, l3 = unit(m[magnitudes.index(max(magnitudes)) % 4::4])
-    R = r0, r1, r2, r3 = unit([0.0 + m00 * l0 + m10 * l1 + m20 * l2 + m30 * l3,
-                               0.0 + m01 * l0 + m11 * l1 + m21 * l2 + m31 * l3,
-                               0.0 + m02 * l0 + m12 * l1 + m22 * l2 + m32 * l3,
-                               0.0 + m03 * l0 + m13 * l1 + m23 * l2 + m33 * l3])
-    L = l0, l1, l2, l3 = unit([0.0 + m00 * r0 + m01 * r1 + m02 * r2 + m03 * r3,
-                               0.0 + m10 * r0 + m11 * r1 + m12 * r2 + m13 * r3,
-                               0.0 + m20 * r0 + m21 * r1 + m22 * r2 + m23 * r3,
-                               0.0 + m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3])
-    return L, R, 2.0 * math.hypot(
-        m00 - l0 * r0, m01 - l0 * r1, m02 - l0 * r2, m03 - l0 * r3,
-        m10 - l1 * r0, m11 - l1 * r1, m12 - l1 * r2, m13 - l1 * r3,
-        m20 - l2 * r0, m21 - l2 * r1, m22 - l2 * r2, m23 - l2 * r3,
-        m30 - l3 * r0, m31 - l3 * r1, m32 - l3 * r2, m33 - l3 * r3)
+def _by(side):
+    """Each row (side=0) or column (side=1) of B as the (index along the
+    other side, sign) pairs of its four nonzero entries, by index."""
+    lines = [[] for _ in range(16)]
+    for entry in TABLE:
+        lines[entry[side]].append((entry[1 - side], entry[2]))
+    return [sorted(line) for line in lines]
 
 
-# ---- composition and decomposition ------------------------------------------
-
-def two_sided(L, R):
-    """Row-major matrix of P -> L*P*R for unit quaternions L and R: B times
-    vec(outer(L, R)). Each entry's four terms are added as a two-lane dot
-    product adds them, even and odd columns apart, which is how numpy's
-    product with B rounds, and a final +0.0 gives its sign of zero. Callers
-    that take L and R from outside check them with check_unit first."""
-    o = [left * right for left in L for right in R]
-    return [s0 * o[k0] + s2 * o[k2] + (s1 * o[k1] + s3 * o[k3]) + 0.0
-            for k0, s0, k1, s1, k2, s2, k3, s3 in _COMPOSE]
+def _lane(first, second):
+    """'o_i +/- o_j' for two (index, sign) terms, o_i negated if its sign is
+    -1: one lane of a two_sided entry."""
+    (k0, s0), (k1, s1) = first, second
+    return f"{'-' * (s0 < 0)}o{k0} {'-+'[s1 > 0]} o{k1}"
 
 
+def _unit(q):
+    """Source that scales the locals q0..q3 to unit norm, as unit() does."""
+    names = f"{q}0, {q}1, {q}2, {q}3"
+    return f"""
+    n = hypot({names})
+    if n <= DEGENERACY_TOL:
+        raise ZeroQuaternionError(n, DEGENERACY_TOL)
+    {names} = {q}0 / n, {q}1 / n, {q}2 / n, {q}3 / n"""
+
+
+_M = ", ".join(f"m{k}" for k in range(16))
+# the entries m0..m15 of M = B^T vec(A) / 4, row-major, from a0..a15: each a
+# signed quarter-sum added in index order after a leading 0.0, as numpy's
+# product with B^T / 4 adds it; subtracting a term rounds as adding its
+# negation does
+_ASSOCIATE = "\n    " + ", ".join(f"a{k}" for k in range(16)) + " = a" + "".join(
+    f"\n    m{c} = 0.0" + "".join(f" {'-+'[s > 0]} 0.25 * a{k}" for k, s in terms)
+    for c, terms in enumerate(_by(1)))
+# the read-off from m0..m15 to the unit pair l0..l3, r0..r3 and the distance
+# d = 2 ||M - outer(L, R)||_F. L starts as the column of the first entry of
+# largest magnitude in row-major order (max keeps the first maximal item, and
+# no earlier entry equals it). One alternating step, R = M^T L and L = M R,
+# each normalized, moves the pair to the top singular pair of a nearly rank-1
+# M and gives outer(L, R) the sign of M. Each sum adds in index order after a
+# leading 0.0, so a sum of negative zeros is +0.0 and the factors keep their
+# signs of zero.
+_READ_OFF = (
+    f"\n    m = {_M}"
+    "\n    l0, l1, l2, l3 = m[m.index(max(m, key=abs)) % 4::4]" + _unit("l")
+    + "".join(f"\n    r{j} = 0.0" + "".join(f" + m{4 * i + j} * l{i}" for i in range(4))
+              for j in range(4)) + _unit("r")
+    + "".join(f"\n    l{i} = 0.0" + "".join(f" + m{4 * i + j} * r{j}" for j in range(4))
+              for i in range(4)) + _unit("l")
+    + "\n    d = 2.0 * hypot("
+    + ", ".join(f"m{4 * i + j} - l{i} * r{j}" for i in range(4) for j in range(4)) + ")")
+
+_SOURCES = {
+    "associate": f'''
+def associate(a):
+    """The associate matrix B^T vec(A) / 4 of the row-major entries a, as
+    a row-major list."""{_ASSOCIATE}
+    return [{_M}]
+''',
+    "distance": f'''
+def distance(a):
+    """2 ||M - outer(L, R)||_F for M the associate matrix of a and (L, R)
+    its read-off. Since B^T B = 4I this is ||A - Q||_F for the rotation Q
+    the pair generates: near SO(4), the distance of A from the group.
+    ZeroQuaternionError when M is too small to read a factor off."""{_ASSOCIATE}{_READ_OFF}
+    return d
+''',
+    "decompose": f'''
 def decompose(a, tolerances):
     """Split the rotation with row-major entries a into its factor pair.
 
@@ -296,18 +314,41 @@ def decompose(a, tolerances):
     first check that fails. |norm(M) - 1| <= ||M - outer(L, R)||_F for
     every unit pair, so a norm deviation above dist_tol / 2 already puts
     the distance above dist_tol, and it is rejected before any read-off.
-    """
-    m = associate(a)
-    norm = math.hypot(*m)
+    """{_ASSOCIATE}
+    norm = hypot({_M})
     norm_deviation = abs(norm - 1.0)
     if norm_deviation > tolerances.dist_tol / 2:
         raise NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
     if norm < 0.5:
-        raise DegenerateNormError(norm, 0.5)
-    L, R, distance = nearest(m)
-    if distance > tolerances.dist_tol:
-        raise ReconstructionError(distance, tolerances.dist_tol)
-    return (*canonical(L, R), distance, norm_deviation)
+        raise DegenerateNormError(norm, 0.5){_READ_OFF}
+    if d > tolerances.dist_tol:
+        raise ReconstructionError(d, tolerances.dist_tol)
+    return (*canonical([l0, l1, l2, l3], [r0, r1, r2, r3]), d, norm_deviation)
+''',
+    "two_sided": '''
+def two_sided(L, R):
+    """Row-major matrix of P -> L*P*R for unit quaternions L and R: B times
+    vec(outer(L, R)). Each entry's four terms are added as a two-lane dot
+    product adds them, even and odd columns apart, which is how numpy's
+    product with B rounds, and a final +0.0 gives its sign of zero. Callers
+    that take L and R from outside check them with check_unit first."""
+    l0, l1, l2, l3 = L
+    r0, r1, r2, r3 = R'''
+    + "".join(f"\n    o{4 * p + q} = l{p} * r{q}" for p in range(4) for q in range(4))
+    + "\n    return [" + ",\n            ".join(
+        f"{_lane(t0, t2)} + ({_lane(t1, t3)}) + 0.0" for t0, t1, t2, t3 in _by(0)) + "]\n",
+}
+
+
+def __getattr__(name):
+    # a generated function is compiled when it is first read, so a process
+    # compiles only the ones it calls; its name is an ordinary global after
+    # that, which is also why no function of this module calls one by name
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    exec(compile(_SOURCES[name], "<isoclinic._kernel: generated from TABLE>", "exec"),
+         globals())
+    return globals()[name]
 
 
 # ---- classification ------------------------------------------------------------
@@ -352,4 +393,4 @@ def classify(L, R, tolerances):
         kind = RotationKind.RIGHT_ISOCLINIC
     else:
         kind = RotationKind.GENERAL
-    return RotationClass(kind=kind, left_angle=angle(L), right_angle=angle(R))
+    return RotationClass(kind, angle(L), angle(R))

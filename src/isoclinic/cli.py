@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
     ortho_deviation = _kernel.gram_deviation(entries)
     det = _kernel.determinant(entries)
     try:
-        distance = _kernel.nearest(_kernel.associate(entries))[2]
+        distance = _kernel.distance(entries)
     except ZeroQuaternionError:
         # every entry of M is below 1e-150, so every rotation lies at 2.0
         distance = 2.0

@@ -259,8 +259,10 @@ def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, ca
 
 
 # decompose, classify and verify, plain and --json, on I, -I, diag(1,1,1,-1),
-# 2I, the zero matrix, a NaN entry and 15 numbers: stdin, exit code, stdout
-# and stderr, each recorded verbatim
+# 2I, the zero matrix, a NaN entry and 15 numbers; verify also on 0.1I and on
+# 1e-200I, whose associate matrix is too small to read a factor off; compose
+# on the identity pair, a negative scalar left factor, a non-unit factor and
+# a zero one: stdin, exit code, stdout and stderr, each recorded verbatim
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
