@@ -10,9 +10,11 @@ and ``invariance`` coerces its input once, calls into this module and
 boxes the result; the CLI calls it on the floats it parses, so a command
 that never builds an array never imports numpy.
 
-``associate``, ``distance``, ``decompose`` and ``two_sided`` are not
-written here: their straight-line source (``_SOURCES``) is generated from
-the composition table ``TABLE`` when the module is imported, and each is
+``associate``, ``distance``, ``decompose``, ``two_sided``, ``canonical``,
+``check_unit``, ``angle`` and ``classify`` are not written here: their
+straight-line source (``_SOURCES``) is generated when the module is
+imported, the first four from the composition table ``TABLE`` and the sign
+rule and the quaternion checks from one fragment each, and each is
 compiled into this namespace the first time it is read.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from itertools import combinations
-from math import hypot
+from math import acos, hypot
 from typing import NamedTuple
 
 from .errors import (
@@ -131,16 +133,6 @@ _MINORS = tuple((4 * i + k, 4 * j + l, 4 * j + k, 4 * i + l)
 
 # ---- quaternions -------------------------------------------------------------
 
-def check_unit(q):
-    """Raise NotUnitQuaternionError unless q lies on the unit 3-sphere within
-    UNIT_TOL; returns q."""
-    w, x, y, z = q
-    deviation = abs(w * w + x * x + y * y + z * z - 1.0)
-    if deviation > UNIT_TOL:
-        raise NotUnitQuaternionError(deviation, UNIT_TOL)
-    return q
-
-
 def unit(q):
     """q scaled to unit norm; ZeroQuaternionError when the norm is too small."""
     norm = math.hypot(*q)
@@ -148,12 +140,6 @@ def unit(q):
         raise ZeroQuaternionError(norm, DEGENERACY_TOL)
     w, x, y, z = q
     return [w / norm, x / norm, y / norm, z / norm]
-
-
-def angle(q):
-    """arccos of the scalar part of the unit quaternion q, clamped to [-1, 1]
-    so roundoff just past the ends cannot produce NaN."""
-    return math.acos(min(1.0, max(-1.0, check_unit(q)[0])))
 
 
 # ---- validation ----------------------------------------------------------------
@@ -199,10 +185,10 @@ def validate(a, tolerances):
     orthogonal with determinant +1, both within tolerances.ortho_tol."""
     bound = tolerances.ortho_tol
     deviation = gram_deviation(a)
-    if deviation > bound:
+    if not deviation <= bound:
         raise NotOrthogonalError(deviation, bound)
     det = determinant(a)
-    if abs(det - 1.0) > bound:
+    if not abs(det - 1.0) <= bound:
         raise NotProperRotationError(det, bound)
 
 
@@ -219,25 +205,41 @@ def max_minor(m):
     return math.inf if math.isnan(sum(minors)) else worst
 
 
-def canonical(L, R):
-    """Negate both factors unless the first component of L above SIGN_TOL in
-    magnitude is positive."""
-    for component in L:
-        if abs(component) > SIGN_TOL:
-            if component < 0:
-                return [-c for c in L], [-c for c in R]
-            break
-    return L, R
+# ---- classification ------------------------------------------------------------
+
+class RotationKind(enum.Enum):
+    IDENTITY = "identity"
+    CENTRAL_REVERSION = "central-reversion"
+    LEFT_ISOCLINIC = "left-isoclinic"
+    RIGHT_ISOCLINIC = "right-isoclinic"
+    GENERAL = "general"
 
 
-# ---- the straight-line kernel, generated from TABLE --------------------------
+# the kinds as plain globals for the generated classify: on Python 3.11
+# reading a member off the enum class costs a descriptor call
+_IDENTITY, _CENTRAL_REVERSION, _LEFT_ISOCLINIC, _RIGHT_ISOCLINIC, _GENERAL = RotationKind
+
+
+class RotationClass(NamedTuple):
+    """Kind of rotation plus the two factor angles, each in [0, pi]."""
+
+    kind: RotationKind
+    left_angle: float
+    right_angle: float
+
+
+# ---- the straight-line kernel, generated at import ---------------------------
 #
 # associate, distance, decompose and two_sided are fixed sequences of float
 # operations. Their source is written out below from TABLE at import, and
 # each runs on unpacked locals: no index tuple is read at run time and no
 # list is built between the associate matrix and the read-off. Each entry of
 # M keeps the 0.25 weight on every term, since a sum of quarters of four
-# finite floats cannot overflow where a quarter of their sum can.
+# finite floats cannot overflow where a quarter of their sum can. The sign
+# rule and the checks on a quaternion are written out once each, on named
+# locals, and spliced into every function that runs them. The bound tests of
+# decompose and of the unit check read `not measured <= bound`, so a NaN
+# measure fails them.
 
 def _by(side):
     """Each row (side=0) or column (side=1) of B as the (index along the
@@ -265,6 +267,49 @@ def _unit(q):
     {names} = {q}0 / n, {q}1 / n, {q}2 / n, {q}3 / n"""
 
 
+def _unit_check(q):
+    """Source that raises NotUnitQuaternionError unless the locals q0..q3 lie
+    on the unit 3-sphere within UNIT_TOL."""
+    return f"""
+    e = abs({q}0 * {q}0 + {q}1 * {q}1 + {q}2 * {q}2 + {q}3 * {q}3 - 1.0)
+    if not e <= UNIT_TOL:
+        raise NotUnitQuaternionError(e, UNIT_TOL)"""
+
+
+def _angle(q):
+    """Source of the arccos of the local q0, clamped to [-1, 1] so roundoff
+    just past the ends cannot produce NaN. The clamp is min(1, max(-1, q0))
+    written as comparisons, NaN going to -1 as there."""
+    return f"acos({q}0 if -1.0 <= {q}0 <= 1.0 else 1.0 if {q}0 > 1.0 else -1.0)"
+
+
+def _trivial(q):
+    """Source of the test that the distance (max-abs, best sign) of the locals
+    q0..q3 from the identity quaternion, max(min(|q0 - 1|, |q0 + 1|), |q1|,
+    |q2|, |q3|), is at most the local iso, a non-negative bound: each |x| <= iso
+    written as -iso <= x <= iso. For components that passed the unit check,
+    all finite, it reads as the distance does."""
+    return (f"-iso <= {q}1 <= iso and -iso <= {q}2 <= iso and -iso <= {q}3 <= iso"
+            f" and (-iso <= {q}0 - 1.0 <= iso or -iso <= {q}0 + 1.0 <= iso)")
+
+
+def _negative(k=0):
+    """Source of the test that the first of the locals lk..l3 above SIGN_TOL in
+    magnitude is negative: lk < -SIGN_TOL says yes and lk > SIGN_TOL no;
+    anything else, a component within SIGN_TOL of zero, passes to the next."""
+    if k == 3:
+        return "l3 < -SIGN_TOL"
+    return f"l{k} < -SIGN_TOL or not l{k} > SIGN_TOL and ({_negative(k + 1)})"
+
+
+# the sign rule on the locals l0..l3, r0..r3: negate both factors unless the
+# first component of L above SIGN_TOL in magnitude is positive
+_SIGN = f"""
+    if {_negative()}:
+        l0, l1, l2, l3 = -l0, -l1, -l2, -l3
+        r0, r1, r2, r3 = -r0, -r1, -r2, -r3"""
+_L = "l0, l1, l2, l3"
+_R = "r0, r1, r2, r3"
 _M = ", ".join(f"m{k}" for k in range(16))
 # the entries m0..m15 of M = B^T vec(A) / 4, row-major, from a0..a15: each a
 # signed quarter-sum added in index order after a leading 0.0, as numpy's
@@ -317,13 +362,13 @@ def decompose(a, tolerances):
     """{_ASSOCIATE}
     norm = hypot({_M})
     norm_deviation = abs(norm - 1.0)
-    if norm_deviation > tolerances.dist_tol / 2:
+    if not norm_deviation <= tolerances.dist_tol / 2:
         raise NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
-    if norm < 0.5:
+    if not norm >= 0.5:
         raise DegenerateNormError(norm, 0.5){_READ_OFF}
-    if d > tolerances.dist_tol:
-        raise ReconstructionError(d, tolerances.dist_tol)
-    return (*canonical([l0, l1, l2, l3], [r0, r1, r2, r3]), d, norm_deviation)
+    if not d <= tolerances.dist_tol:
+        raise ReconstructionError(d, tolerances.dist_tol){_SIGN}
+    return [{_L}], [{_R}], d, norm_deviation
 ''',
     "two_sided": '''
 def two_sided(L, R):
@@ -337,6 +382,53 @@ def two_sided(L, R):
     + "".join(f"\n    o{4 * p + q} = l{p} * r{q}" for p in range(4) for q in range(4))
     + "\n    return [" + ",\n            ".join(
         f"{_lane(t0, t2)} + ({_lane(t1, t3)}) + 0.0" for t0, t1, t2, t3 in _by(0)) + "]\n",
+    "canonical": f'''
+def canonical(L, R):
+    """Negate both factors unless the first component of L above SIGN_TOL in
+    magnitude is positive."""
+    {_L} = L
+    {_R} = R{_SIGN}
+    return [{_L}], [{_R}]
+''',
+    "check_unit": f'''
+def check_unit(q):
+    """Raise NotUnitQuaternionError unless q lies on the unit 3-sphere within
+    UNIT_TOL; returns q."""
+    q0, q1, q2, q3 = q{_unit_check("q")}
+    return q
+''',
+    "angle": f'''
+def angle(q):
+    """arccos of the scalar part of the unit quaternion q, clamped to [-1, 1]
+    so roundoff just past the ends cannot produce NaN; NotUnitQuaternionError
+    for q off the unit 3-sphere."""
+    q0, q1, q2, q3 = q{_unit_check("q")}
+    return {_angle("q")}
+''',
+    "classify": f'''
+def classify(L, R, tolerances):
+    """Classify the rotation generated by the canonical factor pair (L, R).
+
+    A factor is trivial within tolerances.iso_tol of +/-1. Both factors
+    trivial: the identity when the scalar parts agree in sign, the
+    antipodal map otherwise. One trivial factor leaves a purely left- or
+    right-isoclinic rotation; two nontrivial factors make the general case.
+    """
+    {_L} = L
+    {_R} = R{_unit_check("l")}{_unit_check("r")}
+    iso = tolerances.iso_tol
+    left_trivial = {_trivial("l")}
+    right_trivial = {_trivial("r")}
+    if left_trivial and right_trivial:
+        kind = _IDENTITY if l0 * r0 > 0 else _CENTRAL_REVERSION
+    elif right_trivial:
+        kind = _LEFT_ISOCLINIC
+    elif left_trivial:
+        kind = _RIGHT_ISOCLINIC
+    else:
+        kind = _GENERAL
+    return RotationClass(kind, {_angle("l")}, {_angle("r")})
+''',
 }
 
 
@@ -346,51 +438,6 @@ def __getattr__(name):
     # that, which is also why no function of this module calls one by name
     if name not in _SOURCES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    exec(compile(_SOURCES[name], "<isoclinic._kernel: generated from TABLE>", "exec"),
+    exec(compile(_SOURCES[name], "<isoclinic._kernel: generated>", "exec"),
          globals())
     return globals()[name]
-
-
-# ---- classification ------------------------------------------------------------
-
-class RotationKind(enum.Enum):
-    IDENTITY = "identity"
-    CENTRAL_REVERSION = "central-reversion"
-    LEFT_ISOCLINIC = "left-isoclinic"
-    RIGHT_ISOCLINIC = "right-isoclinic"
-    GENERAL = "general"
-
-
-class RotationClass(NamedTuple):
-    """Kind of rotation plus the two factor angles, each in [0, pi]."""
-
-    kind: RotationKind
-    left_angle: float
-    right_angle: float
-
-
-def _trivial_deviation(q):
-    """Distance (max-abs, best sign) of q from the identity quaternion."""
-    w, x, y, z = q
-    return max(min(abs(w - 1.0), abs(w + 1.0)), abs(x), abs(y), abs(z))
-
-
-def classify(L, R, tolerances):
-    """Classify the rotation generated by the canonical factor pair (L, R).
-
-    A factor is trivial within tolerances.iso_tol of +/-1. Both factors
-    trivial: the identity when the scalar parts agree in sign, the
-    antipodal map otherwise. One trivial factor leaves a purely left- or
-    right-isoclinic rotation; two nontrivial factors make the general case.
-    """
-    left_trivial = _trivial_deviation(L) <= tolerances.iso_tol
-    right_trivial = _trivial_deviation(R) <= tolerances.iso_tol
-    if left_trivial and right_trivial:
-        kind = RotationKind.IDENTITY if L[0] * R[0] > 0 else RotationKind.CENTRAL_REVERSION
-    elif right_trivial:
-        kind = RotationKind.LEFT_ISOCLINIC
-    elif left_trivial:
-        kind = RotationKind.RIGHT_ISOCLINIC
-    else:
-        kind = RotationKind.GENERAL
-    return RotationClass(kind, angle(L), angle(R))

@@ -114,12 +114,7 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     """
     import numpy as np
     L, R, distance, norm_deviation = _kernel.decompose(_mat4(A)[1], tolerances)
-    return IsoclinicDecomposition(
-        left=np.array(L),
-        right=np.array(R),
-        distance=distance,
-        norm_deviation=norm_deviation,
-    )
+    return IsoclinicDecomposition(np.array(L), np.array(R), distance, norm_deviation)
 
 
 def classify_pair(L, R, tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:

@@ -33,19 +33,30 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _floats(q):
-    """q coerced through numpy to four finite floats, as a list."""
+def _coerce(x, shape, noun, parts):
+    """x coerced through numpy to a float array of the given shape with finite
+    entries: the array and its entries as a row-major list.
+
+    A sum of finite floats is finite unless it overflows, and an inf or NaN
+    entry makes it inf or NaN, so the entries are scanned one by one only
+    when their sum is not finite.
+    """
     import numpy as np
     try:
-        q = np.asarray(q, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"quaternion is not an array of reals: {exc}") from exc
-    if q.shape != (4,):
-        raise MalformedInputError(f"quaternion must have shape (4,), got {q.shape}")
-    components = q.tolist()
-    if not all(map(math.isfinite, components)):
-        raise MalformedInputError("quaternion components must be finite")
-    return components
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"{noun} is not an array of reals: {exc}") from exc
+    if x.shape != shape:
+        raise MalformedInputError(f"{noun} must have shape {shape}, got {x.shape}")
+    values = x.ravel().tolist()
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        raise MalformedInputError(f"{noun} {parts} must be finite")
+    return x, values
+
+
+def _floats(q):
+    """q coerced through numpy to four finite floats, as a list."""
+    return _coerce(q, (4,), "quaternion", "components")[1]
 
 
 def quat_mul(lhs, rhs) -> np.ndarray:

@@ -10,13 +10,11 @@ functions that take or return arrays, not by importing this module.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from . import _kernel
 from ._kernel import DEFAULT_TOLERANCES, Tolerances
-from .errors import MalformedInputError
-from .quat import _floats, normalize
+from .quat import _coerce, _floats, normalize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,17 +43,7 @@ def as_mat4(A) -> np.ndarray:
 
 def _mat4(A):
     """as_mat4, and its 16 entries as a row-major list of floats."""
-    import numpy as np
-    try:
-        A = np.asarray(A, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"matrix is not an array of reals: {exc}") from exc
-    if A.shape != (4, 4):
-        raise MalformedInputError(f"matrix must have shape (4, 4), got {A.shape}")
-    entries = A.ravel().tolist()
-    if not all(map(math.isfinite, entries)):
-        raise MalformedInputError("matrix entries must be finite")
-    return A, entries
+    return _coerce(A, (4, 4), "matrix", "entries")
 
 
 def validate_rotation(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

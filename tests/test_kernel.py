@@ -9,8 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoclinic import IsoclinicError, Tolerances, _kernel, random_rotation
-from isoclinic._kernel import SIGN_TOL, TABLE
+from isoclinic import (
+    IsoclinicError,
+    NormDeviationError,
+    NotOrthogonalError,
+    NotProperRotationError,
+    NotUnitQuaternionError,
+    RotationClass,
+    RotationKind,
+    Tolerances,
+    _kernel,
+    random_rotation,
+)
+from isoclinic._kernel import SIGN_TOL, TABLE, UNIT_TOL
 from oracles import associate_reference, bilinear_composition, exact_det, random_improper
 
 EPS = np.finfo(float).eps
@@ -73,8 +84,9 @@ def test_associate_distance_is_the_frobenius_distance(A):
 
 # ---- the loop reference ------------------------------------------------------
 # associate, two_sided and decompose as loops that read TABLE's index and sign
-# tuples at run time, with M built as a list and unpacked by the read-off.
-# The generated straight-line kernel must agree with them bit for bit.
+# tuples at run time, with M built as a list and unpacked by the read-off;
+# the sign rule as a loop over L, and classify through one function per
+# measure. The generated straight-line kernel must agree with them bit for bit.
 
 def _terms(by, weight):
     """For each row (by=0) or column (by=1) of B, its four nonzero entries
@@ -120,23 +132,68 @@ def nearest_loop(m):
         m30 - l3 * r0, m31 - l3 * r1, m32 - l3 * r2, m33 - l3 * r3)
 
 
+def canonical_loop(L, R):
+    for component in L:
+        if abs(component) > SIGN_TOL:
+            if component < 0:
+                return [-c for c in L], [-c for c in R]
+            break
+    return L, R
+
+
 def decompose_loop(a, tolerances):
     m = associate_loop(a)
     norm = math.hypot(*m)
     norm_deviation = abs(norm - 1.0)
-    if norm_deviation > tolerances.dist_tol / 2:
+    if not norm_deviation <= tolerances.dist_tol / 2:
         raise _kernel.NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
-    if norm < 0.5:
+    if not norm >= 0.5:
         raise _kernel.DegenerateNormError(norm, 0.5)
     L, R, distance = nearest_loop(m)
-    if distance > tolerances.dist_tol:
+    if not distance <= tolerances.dist_tol:
         raise _kernel.ReconstructionError(distance, tolerances.dist_tol)
-    return (*_kernel.canonical(L, R), distance, norm_deviation)
+    return (*canonical_loop(L, R), distance, norm_deviation)
+
+
+def check_unit_loop(q):
+    w, x, y, z = q
+    deviation = abs(w * w + x * x + y * y + z * z - 1.0)
+    if not deviation <= UNIT_TOL:
+        raise NotUnitQuaternionError(deviation, UNIT_TOL)
+    return q
+
+
+def angle_loop(q):
+    return math.acos(min(1.0, max(-1.0, check_unit_loop(q)[0])))
+
+
+def trivial_deviation_loop(q):
+    w, x, y, z = q
+    return max(min(abs(w - 1.0), abs(w + 1.0)), abs(x), abs(y), abs(z))
+
+
+def classify_loop(L, R, tolerances):
+    left_trivial = trivial_deviation_loop(L) <= tolerances.iso_tol
+    right_trivial = trivial_deviation_loop(R) <= tolerances.iso_tol
+    if left_trivial and right_trivial:
+        kind = RotationKind.IDENTITY if L[0] * R[0] > 0 else RotationKind.CENTRAL_REVERSION
+    elif right_trivial:
+        kind = RotationKind.LEFT_ISOCLINIC
+    elif left_trivial:
+        kind = RotationKind.RIGHT_ISOCLINIC
+    else:
+        kind = RotationKind.GENERAL
+    return RotationClass(kind, angle_loop(L), angle_loop(R))
 
 
 def _hex(value):
-    """value with every float spelled by float.hex, containers kept."""
-    return float.hex(value) if isinstance(value, float) else type(value)(map(_hex, value))
+    """value with every float spelled by float.hex and a kind by its value,
+    each container as its type and its items."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, RotationKind):
+        return value.value
+    return type(value), [_hex(item) for item in value]
 
 
 def outcome(function, *args):
@@ -164,6 +221,8 @@ bit_inputs = st.one_of(
               | st.floats(5e-324, 1e-300) | st.builds(lambda k: 10.0 ** k, st.integers(-323, 308))),
     st.lists(st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
                               5e-324, -5e-324, 1.0, -1.0, 0.0, -0.0]), min_size=16, max_size=16),
+    st.builds(lambda a, k, bad: a[:k] + [bad] + a[k + 1:], families.map(lambda A: A.ravel().tolist()),
+              st.integers(0, 15), st.sampled_from([math.nan, math.inf, -math.inf])),
     st.lists(st.sampled_from([0.0, -0.0]), min_size=16, max_size=16),
     st.builds(signed_permutation, st.permutations(range(4)),
               st.lists(st.booleans(), min_size=4, max_size=4),
@@ -201,14 +260,94 @@ def test_generated_two_sided_matches_the_loop_reference(L, R):
 
 
 def test_generated_functions_are_compiled_from_the_table():
-    """The four generated functions come from the source generated from
-    TABLE under one filename; any other name the module lacks stays an
+    """The generated functions come from the source generated at import
+    under one filename; any other name the module lacks stays an
     AttributeError, the loop functions they replace among them."""
-    for name in ("associate", "distance", "decompose", "two_sided"):
+    for name in ("associate", "distance", "decompose", "two_sided",
+                 "canonical", "check_unit", "angle", "classify"):
         code = getattr(_kernel, name).__code__
-        assert code.co_filename == "<isoclinic._kernel: generated from TABLE>"
-    for name in ("nearest", "_COMPOSE", "_terms"):
+        assert code.co_filename == "<isoclinic._kernel: generated>"
+    for name in ("nearest", "_COMPOSE", "_terms", "_trivial_deviation"):
         assert not hasattr(_kernel, name)
+
+
+# components that decide the sign rule and the classification: signed zeros,
+# the sign anchor's bound and its neighbours, +/-1 and components off them by
+# about iso_tol, besides any float
+sign_components = st.sampled_from([
+    0.0, -0.0, SIGN_TOL, -SIGN_TOL, math.nextafter(SIGN_TOL, 1.0), -math.nextafter(SIGN_TOL, 1.0),
+    math.nextafter(SIGN_TOL, 0.0), 1.0, -1.0, 0.5, -0.5, 1e-9, -1e-9, 1.0 - 1e-9, -1.0 + 1e-9,
+    math.nan, math.inf, -math.inf])
+sign_factors = st.lists(sign_components | st.floats(width=64), min_size=4, max_size=4)
+
+
+def unit_factor(seed, trivial, scale):
+    """A random unit quaternion, or +/-1 off by about 1e-9 in each component,
+    times scale: 1 or a factor that moves the unit deviation to about UNIT_TOL."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(4)
+    if trivial:
+        q = [rng.choice([-1.0, 1.0]), 0.0, 0.0, 0.0] + rng.choice([0.0, 1e-9, 2e-9]) * q
+    return (scale * q / np.linalg.norm(q)).tolist()
+
+
+unit_factors = st.builds(unit_factor, seeds, st.booleans(),
+                         st.sampled_from([1.0, 1.0, 1.0 + 4e-13, 1.0 - 6e-13, 1.0 + 1e-12, 1.1]))
+# +/-1, i, j or k with signed zeros: exactly trivial, or a zero scalar part
+basis_factors = st.builds(lambda k, sign, zeros: [sign * (n == k) or zero for n, zero in enumerate(zeros)],
+                          st.integers(0, 3), st.sampled_from([1.0, -1.0]),
+                          st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4))
+iso_tolerances = st.sampled_from([Tolerances(), Tolerances(iso_tol=0.0),
+                                  Tolerances(iso_tol=1e-6), Tolerances(iso_tol=math.inf)])
+
+
+@settings(deadline=None, max_examples=600)
+@given(unit_factors | basis_factors | sign_factors, unit_factors | basis_factors | sign_factors,
+       iso_tolerances)
+def test_generated_sign_rule_and_classification_match_the_loop_reference(L, R, tolerances):
+    """canonical, check_unit, angle and classify give the loop reference's
+    floats bit for bit, signs of zero and the kind included, or raise its
+    error type with its measured value and bound, on unit and non-unit
+    factors alike."""
+    assert outcome(_kernel.canonical, L, R) == outcome(canonical_loop, L, R)
+    assert outcome(_kernel.check_unit, L) == outcome(check_unit_loop, L)
+    assert outcome(_kernel.angle, R) == outcome(angle_loop, R)
+    assert outcome(_kernel.classify, L, R, tolerances) == outcome(classify_loop, L, R, tolerances)
+
+
+IDENTITY16 = [float(k % 5 == 0) for k in range(16)]
+
+
+@pytest.mark.parametrize("position", range(16))
+def test_nan_entry_fails_every_matrix_check(position):
+    """A NaN entry fails validation and decomposition, under an infinite
+    distance bound too, with the NaN it measured; on the identity and on a
+    Haar rotation."""
+    for base in (IDENTITY16, random_rotation(position).ravel().tolist()):
+        a = base[:position] + [math.nan] + base[position + 1:]
+        with pytest.raises((NotOrthogonalError, NotProperRotationError)) as info:
+            _kernel.validate(a, Tolerances())
+        assert math.isnan(info.value.measured)
+        for tolerances in (Tolerances(), Tolerances(dist_tol=math.inf)):
+            with pytest.raises(NormDeviationError) as info:
+                _kernel.decompose(a, tolerances)
+            assert math.isnan(info.value.measured)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("position", range(4))
+def test_nan_component_fails_the_unit_check(side, position):
+    """A NaN component of either factor fails the unit check of check_unit,
+    angle and classify with the NaN it measured."""
+    pair = {"left": [0.6, 0.0, -0.8, 0.0], "right": [1.0, 0.0, 0.0, 0.0]}
+    q = pair[side]
+    q[position] = math.nan
+    calls = [(_kernel.check_unit, q), (_kernel.angle, q),
+             (_kernel.classify, pair["left"], pair["right"], Tolerances())]
+    for function, *args in calls:
+        with pytest.raises(NotUnitQuaternionError) as info:
+            function(*args)
+        assert math.isnan(info.value.measured)
 
 
 @pytest.mark.parametrize("L", [

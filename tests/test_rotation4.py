@@ -15,8 +15,10 @@ from isoclinic import (
     classify_pair,
     IsoclinicError,
     MalformedInputError,
+    NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
+    NotUnitQuaternionError,
     Tolerances,
     decompose,
     left_matrix,
@@ -200,6 +202,53 @@ def test_malformed_input_is_typed():
             entry(*args)
         assert isinstance(info.value, MalformedInputError), (entry.__name__, args)
         assert isinstance(info.value, ValueError)
+
+
+def forms(x):
+    """x as a float64 array, a non-contiguous view (the transpose of a
+    transposed copy, or a strided column), nested lists and nested tuples."""
+    x = np.asarray(x, dtype=float)
+    nested = x.tolist()
+    if x.ndim == 2:
+        return [x, np.ascontiguousarray(x.T).T, nested, tuple(map(tuple, nested))]
+    return [x, np.tile(x, (2, 1)).T[:, 0], nested, tuple(nested)]
+
+
+def test_finite_check_reads_the_entry_sum():
+    """Coercion scans the entries one by one only when their sum is not
+    finite. Finite entries whose sum overflows still reach the checks and
+    are rejected there; +inf beside -inf, whose sum is NaN, is malformed;
+    for every form the coercion takes. An int past the float range is
+    malformed, not an untyped OverflowError."""
+    big = np.full((4, 4), 1e308)
+    big[0] = 1.7976931348623157e308
+    big_q = [1e308, 1.7976931348623157e308, 1e308, 1e308]
+    assert math.isinf(sum(big.ravel().tolist())) and math.isinf(sum(big_q))
+    # float32 cannot hold 1e308; ints can
+    for A in forms(big) + [[[10 ** 308] * 4] * 4]:
+        with pytest.raises(NotOrthogonalError):
+            validate_rotation(A)
+        for entry in (decompose, classify):
+            with pytest.raises(NormDeviationError):
+                entry(A)
+    for q in forms(big_q) + [[10 ** 308] * 4]:
+        for args in ((q, IDENTITY), (IDENTITY, q)):
+            with pytest.raises(NotUnitQuaternionError):
+                classify_pair(*args)
+
+    opposite = np.eye(4)
+    opposite[0, 1], opposite[2, 3] = np.inf, -np.inf
+    opposite_q = [np.inf, -np.inf, 0.0, 0.0]
+    assert math.isnan(sum(opposite.ravel().tolist())) and math.isnan(sum(opposite_q))
+    for A in forms(opposite) + [opposite.astype(np.float32), [[10 ** 400] * 4] * 4]:
+        for entry in (validate_rotation, decompose, associate_matrix, classify):
+            with pytest.raises(MalformedInputError):
+                entry(A)
+    for q in forms(opposite_q) + [np.float32(opposite_q), [10 ** 400, 0, 0, 0]]:
+        for entry, args in ((classify_pair, (q, IDENTITY)), (classify_pair, (IDENTITY, q)),
+                            (normalize, (q,)), (left_matrix, (q,))):
+            with pytest.raises(MalformedInputError):
+                entry(*args)
 
 
 def test_overflowing_gram_is_not_orthogonal():
