@@ -43,9 +43,10 @@ try:
 except ReconstructionError as exc:
     print("decompose:", exc)
 
-# Even if the tolerance is thrown wide open, the forced factor pair
-# cannot reconstruct the reflection; rotations are simply the wrong model.
-forced = decompose(reflection, Tolerances(dist_tol=10))
+# Even if the tolerance is thrown wide open (an ortho_tol of 5 puts the
+# distance bound at 10), the forced factor pair cannot reconstruct the
+# reflection; rotations are simply the wrong model.
+forced = decompose(reflection, Tolerances(ortho_tol=5))
 print("forced reconstruction misses by:", forced.distance)
 
 # A scaled matrix fails before any read-off, at the norm: the norm's
@@ -56,9 +57,10 @@ try:
 except NormDeviationError as exc:
     print("\nscaled input:", exc)
 
-# Mild noise is a different story: the default dist_tol, twice the
-# orthogonality bound of validate_rotation, accepts whatever validation
-# accepts, and the result reports how far from SO(4) the input was.
+# Mild noise is a different story: the distance bound dist_tol, derived as
+# twice the orthogonality bound of validate_rotation, accepts whatever
+# validation accepts, and the result reports how far from SO(4) the input
+# was.
 rng = np.random.default_rng(7)
 A = random_rotation(rng)
 noisy = A + 1e-11 * rng.standard_normal((4, 4))
@@ -68,18 +70,19 @@ print("  distance:      ", result.distance)
 print("  norm deviation:", result.norm_deviation)
 
 # The same input fails under a stricter policy; tolerances are a value you
-# pass, not a global setting.
+# pass, not a global setting. An ortho_tol of 5e-15 holds the distance to
+# 1e-14 and the norm deviation to 5e-15.
 try:
-    decompose(noisy, Tolerances(dist_tol=1e-14))
+    decompose(noisy, Tolerances(ortho_tol=5e-15))
 except NormDeviationError as exc:
     print("\nstrict policy on the same input:", exc)
 
-# One Tolerances carries every bound. Loosening ortho_tol moves dist_tol
-# with it, to twice its value, so a rotation with noise of 1e-7 that the
-# looser validation accepts is split under the same object.
+# One Tolerances carries every bound. dist_tol is not a setting: loosening
+# ortho_tol moves it too, to twice its value, so a rotation with noise of
+# 1e-7 that the looser validation accepts is split under the same object.
 noisy = A + 1e-7 * rng.standard_normal((4, 4))
 loose = Tolerances(ortho_tol=1e-6)
-print("\nloose policy:", loose)
+print("\nloose policy:", loose, "with dist_tol", loose.dist_tol)
 validate_rotation(noisy, loose)
 print("  noise 1e-7 validated and split, distance", decompose(noisy, loose).distance)
 try:

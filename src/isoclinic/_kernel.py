@@ -47,7 +47,6 @@ SIGN_TOL = 1e-8
 
 class _Bounds(NamedTuple):
     ortho_tol: float
-    dist_tol: float
     iso_tol: float
 
 
@@ -55,24 +54,18 @@ class Tolerances(_Bounds):
     """Acceptance bounds of every check on a rotation.
 
     ortho_tol     bound on max |A^T A - I| and on |det A - 1|
-    dist_tol      bound on the Frobenius distance ||A - Q||_F from the
-                  input to the rotation its factors generate
     iso_tol       component deviation under which a factor counts as +/-1
-
-    dist_tol defaults to twice ortho_tol: to first order the distance of a
-    matrix from SO(4) is at most twice its largest |A^T A - I| entry, so
-    what validation accepts, decompose accepts under the same object.
+    dist_tol      read-only, twice ortho_tol: the bound on ||A - Q||_F for
+                  the rotation Q of the factors. To first order only, it
+                  bounds the distance from SO(4) of what validation accepts.
     A bound that is NaN or negative raises ValueError naming its field:
     NaN would pass every check and a negative bound would fail an exact one.
     """
 
     __slots__ = ()
 
-    def __new__(cls, ortho_tol: float = 1e-9, dist_tol: float | None = None,
-                iso_tol: float = 1e-9):
-        if dist_tol is None:
-            dist_tol = 2 * ortho_tol
-        self = super().__new__(cls, ortho_tol, dist_tol, iso_tol)
+    def __new__(cls, ortho_tol: float = 1e-9, iso_tol: float = 1e-9):
+        self = super().__new__(cls, ortho_tol, iso_tol)
         for name, bound in zip(self._fields, self):
             if not bound >= 0:
                 raise ValueError(f"{name} must be a non-negative number, got {bound!r}")
@@ -82,6 +75,10 @@ class Tolerances(_Bounds):
     def _make(cls, iterable):
         # _replace builds through _make; route it through the checks above
         return cls(*iterable)
+
+    @property
+    def dist_tol(self) -> float:
+        return 2 * self.ortho_tol
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -134,10 +131,19 @@ _MINORS = tuple((4 * i + k, 4 * j + l, 4 * j + k, 4 * i + l)
 # ---- quaternions -------------------------------------------------------------
 
 def unit(q):
-    """q scaled to unit norm; ZeroQuaternionError when the norm is too small."""
+    """q scaled to unit norm; ZeroQuaternionError when the norm is too small.
+
+    Finite components whose norm overflows are first divided by the largest
+    of them, which brings the norm into [1, 2]; dividing by an infinite norm
+    would give the zero quaternion.
+    """
     norm = math.hypot(*q)
     if norm <= DEGENERACY_TOL:
         raise ZeroQuaternionError(norm, DEGENERACY_TOL)
+    if norm == math.inf:
+        top = max(map(abs, q))
+        q = [c / top for c in q]
+        norm = math.hypot(*q)
     w, x, y, z = q
     return [w / norm, x / norm, y / norm, z / norm]
 
@@ -258,7 +264,8 @@ def _lane(first, second):
 
 
 def _unit(q):
-    """Source that scales the locals q0..q3 to unit norm, as unit() does."""
+    """Source that scales the locals q0..q3 to unit norm, as unit() does
+    short of rescaling components whose norm overflows."""
     names = f"{q}0, {q}1, {q}2, {q}3"
     return f"""
     n = hypot({names})
@@ -360,14 +367,15 @@ def decompose(a, tolerances):
     every unit pair, so a norm deviation above dist_tol / 2 already puts
     the distance above dist_tol, and it is rejected before any read-off.
     """{_ASSOCIATE}
+    dist = tolerances.dist_tol
     norm = hypot({_M})
     norm_deviation = abs(norm - 1.0)
-    if not norm_deviation <= tolerances.dist_tol / 2:
-        raise NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
+    if not norm_deviation <= dist / 2:
+        raise NormDeviationError(norm_deviation, dist / 2)
     if not norm >= 0.5:
         raise DegenerateNormError(norm, 0.5){_READ_OFF}
-    if not d <= tolerances.dist_tol:
-        raise ReconstructionError(d, tolerances.dist_tol){_SIGN}
+    if not d <= dist:
+        raise ReconstructionError(d, dist){_SIGN}
     return [{_L}], [{_R}], d, norm_deviation
 ''',
     "two_sided": '''

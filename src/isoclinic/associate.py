@@ -106,10 +106,10 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
 
     Pipeline: form the associate matrix M, then read off the factors and,
     in the same pass, the Frobenius distance 2 ||M - outer(L, R)||_F from
-    the input to the rotation they generate. A distance above
-    dist_tol raises ReconstructionError carrying it; a norm deviation
-    above dist_tol / 2, which bounds the distance from below, raises
-    NormDeviationError before the read-off. Orthogonal matrices of
+    the input to the rotation they generate. A distance above dist_tol, a
+    first-order bound derived as twice ortho_tol and not settable, raises
+    ReconstructionError carrying it; a norm deviation above dist_tol / 2
+    raises NormDeviationError before the read-off. Orthogonal matrices of
     determinant -1 keep unit norm but lie at distance 2.
     """
     import numpy as np

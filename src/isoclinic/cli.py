@@ -26,6 +26,7 @@ from ._kernel import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DecompositionError,
     IsoclinicError,
+    NotUnitQuaternionError,
     ParseError,
     ValidationError,
     ZeroQuaternionError,
@@ -61,6 +62,10 @@ def _json_number(x):
     """x as a JSON number, or None (null) when x is None or not finite:
     strict JSON has no Infinity or NaN."""
     return None if x is None or not math.isfinite(x) else float(x)
+
+
+def _bounds(tolerances) -> dict:
+    return {name: getattr(tolerances, name) for name in ("ortho_tol", "dist_tol", "iso_tol")}
 
 
 def parse_matrix(text: str) -> list:
@@ -158,7 +163,7 @@ def _rejection(args, exc: IsoclinicError) -> int:
                 "message": str(exc),
                 "measured": _json_number(exc.measured),
             },
-            "tolerances": args.tolerances._asdict(),
+            "tolerances": _bounds(args.tolerances),
         }
         print(json.dumps(report, indent=2))
     print(f"rejected: {exc}", file=sys.stderr)
@@ -197,7 +202,7 @@ def cmd_decompose(args) -> int:
                 "distance": distance,
                 "norm_deviation": norm_deviation,
             },
-            "tolerances": args.tolerances._asdict(),
+            "tolerances": _bounds(args.tolerances),
         }
         print(json.dumps(report, indent=2))
     else:
@@ -217,11 +222,13 @@ def cmd_compose(args) -> int:
     right = _parse_quat_arg(args.right, "right")
     factors = []
     for name, q in (("left", left), ("right", right)):
-        deviation = abs(math.hypot(*q) - 1.0)
         factors.append(_kernel.unit(q))
-        if deviation > 1e-12:
-            print(f"note: --{name} normalized (norm deviated by {deviation:.3e})",
-                  file=sys.stderr)
+        try:
+            # the note marks what the unit check of every factor input rejects
+            _kernel.check_unit(q)
+        except NotUnitQuaternionError:
+            print(f"note: --{name} normalized (norm deviated by "
+                  f"{abs(math.hypot(*q) - 1.0):.3e})", file=sys.stderr)
     _emit_matrix(_kernel.two_sided(*factors), args.json)
     return EXIT_OK
 
@@ -264,7 +271,7 @@ def cmd_verify(args) -> int:
             entry["measured"] = _json_number(entry["measured"])
         print(json.dumps({"status": "ok" if ok else "rejected",
                           "checks": checks,
-                          "tolerances": tolerances._asdict()}, indent=2))
+                          "tolerances": _bounds(tolerances)}, indent=2))
     else:
         for name, entry in checks.items():
             verdict = "pass" if entry["pass"] else "FAIL"
@@ -284,7 +291,7 @@ def cmd_classify(args) -> int:
                           "class": kind.kind.value,
                           "left_angle": kind.left_angle,
                           "right_angle": kind.right_angle,
-                          "tolerances": args.tolerances._asdict()}, indent=2))
+                          "tolerances": _bounds(args.tolerances)}, indent=2))
     else:
         print(f"class: {kind.kind.value}")
         print(f"left angle:  {_fmt(kind.left_angle)}")
@@ -333,11 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance_flags = argparse.ArgumentParser(add_help=False)
     tolerance_flags.add_argument("--ortho-tol", type=_bound("ortho_tol"),
                                  default=DEFAULT_TOLERANCES.ortho_tol,
-                                 help="orthogonality and determinant tolerance")
-    tolerance_flags.add_argument("--dist-tol", type=_bound("dist_tol"), default=None,
-                                 help="Frobenius distance tolerance between the input "
-                                      "and the rotation rebuilt from its factors "
-                                      "(default: twice --ortho-tol)")
+                                 help="orthogonality and determinant tolerance, half "
+                                      "the distance tolerance")
     tolerance_flags.add_argument("--iso-tol", type=_bound("iso_tol"),
                                  default=DEFAULT_TOLERANCES.iso_tol,
                                  help="trivial-factor threshold for classification")
@@ -403,9 +407,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_vector_values(list(argv)))
     if "ortho_tol" in args:
-        # decompose, verify and classify: the three tolerance flags make the
+        # decompose, verify and classify: the two tolerance flags make the
         # one bound object every check of the command reads
-        args.tolerances = Tolerances(args.ortho_tol, args.dist_tol, args.iso_tol)
+        args.tolerances = Tolerances(args.ortho_tol, args.iso_tol)
     try:
         return args.func(args)
     except (ValidationError, DecompositionError) as exc:

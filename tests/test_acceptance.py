@@ -178,7 +178,7 @@ def test_c07_invariance_suite():
 
 @criterion(8, "orthogonal matrices with determinant -1 are rejected, 101 cases")
 def test_c08_improper_rejection():
-    loose = Tolerances(dist_tol=10.0)
+    loose = Tolerances(ortho_tol=5.0)
     rng = np.random.default_rng(8)
     cases = [np.diag([1.0, 1.0, 1.0, -1.0])]
     cases += [random_improper(rng) for _ in range(100)]

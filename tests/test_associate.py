@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from isoclinic import (
     random_rotation,
     right_matrix,
     validate_rotation,
+    _kernel,
     van_elfrinkhof,
 )
 from oracles import (
@@ -149,7 +152,7 @@ def test_decomposition_unpacks_and_compares_by_identity():
 
 
 @pytest.mark.parametrize("bound", [math.nan, -1.0, -math.inf])
-@pytest.mark.parametrize("field", ["ortho_tol", "dist_tol", "iso_tol"])
+@pytest.mark.parametrize("field", ["ortho_tol", "iso_tol"])
 def test_tolerances_reject_nan_and_negative_bounds(field, bound):
     """A NaN bound would pass every check and a negative one fail exact
     input; both raise ValueError naming the field, from the constructor
@@ -160,6 +163,35 @@ def test_tolerances_reject_nan_and_negative_bounds(field, bound):
         Tolerances()._replace(**{field: bound})
     edges = Tolerances(**{field: 0.0}), Tolerances(**{field: math.inf})
     assert [getattr(t, field) for t in edges] == [0.0, math.inf]
+
+
+@pytest.mark.parametrize("ortho_tol", [0.0, 1e-9, 1e-6, math.inf])
+def test_distance_bound_is_derived_from_ortho_tol(ortho_tol):
+    assert Tolerances(ortho_tol=ortho_tol).dist_tol == 2 * ortho_tol
+
+
+def test_distance_bound_cannot_be_set():
+    """dist_tol is read-only and no field: it cannot be passed to the
+    constructor or _replace, nor assigned."""
+    assert Tolerances._fields == ("ortho_tol", "iso_tol")
+    tolerances = Tolerances()
+    with pytest.raises(TypeError):
+        Tolerances(dist_tol=1.0)
+    with pytest.raises(ValueError):
+        tolerances._replace(dist_tol=1.0)
+    with pytest.raises(AttributeError):
+        tolerances.dist_tol = 1.0
+
+
+def test_tolerances_round_trip_through_pickle_and_copy():
+    """Tolerances(a, b) is (ortho_tol, iso_tol); pickle, copy and _replace
+    rebuild it with both fields and the derived bound."""
+    tolerances = Tolerances(1e-6, 1e-5)
+    assert (tolerances.ortho_tol, tolerances.iso_tol) == (1e-6, 1e-5)
+    for clone in (pickle.loads(pickle.dumps(tolerances)), copy.copy(tolerances),
+                  copy.deepcopy(tolerances), tolerances._replace()):
+        assert type(clone) is Tolerances and clone == tolerances
+        assert clone.dist_tol == 2e-6
 
 
 # exact rotations of the identity-factor kinds, with their factors as
@@ -251,9 +283,9 @@ def test_decompose_strict_tolerances_reject_noise():
     noisy = A + 1e-11 * rng.standard_normal((4, 4))
     result = decompose(noisy)
     with pytest.raises(NormDeviationError) as info:
-        decompose(noisy, Tolerances(dist_tol=1e-14))
+        decompose(noisy, Tolerances(ortho_tol=5e-15))
     assert info.value.measured == result.norm_deviation
-    between = Tolerances(dist_tol=(2 * result.norm_deviation + result.distance) / 2)
+    between = Tolerances(ortho_tol=(2 * result.norm_deviation + result.distance) / 4)
     with pytest.raises(ReconstructionError) as info:
         decompose(noisy, between)
     assert info.value.measured == pytest.approx(np.linalg.norm(noisy - procrustes(noisy)),
@@ -263,7 +295,7 @@ def test_decompose_strict_tolerances_reject_noise():
 def test_zero_matrix_is_degenerate_under_open_tolerances():
     """With the norm check wide open a zero matrix still fails as a
     DecompositionError, never as a ZeroQuaternionError from normalizing."""
-    wide_open = Tolerances(dist_tol=10.0)
+    wide_open = Tolerances(ortho_tol=5.0)
     for A in (np.zeros((4, 4)), 1e-200 * np.eye(4)):
         with pytest.raises(DegenerateNormError) as info:
             decompose(A, wide_open)
@@ -300,8 +332,28 @@ def test_validated_matrices_decompose(seed, log_tol, noise_offset):
 def test_distance_is_the_distance_to_so4(A):
     """Near SO(4) the distance decompose measures is that of A from the
     nearest rotation, which the SVD oracle computes independently."""
-    result = decompose(A, Tolerances(dist_tol=1.0))
+    result = decompose(A, Tolerances(ortho_tol=0.5))
     assert abs(result.distance - np.linalg.norm(A - procrustes(A))) <= 1e-14
+
+
+HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+@pytest.mark.xfail(strict=True, raises=ReconstructionError,
+                   reason="dist_tol = 2 * ortho_tol bounds the distance to first order only")
+@pytest.mark.parametrize("t", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_validated_hadamard_square_root_decomposes(t):
+    """A = (I + tH)^(1/2), H the Sylvester-Hadamard matrix, has A^T A = I + tH,
+    so it validates under ortho_tol = its Gram deviation, t; but it lies at
+    distance about 2t (1 + 5t^2 / 8) from SO(4), past dist_tol = 2t, and
+    decompose rejects it. H^2 = 4I, so (I +/- H/2) / 2 project onto its
+    eigenspaces for +2 and -2 and A is built from them with no rounding
+    beyond two square roots."""
+    eye = np.eye(4)
+    A = np.sqrt(1 + 2 * t) * (eye + HADAMARD / 2) / 2 + np.sqrt(1 - 2 * t) * (eye - HADAMARD / 2) / 2
+    tolerances = Tolerances(ortho_tol=_kernel.gram_deviation(A.ravel().tolist()))
+    validate_rotation(A, tolerances)
+    decompose(A, tolerances)
 
 
 def test_only_two_sign_choices_reconstruct():
@@ -360,7 +412,7 @@ REJECTIONS = {
         lambda A: np.linalg.norm(A - procrustes(A))),
     # 0.4 I, whose associate matrix is 0.4 E00: its norm passes a wide-open
     # dist_tol but is too small to read a pair off
-    "0.4 E00": (lambda: 0.4 * np.eye(4), lambda A: decompose(A, Tolerances(dist_tol=10.0)),
+    "0.4 E00": (lambda: 0.4 * np.eye(4), lambda A: decompose(A, Tolerances(ortho_tol=5.0)),
                 DegenerateNormError, lambda A: 0.4),
     "zero matrix": (lambda: np.zeros((4, 4)), decompose, NormDeviationError, lambda A: 1.0),
     # the norm itself exceeds the largest float, so its deviation reads inf

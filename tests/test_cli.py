@@ -5,17 +5,24 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import isoclinic
-from isoclinic import DEFAULT_TOLERANCES, ParseError, Tolerances, random_rotation
+from isoclinic import DEFAULT_TOLERANCES, ParseError, Tolerances, _kernel, random_rotation
 from isoclinic.cli import build_parser, main, parse_matrix
 
 IDENTITY16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1"
 REFLECTION16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 -1"
+# the rotation P -> L*P*R for L = (1, 0, 2, 2) / 3 and R = (1, 2, 0, 2) / 3,
+# its entries ninths rounded to binary64: the Gram deviation reads exactly
+# 0.0 and the determinant exactly 1.0, but the distance 8.6e-17, so under
+# --ortho-tol 0 only the distance check rejects it
+ROUNDED16 = " ".join(map(repr, _kernel.two_sided([1 / 3, 0.0, 2 / 3, 2 / 3],
+                                                 [1 / 3, 2 / 3, 0.0, 2 / 3])))
 
 
 def run_cli(args, stdin_text="", monkeypatch=None):
@@ -112,6 +119,23 @@ def test_compose_normalizes_and_reports():
     assert "normalized" in err
     A = np.array(out.split(), dtype=float).reshape(4, 4)
     assert np.all(np.diag(A) == 0.5)
+    # components of 1e308 make a finite quaternion whose norm overflows; it
+    # normalizes as 1 1 1 1 does, not to the zero quaternion
+    code, huge, err = run_cli(["compose", "--left", "1e308 1e308 1e308 1e308", "--right",
+                               "1 0 0 0"])
+    assert code == 0 and "--left normalized" in err and huge == out
+
+
+def test_compose_notes_exactly_what_the_unit_check_rejects():
+    """compose notes a factor it normalized exactly when the unit check of
+    |q.q - 1| <= UNIT_TOL rejects it: w = 1 + 4e-13 is off by 8e-13 and
+    passes, w = 1 + 6e-13 is off by 1.2e-12 and is noted, though both norms
+    deviate by less than 1e-12."""
+    for w, noted in ((1 + 4e-13, False), (1 + 6e-13, True)):
+        code, _, err = run_cli(["compose", f"--left={w!r},0,0,0", "--right=1,0,0,0"])
+        assert code == 0 and ("--left normalized" in err) is noted, err
+        with pytest.raises(isoclinic.NotUnitQuaternionError) if noted else nullcontext():
+            isoclinic.van_elfrinkhof([w, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_compose_zero_quaternion_fails():
@@ -185,12 +209,17 @@ def test_verify_reflection_reports_determinant(monkeypatch):
 
 
 def test_verify_minor_failure_exit_code(monkeypatch):
-    # orthogonality passes but an impossibly tight distance tolerance
-    # rejects, exercising the decomposition-failure exit code
-    matrix_line = " ".join(repr(float(v)) for v in random_rotation(9).ravel())
-    code, out, _ = run_cli(["verify", "--dist-tol", "1e-20"], matrix_line, monkeypatch)
+    """Under --ortho-tol 0 a matrix off SO(4) by rounding alone passes the
+    orthogonality and determinant checks and fails the distance check,
+    which is the decomposition-failure exit code of every checking command."""
+    code, out, _ = run_cli(["verify", "--json", "--ortho-tol", "0"], ROUNDED16, monkeypatch)
     assert code == 1
-    assert "overall: rejected" in out
+    checks = json.loads(out)["checks"]
+    assert [checks[name]["pass"] for name in ("orthogonality", "determinant", "distance")] \
+        == [True, True, False]
+    for command in ("decompose", "classify"):
+        code, _, err = run_cli([command, "--ortho-tol", "0"], ROUNDED16, monkeypatch)
+        assert code == 1 and "distance" in err, err
 
 
 def _noisy_rotation16():
@@ -203,8 +232,7 @@ def _noisy_rotation16():
 
 def test_ortho_tol_moves_the_distance_bound(monkeypatch):
     """--ortho-tol sets one Tolerances whose dist_tol is twice it, so what
-    validation accepts under it, decomposition accepts; an explicit
-    --dist-tol still overrides the derived bound."""
+    validation accepts under it, decomposition accepts."""
     noisy = _noisy_rotation16()
     for command in ("decompose", "classify", "verify"):
         code, out, err = run_cli([command, "--ortho-tol", "1e-6"], noisy, monkeypatch)
@@ -212,9 +240,6 @@ def test_ortho_tol_moves_the_distance_bound(monkeypatch):
     code, out, _ = run_cli(["decompose", "--json", "--ortho-tol", "1e-6"], noisy, monkeypatch)
     assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-6, "dist_tol": 2e-6,
                                              "iso_tol": 1e-9}
-    code, _, err = run_cli(["decompose", "--ortho-tol", "1e-6", "--dist-tol", "2e-9"],
-                           noisy, monkeypatch)
-    assert code == 1 and "norm deviates from 1" in err, err
 
 
 def test_tolerance_flags_match_tolerances():
@@ -242,7 +267,7 @@ def test_parser_is_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])
-@pytest.mark.parametrize("flag", ["--ortho-tol", "--dist-tol", "--iso-tol"])
+@pytest.mark.parametrize("flag", ["--ortho-tol", "--iso-tol"])
 def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, capsys):
     """A NaN bound passed every check (2I was accepted under --ortho-tol
     nan) and a negative one failed exact input (the identity was rejected
@@ -256,6 +281,18 @@ def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, ca
         assert captured.out == ""
         assert f"{flag[2:].replace('-', '_')} must be a non-negative number" in captured.err
         assert captured.err.startswith(f"usage: isoclinic {command}"), captured.err
+
+
+def test_distance_bound_is_not_a_flag(monkeypatch, capsys):
+    """The distance bound is derived from --ortho-tol; --dist-tol is an
+    unknown option, a usage error."""
+    for command in ("decompose", "classify", "verify"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(IDENTITY16))
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--dist-tol", "1"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --dist-tol" in captured.err
 
 
 # decompose, classify and verify, plain and --json, on I, -I, diag(1,1,1,-1),

@@ -10,11 +10,7 @@ import sys
 import pytest
 
 import isoclinic
-from isoclinic import random_rotation
-from test_cli import IDENTITY16, child_env
-
-# a rotation whose distance from its rebuild is roundoff, not 0
-ROTATION16 = " ".join(map(repr, random_rotation(9).ravel().tolist()))
+from test_cli import IDENTITY16, ROUNDED16, child_env
 
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code,
 # the numpy modules and which of dataclasses and inspect are loaded by then
@@ -48,10 +44,10 @@ def run_child(args, stdin=""):
     (None, "", None),
     (["decompose", "--json"], IDENTITY16, 0),
     (["decompose"], "2 " * 16, 3),
-    (["decompose", "--dist-tol", "1e-20"], ROTATION16, 1),
+    (["decompose", "--ortho-tol", "0"], ROUNDED16, 1),
     (["classify"], IDENTITY16, 0),
     (["verify", "--json"], IDENTITY16, 0),
-    (["verify", "--json", "--dist-tol", "1e-20"], ROTATION16, 1),
+    (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 1),
     (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0),
 ], ids=["import", "decompose", "decompose-rejected", "decompose-distance-rejected",
         "classify", "verify", "verify-distance-rejected", "compose"])

@@ -73,6 +73,9 @@ def test_conjugate_product_gives_squared_norm():
 def test_normalize():
     assert np.array_equal(normalize([2.0, 0.0, 0.0, 0.0]), IDENTITY)
     assert np.allclose(normalize([1.0, 1.0, 1.0, 1.0]), 0.5, atol=0)
+    # finite components whose norm overflows: a unit quaternion, not zero
+    assert normalize([1e308] * 4).tolist() == [0.5] * 4
+    assert normalize([-1e308, 0.0, 1e308, 0.0]).tolist() == normalize([-1.0, 0.0, 1.0, 0.0]).tolist()
     with pytest.raises(ZeroQuaternionError):
         normalize([0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ZeroQuaternionError):
