@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import _kernel
 from ._kernel import DEFAULT_TOLERANCES, Tolerances
@@ -58,10 +59,28 @@ def _exit_code(exc: IsoclinicError) -> int:
     return EXIT_DECOMPOSITION
 
 
-def _json_number(x):
-    """x as a JSON number, or None (null) when x is None or not finite:
-    strict JSON has no Infinity or NaN."""
-    return None if x is None or not math.isfinite(x) else float(x)
+def _dumps(value, indent="\n") -> str:
+    """value as json.dumps(value, indent=2) writes it, byte for byte, except
+    that a float that is not finite is null: strict JSON (RFC 8259) has no
+    Infinity or NaN. Takes dicts with str keys, lists, tuples, str, float,
+    int, bool and None; json's C encoder serves no indented output."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # int, bool or None
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}"
+                 for key, item in value.items()]
+        brackets = "{}"
+    else:
+        items = [_dumps(item, inner) for item in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _bounds(tolerances) -> dict:
@@ -161,11 +180,11 @@ def _rejection(args, exc: IsoclinicError) -> int:
             "error": {
                 "type": type(exc).__name__,
                 "message": str(exc),
-                "measured": _json_number(exc.measured),
+                "measured": exc.measured,
             },
             "tolerances": _bounds(args.tolerances),
         }
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     print(f"rejected: {exc}", file=sys.stderr)
     return _exit_code(exc)
 
@@ -173,7 +192,7 @@ def _rejection(args, exc: IsoclinicError) -> int:
 def _emit_matrix(entries, as_json: bool) -> None:
     if as_json:
         rows = [entries[i:i + 4] for i in range(0, 16, 4)]
-        print(json.dumps({"matrix": rows}, indent=2))
+        print(_dumps({"matrix": rows}))
     else:
         print(_matrix_line(entries))
 
@@ -204,7 +223,7 @@ def cmd_decompose(args) -> int:
             },
             "tolerances": _bounds(args.tolerances),
         }
-        print(json.dumps(report, indent=2))
+        print(_dumps(report))
     else:
         print(f"left:  {_matrix_line(left)}")
         print(f"right: {_matrix_line(right)}")
@@ -240,7 +259,7 @@ def cmd_generate(args) -> int:
     matrices = [random_rotation(rng).ravel().tolist() for _ in range(args.count)]
     if args.json:
         rows = [[A[i:i + 4] for i in range(0, 16, 4)] for A in matrices]
-        print(json.dumps({"matrices": rows}, indent=2))
+        print(_dumps({"matrices": rows}))
     else:
         for A in matrices:
             print(_matrix_line(A))
@@ -267,11 +286,9 @@ def cmd_verify(args) -> int:
     }
     ok = all(entry["pass"] for entry in checks.values())
     if args.json:
-        for entry in checks.values():
-            entry["measured"] = _json_number(entry["measured"])
-        print(json.dumps({"status": "ok" if ok else "rejected",
-                          "checks": checks,
-                          "tolerances": _bounds(tolerances)}, indent=2))
+        print(_dumps({"status": "ok" if ok else "rejected",
+                      "checks": checks,
+                      "tolerances": _bounds(tolerances)}))
     else:
         for name, entry in checks.items():
             verdict = "pass" if entry["pass"] else "FAIL"
@@ -287,11 +304,11 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     _, kind = _factor_input(args)
     if args.json:
-        print(json.dumps({"status": "ok",
-                          "class": kind.kind.value,
-                          "left_angle": kind.left_angle,
-                          "right_angle": kind.right_angle,
-                          "tolerances": _bounds(args.tolerances)}, indent=2))
+        print(_dumps({"status": "ok",
+                      "class": kind.kind.value,
+                      "left_angle": kind.left_angle,
+                      "right_angle": kind.right_angle,
+                      "tolerances": _bounds(args.tolerances)}))
     else:
         print(f"class: {kind.kind.value}")
         print(f"left angle:  {_fmt(kind.left_angle)}")
@@ -332,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "factors, and verify the identities that make that possible.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # name -> parser of each command, which main parses the rest of argv with
+    parser.commands = subparsers.choices
 
     matrix_input = argparse.ArgumentParser(add_help=False)
     matrix_input.add_argument("input", nargs="?", default="-",
@@ -405,7 +424,18 @@ def _attach_vector_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_attach_vector_values(list(argv)))
+    argv = _attach_vector_values(list(argv))
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        # no command first (none at all, -h, an option, an unknown name):
+        # the whole tree parses, and reports, as argparse does
+        args = parser.parse_args(argv)
+    else:
+        # the command's parser takes the rest, as the tree would hand it on
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if "ortho_tol" in args:
         # decompose, verify and classify: the two tolerance flags make the
         # one bound object every check of the command reads

@@ -1,19 +1,23 @@
 import importlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import isoclinic
-from isoclinic import DEFAULT_TOLERANCES, ParseError, Tolerances, _kernel, random_rotation
-from isoclinic.cli import build_parser, main, parse_matrix
+from isoclinic import (DEFAULT_TOLERANCES, DecompositionError, IsoclinicError, ParseError,
+                       Tolerances, ValidationError, _kernel, cli, random_rotation)
+from isoclinic.cli import _dumps, build_parser, main, parse_matrix
 
 IDENTITY16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1"
 REFLECTION16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 -1"
@@ -254,8 +258,9 @@ def test_tolerance_flags_match_tolerances():
 
 
 def test_parser_is_built_once(monkeypatch):
-    """One parser serves every main() call of a process, and a flag given
-    to one call does not carry over to the next."""
+    """One parser tree serves every main() call of a process, the command's
+    own parser parsing its flags, and a flag given to one call does not
+    carry over to the next."""
     assert build_parser() is build_parser()
     code, out, _ = run_cli(["decompose", "--ortho-tol", "1e-6", "--json"], IDENTITY16,
                            monkeypatch)
@@ -318,7 +323,10 @@ def _reject_constant(token):
 
 def test_json_reports_are_strict(monkeypatch):
     """Sixteen 1e308 entries overflow the checks to inf and NaN; the JSON
-    reports write those as null, and the message keeps the number."""
+    reports write those as null, and the message keeps the number. An
+    infinite bound is a valid one, and every report lists it as null,
+    whether the input is accepted (the identity) or rejected (sixteen 1e308
+    entries, whose determinant is NaN)."""
     code, out, _ = run_cli(["verify", "--json"], "1e308 " * 16, monkeypatch)
     assert code == 3
     checks = json.loads(out, parse_constant=_reject_constant)["checks"]
@@ -328,6 +336,129 @@ def test_json_reports_are_strict(monkeypatch):
     error = json.loads(out, parse_constant=_reject_constant)["error"]
     assert error["type"] == "NotOrthogonalError"
     assert error["measured"] is None and "= inf" in error["message"]
+    for command in ("decompose", "classify", "verify"):
+        for flag, nulls in (("--ortho-tol", ["ortho_tol", "dist_tol"]), ("--iso-tol", ["iso_tol"])):
+            for text, status in ((IDENTITY16, "ok"), ("1e308 " * 16, "rejected")):
+                code, out, _ = run_cli([command, "--json", flag, "inf"], text, monkeypatch)
+                assert code == (0 if status == "ok" else 3)
+                report = json.loads(out, parse_constant=_reject_constant)
+                assert report["status"] == status
+                assert [name for name, bound in report["tolerances"].items()
+                        if bound is None] == nulls
+
+
+def _finite_or_none(value):
+    """value with every float that is not finite replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(item) for item in value]
+    return value
+
+
+# quotes, backslashes, control characters and non-ASCII, including a
+# character outside the Basic Multilingual Plane (a surrogate pair in JSON)
+_escapes = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\u2028\U0001f600a '))
+_strings = _escapes | st.text()
+# -0.0, the smallest subnormal, a subnormal, and reprs with an exponent
+_edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, 1.5e-310, 1e16, 1e-05, 1.7976931348623157e308,
+                                0.1, 1e22])
+
+
+def _values(floats):
+    leaves = (st.none() | st.booleans() | st.integers() | floats | _edge_floats | _strings)
+    return st.recursive(
+        leaves,
+        lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                          | st.dictionaries(_strings, children)),
+        max_leaves=30)
+
+
+_matrix_rows = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4)
+_generated = st.fixed_dictionaries(
+    {"matrices": st.lists(st.lists(_matrix_rows, min_size=4, max_size=4), max_size=3)})
+
+
+@settings(deadline=None, max_examples=400)
+@given(_values(st.floats(allow_nan=False, allow_infinity=False)) | _generated)
+@example({})
+@example([])
+@example({"a": [], "b": {}, "c": [{}], "d": ()})
+@example({"matrices": [np.eye(4).tolist(), (-np.eye(4)).tolist()]})
+def test_dumps_writes_what_json_dumps_writes(value):
+    """The report writer writes finite values byte for byte as
+    json.dumps(value, indent=2) does."""
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_values(st.floats()))
+@example([math.nan, math.inf, -math.inf])
+@example({"measured": math.inf, "tolerances": {"ortho_tol": math.inf, "iso_tol": 1e-9}})
+def test_dumps_writes_non_finite_floats_as_null(value):
+    """A float that is not finite is written as null, where json.dumps
+    would write NaN or Infinity, which strict JSON has not."""
+    text = _dumps(value)
+    assert text == json.dumps(_finite_or_none(value), indent=2)
+    assert json.loads(text, parse_constant=_reject_constant) == _finite_or_none(value)
+
+
+def _one_parse_main(argv):
+    """main as it ran with one parse by the whole parser tree, the reference
+    that main's dispatch to the command's own parser must match."""
+    args = build_parser().parse_args(cli._attach_vector_values(list(argv)))
+    if "ortho_tol" in args:
+        args.tolerances = Tolerances(args.ortho_tol, args.iso_tol)
+    try:
+        return args.func(args)
+    except (ValidationError, DecompositionError) as exc:
+        return cli._rejection(args, exc)
+    except IsoclinicError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli._exit_code(exc)
+
+
+# each command with its flags, the flag spellings argparse accepts, usage
+# errors found by the command's parser and by the top-level one, and argv
+# lists that name no command first
+DISPATCH_ARGV = [
+    ["decompose"], ["decompose", "--json"], ["decompose", "-"],
+    ["decompose", "--ortho-tol", "1e-6", "--iso-tol", "1e-3", "--json"],
+    ["decompose", "--ortho-tol=1e-6"], ["decompose", "--js"], ["decompose", "--ortho", "1e-6"],
+    ["classify"], ["classify", "--json", "--iso-tol", "0.5"],
+    ["verify"], ["verify", "--json", "--ortho-tol", "0"],
+    ["compose", "--left", "-1,0,0,0", "--right", "1 0 0 0"],
+    ["compose", "--json", "--left=0,1,0,0", "--right", "-1,0,0,0"],
+    ["compose", "--left", "1 0 0 0"], ["compose", "--left", "1 0 0", "--right", "1 0 0 0"],
+    ["generate", "--seed", "3", "--count", "2"], ["generate", "--seed", "3", "--json"],
+    ["generate", "--seed", "x"], ["generate", "--seed", "1", "--count", "0"],
+    ["--json", "decompose"], ["decompose", "a.txt", "b.txt"], ["decompose", "--dist-tol", "1"],
+    ["decompose", "--ortho-tol", "nan"], ["verify", "--iso-tol", "-1"],
+    ["classify", "--ortho-tol", "abc"], ["verify", "--ortho-tol"], ["decompose", "-x"],
+    ["decompose", "--", "-"], ["decompose", "--json", "--"], ["--", "decompose"],
+    ["decompose", "-h"], ["compose", "--help"], ["-h"], ["--help"],
+    ["--left", "1,0,0,0", "compose"], ["frobnicate"], ["Decompose"], [],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_dispatch_matches_one_parse(argv, monkeypatch):
+    """main parses argv after the command with that command's parser; exit
+    code (SystemExit included), stdout and stderr are what one parse by
+    the whole tree gives."""
+    def outcome(run):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(IDENTITY16))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = f"SystemExit({exc.code})"
+        return code, out.getvalue(), err.getvalue()
+
+    assert outcome(main) == outcome(_one_parse_main)
 
 
 def test_classify_outputs(monkeypatch):
