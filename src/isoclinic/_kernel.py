@@ -10,12 +10,12 @@ and ``invariance`` coerces its input once, calls into this module and
 boxes the result; the CLI calls it on the floats it parses, so a command
 that never builds an array never imports numpy.
 
-``associate``, ``distance``, ``decompose``, ``two_sided``, ``canonical``,
-``check_unit``, ``angle`` and ``classify`` are not written here: their
-straight-line source (``_SOURCES``) is generated when the module is
-imported, the first four from the composition table ``TABLE`` and the sign
-rule and the quaternion checks from one fragment each, and each is
-compiled into this namespace the first time it is read.
+``associate``, ``decompose``, ``two_sided``, ``canonical``, ``check_unit``,
+``angle`` and ``classify`` are not written here: their straight-line
+source (``_SOURCES``) is generated when the module is imported, the first
+three from the composition table ``TABLE`` and the sign rule and the
+quaternion checks from one fragment each, and each is compiled into this
+namespace the first time it is read.
 """
 
 from __future__ import annotations
@@ -187,8 +187,9 @@ def determinant(a):
 
 
 def validate(a, tolerances):
-    """Raise NotOrthogonalError or NotProperRotationError unless A is
-    orthogonal with determinant +1, both within tolerances.ortho_tol."""
+    """(max |A^T A - I|, det A) when A is orthogonal with determinant +1,
+    both within tolerances.ortho_tol; NotOrthogonalError or
+    NotProperRotationError otherwise."""
     bound = tolerances.ortho_tol
     deviation = gram_deviation(a)
     if not deviation <= bound:
@@ -196,6 +197,7 @@ def validate(a, tolerances):
     det = determinant(a)
     if not abs(det - 1.0) <= bound:
         raise NotProperRotationError(det, bound)
+    return deviation, det
 
 
 # ---- the associate matrix and its certificates --------------------------------
@@ -236,7 +238,7 @@ class RotationClass(NamedTuple):
 
 # ---- the straight-line kernel, generated at import ---------------------------
 #
-# associate, distance, decompose and two_sided are fixed sequences of float
+# associate, decompose and two_sided are fixed sequences of float
 # operations. Their source is written out below from TABLE at import, and
 # each runs on unpacked locals: no index tuple is read at run time and no
 # list is built between the associate matrix and the read-off. Each entry of
@@ -349,14 +351,6 @@ def associate(a):
     """The associate matrix B^T vec(A) / 4 of the row-major entries a, as
     a row-major list."""{_ASSOCIATE}
     return [{_M}]
-''',
-    "distance": f'''
-def distance(a):
-    """2 ||M - outer(L, R)||_F for M the associate matrix of a and (L, R)
-    its read-off. Since B^T B = 4I this is ||A - Q||_F for the rotation Q
-    the pair generates: near SO(4), the distance of A from the group.
-    ZeroQuaternionError when M is too small to read a factor off."""{_ASSOCIATE}{_READ_OFF}
-    return d
 ''',
     "decompose": f'''
 def decompose(a, tolerances):

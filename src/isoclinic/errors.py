@@ -10,6 +10,7 @@ class IsoclinicError(Exception):
     """Base class for all errors raised by this package."""
 
     measured = None
+    tol = None
 
 
 class _Measured(IsoclinicError):

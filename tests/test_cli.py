@@ -186,44 +186,122 @@ def test_verify_identity(monkeypatch):
     assert out.count("[pass]") == 3
 
 
-def test_verify_scaled_matrix(monkeypatch):
-    code, out, _ = run_cli(["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2", monkeypatch)
-    assert code == 3
-    assert "orthogonality: 3.0 [FAIL]" in out
-    assert "overall: rejected" in out
+def run_on(args, stdin_text):
+    """run_cli on stdin_text, with sys.stdin restored after: hypothesis runs
+    many examples under one function-scoped fixture, so no monkeypatch."""
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        return run_cli(args)
+    finally:
+        sys.stdin = stdin
 
 
-def test_verify_zero_matrix(monkeypatch):
-    """M = 0 gives no factor pair to read off, and every rotation lies at
-    Frobenius distance 2 from the zero matrix."""
-    code, out, _ = run_cli(["verify"], "0 " * 16, monkeypatch)
-    assert code == 3
-    assert "distance: 2.0 [FAIL]" in out
-
-
-def test_verify_reflection_reports_determinant(monkeypatch):
-    code, out, _ = run_cli(["verify", "--json"], REFLECTION16, monkeypatch)
-    assert code == 3
+def run_rejected(args, stdin_text):
+    """Run a checking command with --json on input it rejects; returns the
+    exit code and the report's "error" object, after checking that the
+    report says rejected and stderr holds the one rejection line."""
+    code, out, err = run_on([*args, "--json"], stdin_text)
     report = json.loads(out)
     assert report["status"] == "rejected"
-    assert report["checks"]["determinant"]["pass"] is False
-    assert report["checks"]["orthogonality"]["pass"] is True
-    assert report["checks"]["distance"]["measured"] == 2.0
-    assert report["checks"]["distance"]["pass"] is False
+    assert err == f"rejected: {report['error']['message']}\n"
+    return code, report["error"]
 
 
-def test_verify_minor_failure_exit_code(monkeypatch):
+def test_verify_scaled_matrix():
+    """2I is rejected by the orthogonality check, the first to fail:
+    max |A^T A - I| = 3."""
+    code, error = run_rejected(["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2")
+    assert code == 3
+    assert (error["type"], error["measured"], error["tol"]) == ("NotOrthogonalError", 3.0, 1e-9)
+
+
+def test_verify_zero_matrix():
+    """The zero matrix is rejected by the orthogonality check, so no factor
+    pair is read off its zero associate matrix."""
+    code, error = run_rejected(["verify"], "0 " * 16)
+    assert code == 3
+    assert (error["type"], error["measured"], error["tol"]) == ("NotOrthogonalError", 1.0, 1e-9)
+
+
+def test_verify_reflection_reports_determinant():
+    """diag(1,1,1,-1) is orthogonal and is rejected by the determinant check,
+    which reports det = -1 against its bound."""
+    code, error = run_rejected(["verify"], REFLECTION16)
+    assert code == 3
+    assert (error["type"], error["measured"], error["tol"]) \
+        == ("NotProperRotationError", -1.0, 1e-9)
+
+
+def test_verify_minor_failure_exit_code():
     """Under --ortho-tol 0 a matrix off SO(4) by rounding alone passes the
     orthogonality and determinant checks and fails the distance check,
-    which is the decomposition-failure exit code of every checking command."""
-    code, out, _ = run_cli(["verify", "--json", "--ortho-tol", "0"], ROUNDED16, monkeypatch)
-    assert code == 1
-    checks = json.loads(out)["checks"]
-    assert [checks[name]["pass"] for name in ("orthogonality", "determinant", "distance")] \
-        == [True, True, False]
-    for command in ("decompose", "classify"):
-        code, _, err = run_cli([command, "--ortho-tol", "0"], ROUNDED16, monkeypatch)
-        assert code == 1 and "distance" in err, err
+    with the decomposition-failure exit code and the same report from
+    every checking command."""
+    reports = set()
+    for command in ("verify", "decompose", "classify"):
+        code, error = run_rejected([command, "--ortho-tol", "0"], ROUNDED16)
+        assert code == 1
+        assert error["type"] == "ReconstructionError" and error["tol"] == 0.0
+        assert 0.0 < error["measured"] < 1e-15
+        reports.add(json.dumps(error))
+    assert len(reports) == 1
+
+
+# the inputs of the agreement property: a Haar rotation, a reflection
+# A diag(1,1,1,-1), c A for c in [0, 2] and a rotation rounded to float32,
+# each optionally plus Gaussian noise of 10**k times the bound under test
+# (times 1 for an infinite bound), k in [-2, 2]
+_FAMILIES = {
+    "rotation": lambda A, c: A,
+    "reflection": lambda A, c: A * [1.0, 1.0, 1.0, -1.0],
+    "scaled": lambda A, c: c * A,
+    "float32": lambda A, c: A.astype(np.float32).astype(float),
+}
+_ORTHO_TOLS = [0.0, 1e-12, 1e-9, 1e-6, 0.6, 0.96, math.inf]
+
+
+@st.composite
+def _checked_input(draw):
+    ortho_tol = draw(st.sampled_from(_ORTHO_TOLS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = _FAMILIES[draw(st.sampled_from(list(_FAMILIES)))](random_rotation(rng),
+                                                          draw(st.floats(0.0, 2.0)))
+    exponent = draw(st.none() | st.integers(-2, 2))
+    if exponent is not None:
+        scale = ortho_tol if math.isfinite(ortho_tol) else 1.0
+        A = A + 10.0 ** exponent * scale * rng.standard_normal((4, 4))
+    return " ".join(map(repr, A.ravel().tolist())), ortho_tol
+
+
+@settings(deadline=None, max_examples=400)
+@given(_checked_input(), st.booleans())
+@example((" ".join(map(repr, (0.45 * np.eye(4)).ravel().tolist())), 0.96), False)
+@example((" ".join(map(repr, (0.45 * np.eye(4)).ravel().tolist())), 0.96), True)
+def test_verify_agrees_with_decompose(checked, as_json):
+    """verify runs decompose's checks: it exits with decompose's code, and a
+    rejection prints what decompose prints. 0.45 I under --ortho-tol 0.96
+    passes the orthogonality and determinant checks, and its associate norm
+    0.45 is below the floor of 0.5."""
+    text, ortho_tol = checked
+    flags = ["--ortho-tol", repr(ortho_tol)] + ["--json"] * as_json
+    verified = run_on(["verify", *flags], text)
+    decomposed = run_on(["decompose", *flags], text)
+    assert verified[0] == decomposed[0]
+    if decomposed[0] != 0:
+        assert verified == decomposed
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_float32_rotation_is_rejected(seed):
+    """A rotation rounded to float32 is off SO(4) by float32 rounding, a
+    Gram deviation near 1e-7, and is rejected as not orthogonal under the
+    default bound."""
+    A = random_rotation(seed).astype(np.float32).astype(float)
+    code, error = run_rejected(["verify"], " ".join(map(repr, A.ravel().tolist())))
+    assert code == 3 and error["type"] == "NotOrthogonalError" and error["tol"] == 1e-9
+    assert 1e-9 < error["measured"] < 1e-6
 
 
 def _noisy_rotation16():
@@ -302,7 +380,9 @@ def test_distance_bound_is_not_a_flag(monkeypatch, capsys):
 
 # decompose, classify and verify, plain and --json, on I, -I, diag(1,1,1,-1),
 # 2I, the zero matrix, a NaN entry and 15 numbers; verify also on 0.1I and on
-# 1e-200I, whose associate matrix is too small to read a factor off; compose
+# 1e-200I, whose associate matrix is too small to read a factor off. verify
+# rejects as decompose does, so on each input but I and -I its row equals
+# decompose's; the rejection reports carry the bound the input missed. compose
 # on the identity pair, a negative scalar left factor, a non-unit factor and
 # a zero one: stdin, exit code, stdout and stderr, each recorded verbatim
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
@@ -326,16 +406,13 @@ def test_json_reports_are_strict(monkeypatch):
     reports write those as null, and the message keeps the number. An
     infinite bound is a valid one, and every report lists it as null,
     whether the input is accepted (the identity) or rejected (sixteen 1e308
-    entries, whose determinant is NaN)."""
-    code, out, _ = run_cli(["verify", "--json"], "1e308 " * 16, monkeypatch)
-    assert code == 3
-    checks = json.loads(out, parse_constant=_reject_constant)["checks"]
-    assert [entry["measured"] for entry in checks.values()] == [None, None, None]
-    code, out, _ = run_cli(["decompose", "--json"], "1e308 " * 16, monkeypatch)
-    assert code == 3
-    error = json.loads(out, parse_constant=_reject_constant)["error"]
-    assert error["type"] == "NotOrthogonalError"
-    assert error["measured"] is None and "= inf" in error["message"]
+    entries, whose determinant is NaN), and a rejection as its "tol"."""
+    for command in ("decompose", "verify"):
+        code, out, _ = run_cli([command, "--json"], "1e308 " * 16, monkeypatch)
+        assert code == 3
+        error = json.loads(out, parse_constant=_reject_constant)["error"]
+        assert error["type"] == "NotOrthogonalError" and error["tol"] == 1e-9
+        assert error["measured"] is None and "= inf" in error["message"]
     for command in ("decompose", "classify", "verify"):
         for flag, nulls in (("--ortho-tol", ["ortho_tol", "dist_tol"]), ("--iso-tol", ["iso_tol"])):
             for text, status in ((IDENTITY16, "ok"), ("1e308 " * 16, "rejected")):
@@ -345,6 +422,10 @@ def test_json_reports_are_strict(monkeypatch):
                 assert report["status"] == status
                 assert [name for name, bound in report["tolerances"].items()
                         if bound is None] == nulls
+                if status == "rejected":
+                    # an infinite ortho_tol passes the Gram deviation inf, and
+                    # the NaN determinant is rejected against the bound inf
+                    assert report["error"]["tol"] == (None if "ortho_tol" in nulls else 1e-9)
 
 
 def _finite_or_none(value):

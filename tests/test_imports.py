@@ -47,10 +47,11 @@ def run_child(args, stdin=""):
     (["decompose", "--ortho-tol", "0"], ROUNDED16, 1),
     (["classify"], IDENTITY16, 0),
     (["verify", "--json"], IDENTITY16, 0),
+    (["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2", 3),
     (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 1),
     (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0),
 ], ids=["import", "decompose", "decompose-rejected", "decompose-distance-rejected",
-        "classify", "verify", "verify-distance-rejected", "compose"])
+        "classify", "verify", "verify-rejected", "verify-distance-rejected", "compose"])
 def test_numpy_is_not_imported(args, stdin, code):
     report, _ = run_child(args, stdin)
     assert report == {"code": code, "numpy": [], "stdlib": []}

@@ -71,12 +71,12 @@ scaled = st.builds(lambda seed, scale: scale * random_rotation(seed), seeds,
 def test_associate_distance_is_the_frobenius_distance(A):
     """The distance read off M, 2 ||M - outer(L, R)||_F, is ||A - Q||_F for
     the rotation Q the read-off's factors generate, built by the oracle's
-    bilinear formula; so for a rejected matrix too, and from decompose when
-    the distance bound is lifted."""
+    bilinear formula: from the loop reference for a rejected matrix too,
+    and from decompose when the distance bound is lifted."""
     a = A.ravel().tolist()
     bound = 8 * EPS * max(1.0, float(np.linalg.norm(A)))
-    L, R, _ = nearest_loop(associate_loop(a))
-    assert abs(_kernel.distance(a) - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
+    L, R, distance = nearest_loop(associate_loop(a))
+    assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
     if math.hypot(*_kernel.associate(a)) >= 0.5:
         L, R, distance, _ = _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
         assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
@@ -246,11 +246,10 @@ quaternions = st.lists(st.floats(allow_nan=False, width=64) | st.sampled_from([0
 @settings(deadline=None, max_examples=600)
 @given(bit_inputs, tolerance_sets)
 def test_generated_kernel_matches_the_loop_reference(a, tolerances):
-    """associate, distance and decompose give the loop reference's floats
+    """associate and decompose give the loop reference's floats
     bit for bit, signs of zero included, or raise its error type with its
     measured value and bound; two_sided does the same on the factors."""
     assert outcome(_kernel.associate, a) == outcome(associate_loop, a)
-    assert outcome(_kernel.distance, a) == outcome(lambda a: nearest_loop(associate_loop(a))[2], a)
     result = outcome(_kernel.decompose, a, tolerances)
     assert result == outcome(decompose_loop, a, tolerances)
     try:
@@ -271,12 +270,13 @@ def test_generated_two_sided_matches_the_loop_reference(L, R):
 def test_generated_functions_are_compiled_from_the_table():
     """The generated functions come from the source generated at import
     under one filename; any other name the module lacks stays an
-    AttributeError, the loop functions they replace among them."""
-    for name in ("associate", "distance", "decompose", "two_sided",
+    AttributeError, the loop functions they replace and the removed
+    distance among them."""
+    for name in ("associate", "decompose", "two_sided",
                  "canonical", "check_unit", "angle", "classify"):
         code = getattr(_kernel, name).__code__
         assert code.co_filename == "<isoclinic._kernel: generated>"
-    for name in ("nearest", "_COMPOSE", "_terms", "_trivial_deviation"):
+    for name in ("nearest", "distance", "_COMPOSE", "_terms", "_trivial_deviation"):
         assert not hasattr(_kernel, name)
 
 
