@@ -151,19 +151,24 @@ def unit(q):
 # ---- validation ----------------------------------------------------------------
 
 def gram_deviation(a):
-    """max |A^T A - I|.
+    """max |A^T A - I|, NaN when an entry is NaN.
 
-    The four diagonal terms come first. Only a product that overflows can
-    make an off-diagonal term NaN, and then a diagonal term is already
-    +inf, which max() keeps against any NaN after it.
+    max() keeps its first item against any NaN after it, so the NaN is
+    looked for first: an entry that is NaN makes the diagonal term of its
+    column NaN. A product that overflows makes a diagonal term +inf, never
+    NaN, and max() keeps the +inf against the off-diagonal NaN it can bring.
     """
     (a00, a01, a02, a03, a10, a11, a12, a13,
      a20, a21, a22, a23, a30, a31, a32, a33) = a
+    d0 = abs(a00 * a00 + a10 * a10 + a20 * a20 + a30 * a30 - 1.0)
+    d1 = abs(a01 * a01 + a11 * a11 + a21 * a21 + a31 * a31 - 1.0)
+    d2 = abs(a02 * a02 + a12 * a12 + a22 * a22 + a32 * a32 - 1.0)
+    d3 = abs(a03 * a03 + a13 * a13 + a23 * a23 + a33 * a33 - 1.0)
+    diagonal = d0 + d1 + d2 + d3
+    if diagonal != diagonal:
+        return diagonal
     return max(
-        abs(a00 * a00 + a10 * a10 + a20 * a20 + a30 * a30 - 1.0),
-        abs(a01 * a01 + a11 * a11 + a21 * a21 + a31 * a31 - 1.0),
-        abs(a02 * a02 + a12 * a12 + a22 * a22 + a32 * a32 - 1.0),
-        abs(a03 * a03 + a13 * a13 + a23 * a23 + a33 * a33 - 1.0),
+        d0, d1, d2, d3,
         abs(a00 * a01 + a10 * a11 + a20 * a21 + a30 * a31),
         abs(a00 * a02 + a10 * a12 + a20 * a22 + a30 * a32),
         abs(a00 * a03 + a10 * a13 + a20 * a23 + a30 * a33),

@@ -4,11 +4,14 @@ Subcommands: decompose, compose, generate, verify, classify. The three
 checking commands, decompose, verify and classify, run one pipeline
 (validate, decompose, classify) and differ only in what they print; a
 rejection is reported, and exits, the same from each. Matrices come from
-a file path or stdin as 16 whitespace-separated reals in row-major
-order (plain16) or as JSON {"matrix": [[...], [...], [...], [...]]}: input
-whose first nonblank character is '{' is JSON. All numbers are printed with
-repr, the shortest decimal that round-trips binary64, so piping output back
-in is lossless.
+a file path or stdin. Input whose first nonblank character is '{' is JSON
+(RFC 8259): an object whose "matrix" is 4 arrays of 4 JSON numbers, row by
+row; a boolean, string, null, object or other array in a number's place is a
+parse error. Any other input is plain16: 16 whitespace-separated tokens in
+row-major order, each read by float(), so "+1", ".5" and "1_0" are reals.
+--left and --right take 4 such tokens, separated by commas or spaces. Every
+number must be finite. All numbers are printed with repr, the shortest
+decimal that round-trips binary64, so piping output back in is lossless.
 
 Exit codes: 0 success, 1 decomposition failure, 2 parse or usage error,
 3 validation failure (non-rotation input or zero quaternion), 141 (128 +
@@ -42,8 +45,6 @@ EXIT_DECOMPOSITION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BROKEN_PIPE = 141
-# numpy's limit on the number of array dimensions, which JSON rows must keep
-_MAX_DIMS = 64
 
 
 def _fmt(x) -> str:
@@ -91,88 +92,51 @@ def _bounds(tolerances) -> dict:
 
 
 def parse_matrix(text: str) -> list:
-    """Parse one matrix from text in plain16 or JSON form, as its 16 entries
-    in row-major order.
-
-    A document whose first nonblank character is '{' is JSON, anything else
-    is treated as 16 whitespace-separated reals.
-    """
+    """The 16 entries, in row-major order, of one matrix in JSON or plain16
+    form, read by the grammar the module docstring states."""
     if text.lstrip()[:1] == "{":
         try:
-            document = json.loads(text)
+            # every JSON number a float: an integer too long for int() is inf
+            document = json.loads(text, parse_int=float)
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: arrays nested past the interpreter's recursion limit
             raise ParseError(f"invalid JSON input: {exc}") from exc
         if not isinstance(document, dict) or "matrix" not in document:
             raise ParseError('JSON input must be an object with a "matrix" key')
-        entries = _json_entries(document["matrix"])
-    else:
-        tokens = text.split()
-        if len(tokens) != 16:
-            raise ParseError(f"expected 16 numbers, got {len(tokens)}")
-        try:
-            entries = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric token in input: {exc}") from exc
-    if not all(map(math.isfinite, entries)):
-        raise ParseError("matrix entries must be finite")
-    return entries
+        return _reals(_json_grid(document["matrix"]), 16)
+    return _reals(text.split(), 16)
 
 
-def _json_entries(rows) -> list:
-    """The entries of JSON rows, read as np.array(rows, dtype=float) reads
-    them: lists nest, any other value is one real (float() of it, with null
-    as NaN), lists side by side must have the same shape, and a failed
-    conversion is reported before a shape other than 4x4."""
-    shape = _json_shape(rows, 0)
-    flat = [rows]
-    for _ in shape:
-        flat = [item for sublist in flat for item in sublist]
+_JSON_KINDS = {float: "a number", bool: "a boolean", str: "a string",
+               type(None): "null", dict: "an object"}
+
+
+def _json_grid(value, where="matrix", depth=0) -> list:
+    """The entries, row by row, of a JSON matrix that is 4 arrays of 4
+    numbers; a ParseError names the first part of it that is not."""
+    if depth == 2 and type(value) is float:
+        return [value]
+    if depth < 2 and type(value) is list and len(value) == 4:
+        return [x for i, item in enumerate(value)
+                for x in _json_grid(item, f"{where}[{i}]", depth + 1)]
+    found = f"an array of {len(value)}" if type(value) is list else _JSON_KINDS[type(value)]
+    raise ParseError(f"matrix must be 4 arrays of 4 numbers: {where} is {found}")
+
+
+def _reals(tokens, count, flag=None) -> list:
+    """float() of each of count tokens, each finite: a matrix's 16 (plain16
+    tokens or the floats of JSON rows) or the 4 of --left or --right, whose
+    flag a ParseError names."""
+    if len(tokens) != count:
+        where = f"{flag}: " if flag else ""
+        raise ParseError(f"{where}expected {count} numbers, got {len(tokens)}")
     try:
-        entries = [math.nan if value is None else float(value) for value in flat]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"matrix rows are not numeric: {exc}") from exc
-    if shape != (4, 4):
-        raise ParseError(f"matrix must be 4 rows of 4 numbers, got shape {shape}")
-    return entries
-
-
-def _json_shape(value, depth):
-    """Shape of nested JSON lists; ParseError when lists side by side differ
-    in shape or they nest deeper than _MAX_DIMS."""
-    if not isinstance(value, list):
-        return ()
-    if depth == _MAX_DIMS:
-        raise ParseError(f"matrix rows are not numeric: more than {_MAX_DIMS} levels of lists")
-    shapes = {_json_shape(item, depth + 1) for item in value}
-    if len(shapes) > 1:
-        raise ParseError("matrix rows are not numeric: rows of unequal length")
-    return (len(value),) + (shapes.pop() if shapes else ())
-
-
-def _read_matrix(args) -> list:
-    try:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {args.input}: {exc}") from exc
-    return parse_matrix(text)
-
-
-def _parse_quat_arg(text: str, name: str) -> list:
-    tokens = text.replace(",", " ").split()
-    if len(tokens) != 4:
-        raise ParseError(f"--{name} needs 4 numbers, got {len(tokens)}")
-    try:
-        q = [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
-        raise ParseError(f"--{name} has a non-numeric component: {exc}") from exc
-    if not all(map(math.isfinite, q)):
-        raise ParseError(f"--{name} components must be finite")
-    return q
+        raise ParseError(f"non-numeric token in {flag or 'input'}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{flag or 'matrix'} entries must be finite")
+    return values
 
 
 def _rejection(args, exc: IsoclinicError) -> int:
@@ -205,7 +169,15 @@ def _factor_input(args):
     """Read, validate, decompose and classify the input matrix; returns
     (max |A^T A - I|, det A), (L, R, distance, norm deviation) and the
     RotationClass, or raises the rejection of the first check that fails."""
-    entries = _read_matrix(args)
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {args.input}: {exc}") from exc
+    entries = parse_matrix(text)
     validation = _kernel.validate(entries, args.tolerances)
     result = _kernel.decompose(entries, args.tolerances)
     return validation, result, _kernel.classify(result[0], result[1], args.tolerances)
@@ -242,10 +214,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    left = _parse_quat_arg(args.left, "left")
-    right = _parse_quat_arg(args.right, "right")
+    pair = {name: _reals(getattr(args, name).replace(",", " ").split(), 4, f"--{name}")
+            for name in ("left", "right")}
     factors = []
-    for name, q in (("left", left), ("right", right)):
+    for name, q in pair.items():
         factors.append(_kernel.unit(q))
         try:
             # the note marks what the unit check of every factor input rejects

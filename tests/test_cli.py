@@ -149,8 +149,13 @@ def test_compose_zero_quaternion_fails():
 
 
 def test_compose_bad_arity():
-    code, _, err = run_cli(["compose", "--left", "1 0 0", "--right", "1 0 0 0"])
-    assert code == 2
+    """--left and --right are read as plain16's tokens, 4 of them; a
+    ParseError names the flag."""
+    for left, message in (("1 0 0", "error: --left: expected 4 numbers, got 3\n"),
+                          ("1 0 0 one", "error: non-numeric token in --left: "),
+                          ("1 0 0 nan", "error: --left entries must be finite\n")):
+        code, out, err = run_cli(["compose", "--left", left, "--right", "1 0 0 0"])
+        assert code == 2 and out == "" and err.startswith(message), err
 
 
 def test_generate_deterministic():
@@ -678,55 +683,60 @@ def _nested(depth):
     return _json(value)
 
 
-NOT_NUMERIC = "error: matrix rows are not numeric"
 NOT_FINITE = "error: matrix entries must be finite"
 
 
-def _shape(shape):
-    return f"error: matrix must be 4 rows of 4 numbers, got shape {shape}"
+def _misfit(where, found):
+    return f"error: matrix must be 4 arrays of 4 numbers: {where} is {found}"
 
 
-# input text, exit code of `isoclinic decompose`, start of its stderr. JSON
-# rows are read as np.array(rows, dtype=float) reads them: numbers, booleans
-# and numeric strings are reals, null is NaN, ragged nesting is not numeric,
-# a conversion failure is reported before a wrong shape and a wrong shape
-# before a non-finite entry.
+# input text, exit code of `isoclinic decompose`, start of its stderr. A JSON
+# matrix is 4 arrays of 4 JSON numbers (RFC 8259), an integer read as a
+# float; the first part of it that is anything else, a bool, a string, null,
+# an object or an array of another length, is named, outermost first, and
+# only then is an entry that is not finite rejected. plain16 tokens are read
+# by float().
 PARSE_TABLE = {
+    "integers": (_json(np.eye(4, dtype=int).tolist()), 0, ""),
     "numeric strings": (_json([["1", "0", "0", "0"], ["0", "1.0", "0", "0"],
-                               ["0", "0", " 1 ", "0"], ["0", "0", "0", "1e0"]]), 0, ""),
-    "booleans": (_json((np.eye(4) == 1).tolist()), 0, ""),
-    "string with underscore": (_eye_with("1_0"), 3, "rejected: matrix is not orthogonal"),
-    "null entry": (_eye_with(None), 2, NOT_FINITE),
-    "null matrix": (_json(None), 2, _shape(())),
-    "nan string": (_eye_with("nan"), 2, NOT_FINITE),
-    "inf string": (_eye_with("inf"), 2, NOT_FINITE),
-    "Infinity string": (_eye_with("-Infinity"), 2, NOT_FINITE),
+                               ["0", "0", " 1 ", "0"], ["0", "0", "0", "1e0"]]),
+                        2, _misfit("matrix[0][0]", "a string")),
+    "booleans": (_json((np.eye(4) == 1).tolist()), 2, _misfit("matrix[0][0]", "a boolean")),
+    "string with underscore": (_eye_with("1_0"), 2, _misfit("matrix[0][0]", "a string")),
+    "null entry": (_eye_with(None), 2, _misfit("matrix[0][0]", "null")),
+    "null matrix": (_json(None), 2, _misfit("matrix", "null")),
+    "nan string": (_eye_with("nan"), 2, _misfit("matrix[0][0]", "a string")),
+    "inf string": (_eye_with("inf"), 2, _misfit("matrix[0][0]", "a string")),
+    "Infinity string": (_eye_with("-Infinity"), 2, _misfit("matrix[0][0]", "a string")),
     "NaN token": ('{"matrix": [[NaN, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
                   2, NOT_FINITE),
     "number past the float range": (_eye_with(1e400), 2, NOT_FINITE),
-    "non-numeric string": (_eye_with("x"), 2, NOT_NUMERIC),
-    "hex string": (_eye_with("0x1"), 2, NOT_NUMERIC),
-    "empty string": (_eye_with(""), 2, NOT_NUMERIC),
-    "object entry": (_eye_with({}), 2, NOT_NUMERIC),
-    "object matrix": (_json({"a": 1}), 2, NOT_NUMERIC),
-    "string matrix": (_json("abc"), 2, NOT_NUMERIC),
-    "numeric string matrix": (_json("5"), 2, _shape(())),
-    "number matrix": (_json(5), 2, _shape(())),
+    "non-numeric string": (_eye_with("x"), 2, _misfit("matrix[0][0]", "a string")),
+    "hex string": (_eye_with("0x1"), 2, _misfit("matrix[0][0]", "a string")),
+    "empty string": (_eye_with(""), 2, _misfit("matrix[0][0]", "a string")),
+    "object entry": (_eye_with({}), 2, _misfit("matrix[0][0]", "an object")),
+    "object matrix": (_json({"a": 1}), 2, _misfit("matrix", "an object")),
+    "string matrix": (_json("abc"), 2, _misfit("matrix", "a string")),
+    "numeric string matrix": (_json("5"), 2, _misfit("matrix", "a string")),
+    "number matrix": (_json(5), 2, _misfit("matrix", "a number")),
     "ragged rows": (_json([[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
-                    2, NOT_NUMERIC),
-    "empty first row": (_json([[], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), 2, NOT_NUMERIC),
-    "list entry": (_eye_with([0]), 2, NOT_NUMERIC),
-    "scalar row": (_json([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], 5]), 2, NOT_NUMERIC),
-    "rows as strings": (_json(["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]), 2, NOT_NUMERIC),
-    "4x4x1": (_json(np.eye(4)[:, :, None].tolist()), 2, _shape((4, 4, 1))),
-    "16 in one row": (_json(np.eye(4).ravel().tolist()), 2, _shape((16,))),
-    "5 rows": (_json([[1, 0, 0, 0]] * 5), 2, _shape((5, 4))),
-    "empty rows": (_json([[], [], [], []]), 2, _shape((4, 0))),
-    "empty matrix": (_json([]), 2, _shape((0,))),
-    "object in a wrong shape": (_json([[{}]]), 2, NOT_NUMERIC),
-    "nan string in a wrong shape": (_json([["nan"]]), 2, _shape((1, 1))),
-    "64 levels": (_nested(64), 2, _shape((1,) * 64)),
-    "65 levels": (_nested(65), 2, NOT_NUMERIC),
+                    2, _misfit("matrix[1]", "an array of 3")),
+    "empty first row": (_json([[], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+                        2, _misfit("matrix[0]", "an array of 0")),
+    "list entry": (_eye_with([0]), 2, _misfit("matrix[0][0]", "an array of 1")),
+    "scalar row": (_json([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], 5]),
+                   2, _misfit("matrix[3]", "a number")),
+    "rows as strings": (_json(["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]),
+                        2, _misfit("matrix[0]", "a string")),
+    "4x4x1": (_json(np.eye(4)[:, :, None].tolist()), 2, _misfit("matrix[0][0]", "an array of 1")),
+    "16 in one row": (_json(np.eye(4).ravel().tolist()), 2, _misfit("matrix", "an array of 16")),
+    "5 rows": (_json([[1, 0, 0, 0]] * 5), 2, _misfit("matrix", "an array of 5")),
+    "empty rows": (_json([[], [], [], []]), 2, _misfit("matrix[0]", "an array of 0")),
+    "empty matrix": (_json([]), 2, _misfit("matrix", "an array of 0")),
+    "object in a wrong shape": (_json([[{}]]), 2, _misfit("matrix", "an array of 1")),
+    "nan string in a wrong shape": (_json([["nan"]]), 2, _misfit("matrix", "an array of 1")),
+    "64 levels": (_nested(64), 2, _misfit("matrix", "an array of 1")),
+    "65 levels": (_nested(65), 2, _misfit("matrix", "an array of 1")),
     "plain16": (IDENTITY16, 0, ""),
     "plain16, 15 numbers": ("1 " * 15, 2, "error: expected 16 numbers, got 15"),
     "plain16, 17 numbers": ("1 " * 17, 2, "error: expected 16 numbers, got 17"),
@@ -752,10 +762,70 @@ def test_parse_table(case, monkeypatch):
 
 
 def test_json_past_the_parser_limits_is_a_parse_error(monkeypatch):
-    """A JSON integer no float can hold is not numeric, and arrays nested
-    past the recursion limit are invalid JSON: exit 2, no traceback."""
+    """A JSON integer no float can hold, even one too long for int(), is not
+    finite, and arrays nested past the recursion limit are invalid JSON:
+    exit 2, no traceback."""
     code, _, err = run_cli(["decompose"], _eye_with(10 ** 400), monkeypatch)
-    assert code == 2 and err.startswith(NOT_NUMERIC), err
+    assert code == 2 and err.startswith(NOT_FINITE), err
+    # json.dumps cannot write an int of more than 4300 digits
+    long_int = ('{"matrix": [[1' + "0" * 5000
+                + ', 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}')
+    code, _, err = run_cli(["decompose"], long_int, monkeypatch)
+    assert code == 2 and err == NOT_FINITE + "\n", err
     deep = '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"
     code, _, err = run_cli(["decompose"], deep, monkeypatch)
     assert code == 2 and err.startswith("error: invalid JSON input"), err
+
+
+def _finite_number(value):
+    """Whether value is a JSON number, not a bool, that a float holds."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+def _is_grid(matrix):
+    """Whether json.dumps writes matrix as 4 arrays of 4 finite numbers."""
+    return (type(matrix) in (list, tuple) and len(matrix) == 4
+            and all(type(row) in (list, tuple) and len(row) == 4
+                    and all(map(_finite_number, row)) for row in matrix))
+
+
+_numbers = st.integers() | st.floats() | _edge_floats
+
+
+def _grids(entries, sizes=st.just(4)):
+    return sizes.flatmap(lambda size: st.lists(
+        st.lists(entries, min_size=size, max_size=size), min_size=4, max_size=4))
+
+
+@settings(deadline=None, max_examples=400)
+@given(_values(st.floats()) | _grids(_numbers) | _grids(_numbers | _values(st.floats()))
+       | _grids(_numbers, st.integers(3, 5)))
+@example(np.eye(4, dtype=int).tolist())
+@example([[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 10 ** 400]])
+def test_json_matrix_is_4_arrays_of_4_numbers(matrix):
+    """A JSON matrix parses to 16 floats exactly when it is 4 arrays of 4
+    finite numbers, and is a ParseError, never another exception, otherwise."""
+    text = json.dumps({"matrix": matrix})
+    if _is_grid(matrix):
+        entries = parse_matrix(text)
+        assert all(type(x) is float for x in entries)
+        assert entries == [float(x) for row in matrix for x in row]
+    else:
+        with pytest.raises(ParseError):
+            parse_matrix(text)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_grids(st.floats(allow_nan=False, allow_infinity=False) | _edge_floats))
+@example([[-0.0, 5e-324, -1.5e-310, 1.7976931348623157e308]] * 4)
+def test_written_json_matrix_reads_back_bit_for_bit(rows):
+    """The matrix compose --json writes is read back by decompose entry for
+    entry, bit for bit: -0.0 and subnormals too."""
+    entries = parse_matrix(_dumps({"matrix": rows}))
+    assert list(map(float.hex, entries)) == [x.hex() for row in rows for x in row]
