@@ -14,9 +14,12 @@ from isoclinic import (
     Tolerances,
     associate_matrix,
     associate_norm,
+    classify,
     decompose,
     max_abs_minor,
     random_rotation,
+    random_unit_quaternion,
+    right_matrix,
     validate_rotation,
 )
 
@@ -77,15 +80,23 @@ try:
 except NormDeviationError as exc:
     print("\nstrict policy on the same input:", exc)
 
-# One Tolerances carries every bound. dist_tol is not a setting: loosening
-# ortho_tol moves it too, to twice its value, so a rotation with noise of
-# 1e-7 that the looser validation accepts is split under the same object.
+# One Tolerances carries every bound, and its one field, ortho_tol, is the
+# noise budget. dist_tol and iso_tol are not settings: loosening ortho_tol
+# moves dist_tol to twice its value, so a rotation with noise of 1e-7 that
+# the looser validation accepts is split under the same object.
 noisy = A + 1e-7 * rng.standard_normal((4, 4))
 loose = Tolerances(ortho_tol=1e-6)
-print("\nloose policy:", loose, "with dist_tol", loose.dist_tol)
+print("\nloose policy:", loose, "with dist_tol", loose.dist_tol, "and iso_tol", loose.iso_tol)
 validate_rotation(noisy, loose)
 print("  noise 1e-7 validated and split, distance", decompose(noisy, loose).distance)
 try:
     decompose(noisy)
 except NormDeviationError as exc:
     print("  the default policy rejects it:", exc)
+
+# The trivial-factor bound iso_tol is the budget itself, so noise the loose
+# policy accepts does not hide a rotation's kind: a right-isoclinic rotation
+# with noise of 1e-8 keeps its kind, and its left factor reads as +/-1.
+right_isoclinic = right_matrix(random_unit_quaternion(rng)) + 1e-8 * rng.standard_normal((4, 4))
+kind = classify(right_isoclinic, loose)
+print("  noisy right-isoclinic rotation:", kind.kind.value, "left angle", kind.left_angle)

@@ -47,38 +47,36 @@ SIGN_TOL = 1e-8
 
 class _Bounds(NamedTuple):
     ortho_tol: float
-    iso_tol: float
 
 
 class Tolerances(_Bounds):
-    """Acceptance bounds of every check on a rotation.
+    """The one noise budget, ortho_tol, and the bounds derived from it.
 
-    ortho_tol     bound on max |A^T A - I| and on |det A - 1|
-    iso_tol       component deviation under which a factor counts as +/-1
-    dist_tol      read-only, twice ortho_tol: the bound on ||A - Q||_F for
-                  the rotation Q of the factors. To first order only, it
-                  bounds the distance from SO(4) of what validation accepts.
-    A bound that is NaN or negative raises ValueError naming its field:
-    NaN would pass every check and a negative bound would fail an exact one.
+    ortho_tol   the field: bound on max |A^T A - I| and on |det A - 1|
+    dist_tol    read-only, 2 ortho_tol: bound on ||A - Q||_F for the rotation
+                Q of the factors; to first order only, it bounds the distance
+                from SO(4) of what validation accepts
+    iso_tol     read-only, ortho_tol: a factor within it of +/-1 is trivial
+                (every factor is under ortho_tol = inf), and the factor
+                angles may drift by it under a frame change
+    Tolerances(a, b) raises TypeError. A NaN or negative bound raises
+    ValueError: NaN would pass every check, a negative one fail an exact one.
     """
 
     __slots__ = ()
 
-    def __new__(cls, ortho_tol: float = 1e-9, iso_tol: float = 1e-9):
-        self = super().__new__(cls, ortho_tol, iso_tol)
-        for name, bound in zip(self._fields, self):
-            if not bound >= 0:
-                raise ValueError(f"{name} must be a non-negative number, got {bound!r}")
-        return self
+    def __new__(cls, ortho_tol: float = 1e-9):
+        if not ortho_tol >= 0:
+            raise ValueError(f"ortho_tol must be a non-negative number, got {ortho_tol!r}")
+        return super().__new__(cls, ortho_tol)
 
     @classmethod
     def _make(cls, iterable):
         # _replace builds through _make; route it through the checks above
         return cls(*iterable)
 
-    @property
-    def dist_tol(self) -> float:
-        return 2 * self.ortho_tol
+    iso_tol = _Bounds.ortho_tol  # the field's getter: read as fast as a field
+    dist_tol = property(lambda self: 2 * self.ortho_tol)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -416,10 +414,11 @@ def angle(q):
 def classify(L, R, tolerances):
     """Classify the rotation generated by the canonical factor pair (L, R).
 
-    A factor is trivial within tolerances.iso_tol of +/-1. Both factors
-    trivial: the identity when the scalar parts agree in sign, the
-    antipodal map otherwise. One trivial factor leaves a purely left- or
-    right-isoclinic rotation; two nontrivial factors make the general case.
+    A factor within tolerances.iso_tol (= ortho_tol) of +/-1 is trivial, so
+    under ortho_tol = inf every factor is. Both factors trivial: the
+    identity when the scalar parts agree in sign, the antipodal map
+    otherwise. One trivial factor leaves a purely left- or right-isoclinic
+    rotation; two nontrivial factors make the general case.
     """
     {_L} = L
     {_R} = R{_unit_check("l")}{_unit_check("r")}

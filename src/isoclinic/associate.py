@@ -120,8 +120,9 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
 def classify_pair(L, R, tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:
     """Classify the rotation generated by a canonical factor pair.
 
-    A factor is trivial within tolerances.iso_tol of +/-1. Both factors
-    trivial: the identity when the scalar parts agree in sign, the
+    A factor within tolerances.iso_tol (= ortho_tol, the one noise budget)
+    of +/-1 is trivial, so under ortho_tol = inf every factor is. Both
+    factors trivial: the identity when the scalar parts agree in sign, the
     antipodal map otherwise. One trivial factor leaves a purely left- or
     right-isoclinic rotation; two nontrivial factors make the general
     case. Angles are those of the factors as given.

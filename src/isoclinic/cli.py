@@ -287,17 +287,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _bound(field: str):
-    """argparse type of the flag for Tolerances.<field>, checked by Tolerances."""
-    def bound(text: str) -> float:
-        value = float(text)
-        try:
-            Tolerances(**{field: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-    bound.__name__ = "float"  # argparse's message on a non-number: "invalid float value"
-    return bound
+def _ortho_tol(text: str) -> float:
+    """argparse type of --ortho-tol, checked by Tolerances."""
+    value = float(text)
+    try:
+        Tolerances(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+_ortho_tol.__name__ = "float"  # argparse's message on a non-number: "invalid float value"
 
 
 @functools.cache
@@ -318,13 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
                               help="matrix file path, or - for stdin (default)")
 
     tolerance_flags = argparse.ArgumentParser(add_help=False)
-    tolerance_flags.add_argument("--ortho-tol", type=_bound("ortho_tol"),
+    tolerance_flags.add_argument("--ortho-tol", type=_ortho_tol,
                                  default=DEFAULT_TOLERANCES.ortho_tol,
-                                 help="orthogonality and determinant tolerance, half "
-                                      "the distance tolerance")
-    tolerance_flags.add_argument("--iso-tol", type=_bound("iso_tol"),
-                                 default=DEFAULT_TOLERANCES.iso_tol,
-                                 help="trivial-factor threshold for classification")
+                                 help="the one noise budget: orthogonality, determinant "
+                                      "and trivial-factor tolerance, half the distance "
+                                      "tolerance")
 
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true",
@@ -398,9 +396,9 @@ def main(argv=None) -> int:
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if "ortho_tol" in args:
-        # decompose, verify and classify: the two tolerance flags make the
-        # one bound object every check of the command reads
-        args.tolerances = Tolerances(args.ortho_tol, args.iso_tol)
+        # decompose, verify and classify: --ortho-tol makes the one bound
+        # object every check of the command reads
+        args.tolerances = Tolerances(args.ortho_tol)
     try:
         return args.func(args)
     except (ValidationError, DecompositionError) as exc:

@@ -78,7 +78,12 @@ class ReconstructionError(_Measured, DecompositionError):
 
 
 class InvarianceError(IsoclinicError):
-    """A property that should survive a change of frame did not."""
+    """A property that should survive a change of frame did not. A drift of
+    the factor angles carries `measured` and `tol`; a change of kind does not."""
+
+    def __init__(self, message, measured=None, tol=None):
+        super().__init__(message)
+        self.measured, self.tol = measured, tol
 
 
 class ParseError(IsoclinicError):

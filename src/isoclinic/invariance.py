@@ -23,9 +23,6 @@ from .rotation4 import _mat4, as_mat4
 if TYPE_CHECKING:
     import numpy as np
 
-# bound on the drift of either factor angle under a frame change
-ANGLE_TOL = 1e-9
-
 
 class SimilarityFrame(NamedTuple):
     """A coordinate rotation S together with its own factor pair.
@@ -93,9 +90,11 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
                              tolerances: Tolerances = DEFAULT_TOLERANCES) -> InvarianceReport:
     """Verify the kind and angles of A survive conjugation by the frame.
 
-    Classifies A and S^T A S under tolerances, then asserts equal kind and
-    factor angles within ANGLE_TOL, raising InvarianceError with both
-    classifications on any mismatch. Returns the report when the check passes.
+    Classifies A and S^T A S under tolerances and raises InvarianceError
+    when the kind changes, or when either factor angle drifts by more than
+    tolerances.iso_tol, the noise budget ortho_tol; that rejection carries
+    the drift in `measured` and the bound in `tol`. Returns the report when
+    the check passes.
     """
     A, entries = _mat4(A)
     L, R, *_ = _kernel.decompose(entries, tolerances)
@@ -110,11 +109,11 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
             f"rotation kind changed under frame change: "
             f"{original.kind.value} became {transformed.kind.value}"
         )
-    if angle_deviation > ANGLE_TOL:
+    bound = tolerances.iso_tol
+    if not angle_deviation <= bound:
         raise InvarianceError(
             f"factor angles drifted by {angle_deviation:.6g} under frame change "
-            f"(tolerance {ANGLE_TOL:.1e})"
-        )
+            f"(tolerance {bound:.1e})", measured=angle_deviation, tol=bound)
     return InvarianceReport(
         original=original,
         transformed=transformed,

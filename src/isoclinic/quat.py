@@ -84,22 +84,21 @@ def normalize(q) -> np.ndarray:
     return np.array(_kernel.unit(_floats(q)))
 
 
+# the identity quaternion: P -> L*P is P -> L*P*E and P -> P*R is P -> E*P*R
+_E = [1.0, 0.0, 0.0, 0.0]
+
+
 def left_matrix(L) -> np.ndarray:
     """Matrix of the map P -> L*P for a unit quaternion L = (a, b, c, d).
 
     The result is orthogonal with determinant +1; all four diagonal
     entries equal the scalar part a. Left multiplication rotates every
     half-line from the origin through the same angle arccos(a): both the
-    (w, x) and the (y, z) coordinate planes turn by +arccos(a).
+    (w, x) and the (y, z) coordinate planes turn by +arccos(a). Read off
+    the composition table as the two-sided map with right factor 1.
     """
     import numpy as np
-    a, b, c, d = _kernel.check_unit(_floats(L))
-    return np.array([
-        [a, -b, -c, -d],
-        [b,  a, -d,  c],
-        [c,  d,  a, -b],
-        [d, -c,  b,  a],
-    ])
+    return np.array(_kernel.two_sided(_kernel.check_unit(_floats(L)), _E)).reshape(4, 4)
 
 
 def right_matrix(R) -> np.ndarray:
@@ -107,16 +106,11 @@ def right_matrix(R) -> np.ndarray:
 
     Like ``left_matrix`` this is an isoclinic rotation through arccos(p),
     but of the opposite chirality: the (w, x) plane turns by +arccos(p)
-    while the (y, z) plane turns by -arccos(p).
+    while the (y, z) plane turns by -arccos(p). Read off the composition
+    table as the two-sided map with left factor 1.
     """
     import numpy as np
-    p, q, r, s = _kernel.check_unit(_floats(R))
-    return np.array([
-        [p, -q, -r, -s],
-        [q,  p,  s, -r],
-        [r, -s,  p,  q],
-        [s,  r, -q,  p],
-    ])
+    return np.array(_kernel.two_sided(_E, _kernel.check_unit(_floats(R)))).reshape(4, 4)
 
 
 def isoclinic_angle(q) -> float:

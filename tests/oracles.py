@@ -13,8 +13,6 @@ from itertools import combinations
 
 import numpy as np
 
-from isoclinic import left_matrix, right_matrix
-
 
 def associate_reference(A):
     """Associate matrix of A, each entry a signed quarter-sum written out."""
@@ -59,14 +57,14 @@ def bilinear_composition(L, R):
 def solve_factor_pair(A):
     """Recover (L, R) from a rotation matrix by generic linear algebra.
 
-    Expands A over the 16 basis matrices left_matrix(e_i) @ right_matrix(e_j).
+    Expands A over the 16 basis matrices of P -> e_i*P*e_j.
     The coefficients, arranged on a 4x4 grid, are the pairwise products
     L_i * R_j, so the grid is rank 1 and an SVD reads off unit factors with
     the correct relative sign (the singular value is positive).
     """
     basis = np.eye(4)
     T = np.column_stack([
-        (left_matrix(basis[i]) @ right_matrix(basis[j])).ravel()
+        bilinear_composition(basis[i], basis[j]).ravel()
         for i in range(4)
         for j in range(4)
     ])

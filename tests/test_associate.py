@@ -152,7 +152,7 @@ def test_decomposition_unpacks_and_compares_by_identity():
 
 
 @pytest.mark.parametrize("bound", [math.nan, -1.0, -math.inf])
-@pytest.mark.parametrize("field", ["ortho_tol", "iso_tol"])
+@pytest.mark.parametrize("field", ["ortho_tol"])
 def test_tolerances_reject_nan_and_negative_bounds(field, bound):
     """A NaN bound would pass every check and a negative one fail exact
     input; both raise ValueError naming the field, from the constructor
@@ -167,31 +167,38 @@ def test_tolerances_reject_nan_and_negative_bounds(field, bound):
 
 @pytest.mark.parametrize("ortho_tol", [0.0, 1e-9, 1e-6, math.inf])
 def test_distance_bound_is_derived_from_ortho_tol(ortho_tol):
-    assert Tolerances(ortho_tol=ortho_tol).dist_tol == 2 * ortho_tol
+    """dist_tol is twice the noise budget and iso_tol the budget itself."""
+    tolerances = Tolerances(ortho_tol=ortho_tol)
+    assert (tolerances.dist_tol, tolerances.iso_tol) == (2 * ortho_tol, ortho_tol)
 
 
 def test_distance_bound_cannot_be_set():
-    """dist_tol is read-only and no field: it cannot be passed to the
-    constructor or _replace, nor assigned."""
-    assert Tolerances._fields == ("ortho_tol", "iso_tol")
+    """ortho_tol is the one field; dist_tol and iso_tol are read-only and
+    no fields: neither can be passed to the constructor or _replace, nor
+    assigned."""
+    assert Tolerances._fields == ("ortho_tol",)
     tolerances = Tolerances()
-    with pytest.raises(TypeError):
-        Tolerances(dist_tol=1.0)
-    with pytest.raises(ValueError):
-        tolerances._replace(dist_tol=1.0)
-    with pytest.raises(AttributeError):
-        tolerances.dist_tol = 1.0
+    for name in ("dist_tol", "iso_tol"):
+        with pytest.raises(TypeError):
+            Tolerances(**{name: 1.0})
+        with pytest.raises(ValueError):
+            tolerances._replace(**{name: 1.0})
+        with pytest.raises(AttributeError):
+            setattr(tolerances, name, 1.0)
 
 
 def test_tolerances_round_trip_through_pickle_and_copy():
-    """Tolerances(a, b) is (ortho_tol, iso_tol); pickle, copy and _replace
-    rebuild it with both fields and the derived bound."""
-    tolerances = Tolerances(1e-6, 1e-5)
-    assert (tolerances.ortho_tol, tolerances.iso_tol) == (1e-6, 1e-5)
+    """Tolerances(a) is (ortho_tol,), and a second bound is a TypeError;
+    pickle, copy and _replace rebuild it with its field and the derived
+    bounds."""
+    tolerances = Tolerances(1e-6)
+    assert tuple(tolerances) == (1e-6,)
+    with pytest.raises(TypeError):
+        Tolerances(1e-6, 1e-5)
     for clone in (pickle.loads(pickle.dumps(tolerances)), copy.copy(tolerances),
                   copy.deepcopy(tolerances), tolerances._replace()):
         assert type(clone) is Tolerances and clone == tolerances
-        assert clone.dist_tol == 2e-6
+        assert (clone.dist_tol, clone.iso_tol) == (2e-6, 1e-6)
 
 
 # exact rotations of the identity-factor kinds, with their factors as
@@ -395,8 +402,8 @@ def test_classify_general():
 def test_classify_pair_threshold():
     near_identity = normalize([1.0, 1e-6, 0.0, 0.0])
     R = normalize([1.0, 2.0, 3.0, 4.0])
-    strict = classify_pair(near_identity, R, Tolerances(iso_tol=1e-9))
-    loose = classify_pair(near_identity, R, Tolerances(iso_tol=1e-5))
+    strict = classify_pair(near_identity, R, Tolerances(ortho_tol=1e-9))
+    loose = classify_pair(near_identity, R, Tolerances(ortho_tol=1e-5))
     assert strict.kind is RotationKind.GENERAL
     assert loose.kind is RotationKind.RIGHT_ISOCLINIC
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import isoclinic
 from isoclinic import (DEFAULT_TOLERANCES, DecompositionError, IsoclinicError, ParseError,
-                       Tolerances, ValidationError, _kernel, cli, random_rotation)
+                       Tolerances, ValidationError, _kernel, cli, random_rotation,
+                       random_unit_quaternion, right_matrix)
 from isoclinic.cli import _dumps, build_parser, main, parse_matrix
 
 IDENTITY16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1"
@@ -326,7 +327,32 @@ def test_ortho_tol_moves_the_distance_bound(monkeypatch):
         assert code == 0, out + err
     code, out, _ = run_cli(["decompose", "--json", "--ortho-tol", "1e-6"], noisy, monkeypatch)
     assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-6, "dist_tol": 2e-6,
-                                             "iso_tol": 1e-9}
+                                             "iso_tol": 1e-6}
+
+
+def _noisy_right_isoclinic16():
+    """A seed-5 right-isoclinic rotation plus Gaussian noise of 1e-8: its
+    distance from SO(4) is 3.2e-8."""
+    rng = np.random.default_rng(5)
+    A = right_matrix(random_unit_quaternion(rng)) + 1e-8 * rng.standard_normal((4, 4))
+    return " ".join(map(repr, A.ravel().tolist()))
+
+
+def test_ortho_tol_is_the_trivial_factor_bound(monkeypatch, capsys):
+    """Under --ortho-tol 1e-6 a right-isoclinic rotation with noise of 1e-8
+    validates and is classified right-isoclinic: its left factor is within
+    the budget of 1, which is the trivial-factor bound. --iso-tol, the
+    separate bound it replaces, is an unknown option."""
+    noisy = _noisy_right_isoclinic16()
+    code, out, err = run_cli(["classify", "--ortho-tol", "1e-6"], noisy, monkeypatch)
+    assert code == 0, out + err
+    assert out.splitlines()[0] == "class: right-isoclinic"
+    for command in ("decompose", "classify", "verify"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(noisy))
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--iso-tol", "1e-6"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --iso-tol" in capsys.readouterr().err
 
 
 def test_tolerance_flags_match_tolerances():
@@ -355,7 +381,7 @@ def test_parser_is_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])
-@pytest.mark.parametrize("flag", ["--ortho-tol", "--iso-tol"])
+@pytest.mark.parametrize("flag", ["--ortho-tol"])
 def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, capsys):
     """A NaN bound passed every check (2I was accepted under --ortho-tol
     nan) and a negative one failed exact input (the identity was rejected
@@ -419,18 +445,16 @@ def test_json_reports_are_strict(monkeypatch):
         assert error["type"] == "NotOrthogonalError" and error["tol"] == 1e-9
         assert error["measured"] is None and "= inf" in error["message"]
     for command in ("decompose", "classify", "verify"):
-        for flag, nulls in (("--ortho-tol", ["ortho_tol", "dist_tol"]), ("--iso-tol", ["iso_tol"])):
-            for text, status in ((IDENTITY16, "ok"), ("1e308 " * 16, "rejected")):
-                code, out, _ = run_cli([command, "--json", flag, "inf"], text, monkeypatch)
-                assert code == (0 if status == "ok" else 3)
-                report = json.loads(out, parse_constant=_reject_constant)
-                assert report["status"] == status
-                assert [name for name, bound in report["tolerances"].items()
-                        if bound is None] == nulls
-                if status == "rejected":
-                    # an infinite ortho_tol passes the Gram deviation inf, and
-                    # the NaN determinant is rejected against the bound inf
-                    assert report["error"]["tol"] == (None if "ortho_tol" in nulls else 1e-9)
+        for text, status in ((IDENTITY16, "ok"), ("1e308 " * 16, "rejected")):
+            code, out, _ = run_cli([command, "--json", "--ortho-tol", "inf"], text, monkeypatch)
+            assert code == (0 if status == "ok" else 3)
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert report["status"] == status
+            assert report["tolerances"] == {"ortho_tol": None, "dist_tol": None, "iso_tol": None}
+            if status == "rejected":
+                # an infinite ortho_tol passes the Gram deviation inf, and
+                # the NaN determinant is rejected against the bound inf
+                assert report["error"]["tol"] is None
 
 
 def _finite_or_none(value):
@@ -496,7 +520,7 @@ def _one_parse_main(argv):
     that main's dispatch to the command's own parser must match."""
     args = build_parser().parse_args(cli._attach_vector_values(list(argv)))
     if "ortho_tol" in args:
-        args.tolerances = Tolerances(args.ortho_tol, args.iso_tol)
+        args.tolerances = Tolerances(args.ortho_tol)
     try:
         return args.func(args)
     except (ValidationError, DecompositionError) as exc:

@@ -1,5 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isoclinic import (
     IDENTITY,
@@ -7,19 +11,27 @@ from isoclinic import (
     NotUnitQuaternionError,
     RotationKind,
     SimilarityFrame,
+    Tolerances,
+    ValidationError,
     check_isocliny_preserved,
+    classify,
     conjugate,
     conjugate_factorwise,
     decompose,
+    isoclinic_angle,
     left_matrix,
     make_frame,
     normalize,
     quat_conjugate,
     quat_mul,
     random_rotation,
+    random_unit_quaternion,
     right_matrix,
+    validate_rotation,
     van_elfrinkhof,
 )
+
+seeds = st.integers(0, 2**32 - 1)
 
 
 def test_make_frame_fixed_cases():
@@ -140,8 +152,50 @@ def test_improper_frame_is_detected():
     must trip the invariance check."""
     reflection = np.diag([1.0, 1.0, 1.0, -1.0])
     fake = SimilarityFrame(s=reflection, s_left=IDENTITY, s_right=IDENTITY)
-    with pytest.raises(InvarianceError):
+    with pytest.raises(InvarianceError) as info:
         check_isocliny_preserved(left_matrix([0.0, 1.0, 0.0, 0.0]), fake)
+    assert str(info.value).startswith("rotation kind changed under frame change")
+    assert (info.value.measured, info.value.tol) == (None, None)
+
+
+def test_angle_drift_rejection_carries_drift_and_bound():
+    """A reflection passed as a frame swaps the factor angles of a general
+    rotation, which stays general: the drift rejection carries the drift in
+    measured and the noise budget in tol, through pickling too."""
+    L, R = normalize([1.0, 2.0, 0.0, 1.0]), normalize([3.0, 1.0, 2.0, 2.0])
+    fake = SimilarityFrame(s=np.diag([1.0, 1.0, 1.0, -1.0]), s_left=IDENTITY, s_right=IDENTITY)
+    with pytest.raises(InvarianceError) as info:
+        check_isocliny_preserved(van_elfrinkhof(L, R), fake, Tolerances(1e-6))
+    drift = abs(isoclinic_angle(L) - isoclinic_angle(R))
+    assert info.value.measured == pytest.approx(drift, abs=1e-12)
+    assert info.value.tol == 1e-6
+    assert str(info.value) == (f"factor angles drifted by {info.value.measured:.6g} "
+                               f"under frame change (tolerance 1.0e-06)")
+    twin = pickle.loads(pickle.dumps(info.value))
+    assert (str(twin), twin.measured, twin.tol) == (str(info.value), info.value.measured, 1e-6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeds, st.sampled_from([1e-9, 1e-6, 1e-4, 1e-2]), st.floats(-1.5, -0.3),
+       st.sampled_from([RotationKind.LEFT_ISOCLINIC, RotationKind.RIGHT_ISOCLINIC]))
+def test_noisy_isoclinic_rotation_keeps_its_kind_within_the_budget(seed, budget, k, kind):
+    """A left- or right-isoclinic rotation plus noise of 10^k times the budget
+    that validates under Tolerances(budget) is classified as its kind and
+    passes the invariance check in a Haar-uniform frame: the trivial-factor
+    bound and the allowed angle drift are the budget itself."""
+    rng = np.random.default_rng(seed)
+    q = random_unit_quaternion(rng)
+    exact = left_matrix(q) if kind is RotationKind.LEFT_ISOCLINIC else right_matrix(q)
+    A = exact + 10.0 ** k * budget * rng.standard_normal((4, 4))
+    tolerances = Tolerances(budget)
+    try:
+        validate_rotation(A, tolerances)
+    except ValidationError:
+        assume(False)
+    assert classify(A, tolerances).kind is kind
+    report = check_isocliny_preserved(A, make_frame(random_rotation(rng)), tolerances)
+    assert report.transformed.kind is kind
+    assert report.angle_deviation <= budget
 
 
 def test_non_unit_frame_factor_is_rejected():

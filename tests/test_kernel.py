@@ -181,8 +181,8 @@ def trivial_deviation_loop(q):
 
 
 def classify_loop(L, R, tolerances):
-    left_trivial = trivial_deviation_loop(L) <= tolerances.iso_tol
-    right_trivial = trivial_deviation_loop(R) <= tolerances.iso_tol
+    left_trivial = trivial_deviation_loop(L) <= tolerances.ortho_tol
+    right_trivial = trivial_deviation_loop(R) <= tolerances.ortho_tol
     if left_trivial and right_trivial:
         kind = RotationKind.IDENTITY if L[0] * R[0] > 0 else RotationKind.CENTRAL_REVERSION
     elif right_trivial:
@@ -281,7 +281,7 @@ def test_generated_functions_are_compiled_from_the_table():
 
 # components that decide the sign rule and the classification: signed zeros,
 # the sign anchor's bound and its neighbours, +/-1 and components off them by
-# about iso_tol, besides any float
+# about the default budget, besides any float
 sign_components = st.sampled_from([
     0.0, -0.0, SIGN_TOL, -SIGN_TOL, math.nextafter(SIGN_TOL, 1.0), -math.nextafter(SIGN_TOL, 1.0),
     math.nextafter(SIGN_TOL, 0.0), 1.0, -1.0, 0.5, -0.5, 1e-9, -1e-9, 1.0 - 1e-9, -1.0 + 1e-9,
@@ -305,8 +305,9 @@ unit_factors = st.builds(unit_factor, seeds, st.booleans(),
 basis_factors = st.builds(lambda k, sign, zeros: [sign * (n == k) or zero for n, zero in enumerate(zeros)],
                           st.integers(0, 3), st.sampled_from([1.0, -1.0]),
                           st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4))
-iso_tolerances = st.sampled_from([Tolerances(), Tolerances(iso_tol=0.0),
-                                  Tolerances(iso_tol=1e-6), Tolerances(iso_tol=math.inf)])
+# the trivial-factor bound iso_tol is ortho_tol: four budgets, four bounds
+iso_tolerances = st.sampled_from([Tolerances(), Tolerances(ortho_tol=0.0),
+                                  Tolerances(ortho_tol=1e-6), Tolerances(ortho_tol=math.inf)])
 
 
 @settings(deadline=None, max_examples=600)

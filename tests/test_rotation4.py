@@ -83,11 +83,13 @@ def test_van_elfrinkhof_matches_matrix_product(seed):
 
 
 def test_composition_table():
-    """Column 4*i + j is the matrix of P -> e_i*P*e_j, and B^T B = 4I."""
+    """Column 4*i + j is the matrix of P -> e_i*P*e_j, and B^T B = 4I; the
+    expected columns come from the oracle, since left_matrix and right_matrix
+    are read off the table itself."""
     basis = np.eye(4)
     for i in range(4):
         for j in range(4):
-            expected = left_matrix(basis[i]) @ right_matrix(basis[j])
+            expected = bilinear_composition(basis[i], basis[j])
             assert np.array_equal(COMPOSITION_TABLE[:, 4 * i + j].reshape(4, 4), expected)
     assert np.array_equal(COMPOSITION_TABLE.T @ COMPOSITION_TABLE, 4.0 * np.eye(16))
 
