@@ -245,12 +245,12 @@ class RotationClass(NamedTuple):
 # operations. Their source is written out below from TABLE at import, and
 # each runs on unpacked locals: no index tuple is read at run time and no
 # list is built between the associate matrix and the read-off. Each entry of
-# M keeps the 0.25 weight on every term, since a sum of quarters of four
-# finite floats cannot overflow where a quarter of their sum can. The sign
-# rule and the checks on a quaternion are written out once each, on named
-# locals, and spliced into every function that runs them. The bound tests of
-# decompose and of the unit check read `not measured <= bound`, so a NaN
-# measure fails them.
+# A is quartered once, and each entry of M sums four of those quarters, since
+# a sum of quarters of four finite floats cannot overflow where a quarter of
+# their sum can. The sign rule and the checks on a quaternion are written out
+# once each, on named locals, and spliced into every function that runs
+# them. The bound tests of decompose and of the unit check read
+# `not measured <= bound`, so a NaN measure fails them.
 
 def _by(side):
     """Each row (side=0) or column (side=1) of B as the (index along the
@@ -323,24 +323,31 @@ _SIGN = f"""
 _L = "l0, l1, l2, l3"
 _R = "r0, r1, r2, r3"
 _M = ", ".join(f"m{k}" for k in range(16))
-# the entries m0..m15 of M = B^T vec(A) / 4, row-major, from a0..a15: each a
-# signed quarter-sum added in index order after a leading 0.0, as numpy's
-# product with B^T / 4 adds it; subtracting a term rounds as adding its
-# negation does
+# the entries m0..m15 of M = B^T vec(A) / 4, row-major, from a0..a15: the
+# quarters q0..q15 of the entries, then for each entry of M a signed sum of
+# four of them added in index order after a leading 0.0, as numpy's product
+# with B^T / 4 adds it; q_k is the product 0.25 * a_k that product forms, and
+# subtracting a term rounds as adding its negation does
 _ASSOCIATE = "\n    " + ", ".join(f"a{k}" for k in range(16)) + " = a" + "".join(
-    f"\n    m{c} = 0.0" + "".join(f" {'-+'[s > 0]} 0.25 * a{k}" for k, s in terms)
+    f"\n    q{k} = 0.25 * a{k}" for k in range(16)) + "".join(
+    f"\n    m{c} = 0.0" + "".join(f" {'-+'[s > 0]} q{k}" for k, s in terms)
     for c, terms in enumerate(_by(1)))
 # the read-off from m0..m15 to the unit pair l0..l3, r0..r3 and the distance
-# d = 2 ||M - outer(L, R)||_F. L starts as the column of the first entry of
-# largest magnitude in row-major order (max keeps the first maximal item, and
-# no earlier entry equals it). One alternating step, R = M^T L and L = M R,
-# each normalized, moves the pair to the top singular pair of a nearly rank-1
-# M and gives outer(L, R) the sign of M. Each sum adds in index order after a
-# leading 0.0, so a sum of negative zeros is +0.0 and the factors keep their
-# signs of zero.
+# d = 2 ||M - outer(L, R)||_F. L starts as column j of the first entry of
+# largest magnitude in row-major order, found by a scan that keeps the
+# largest |m_k| so far in b and moves only on a strictly larger one, so a
+# later entry that ties it is passed over, as max() passes it over; the norm
+# check has already rejected an M with an inf or NaN entry. One alternating
+# step, R = M^T L and L = M R, each normalized, moves the pair to the top
+# singular pair of a nearly rank-1 M and gives outer(L, R) the sign of M.
+# Each sum adds in index order after a leading 0.0, so a sum of negative
+# zeros is +0.0 and the factors keep their signs of zero.
 _READ_OFF = (
-    f"\n    m = {_M}"
-    "\n    l0, l1, l2, l3 = m[m.index(max(m, key=abs)) % 4::4]" + _unit("l")
+    "\n    b = abs(m0)\n    j = 0" + "".join(
+        f"\n    x = abs(m{k})\n    if x > b:\n        b, j = x, {k % 4}" for k in range(1, 16))
+    + "\n    l0, l1, l2, l3 = " + " else ".join(
+        f"(m{j}, m{j + 4}, m{j + 8}, m{j + 12}) if j == {j}" for j in range(3))
+    + " else (m3, m7, m11, m15)" + _unit("l")
     + "".join(f"\n    r{j} = 0.0" + "".join(f" + m{4 * i + j} * l{i}" for i in range(4))
               for j in range(4)) + _unit("r")
     + "".join(f"\n    l{i} = 0.0" + "".join(f" + m{4 * i + j} * r{j}" for j in range(4))

@@ -42,19 +42,23 @@ class SimilarityFrame(NamedTuple):
 
 
 def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFrame:
-    """Decompose the frame rotation S and keep its canonical factors."""
+    """Decompose the frame rotation S and keep a copy of it with its
+    canonical factors, so that a later change to the caller's array does
+    not part S from its factors."""
     import numpy as np
     S, entries = _mat4(S)
     L, R, *_ = _kernel.decompose(entries, tolerances)
-    return SimilarityFrame(s=S, s_left=np.array(L), s_right=np.array(R))
+    return SimilarityFrame(s=S.copy(), s_left=np.array(L), s_right=np.array(R))
 
 
 def conjugate(A, frame: SimilarityFrame) -> np.ndarray:
     """Matrix of the rotation A expressed in the rotated frame: S^T A S.
 
-    The transpose is the exact inverse because S is orthogonal.
+    S^T stands in for the inverse of S, which it is only to within the
+    tolerance the frame was made under: make_frame accepts any S within
+    dist_tol of a rotation, not only an orthogonal one.
     """
-    return frame.s.T @ as_mat4(A) @ frame.s
+    return frame.s.T.dot(as_mat4(A)).dot(frame.s)
 
 
 def conjugate_factorwise(A, frame: SimilarityFrame,
@@ -99,7 +103,7 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
     A, entries = _mat4(A)
     L, R, *_ = _kernel.decompose(entries, tolerances)
     original = _kernel.classify(L, R, tolerances)
-    transformed = classify(frame.s.T @ A @ frame.s, tolerances)
+    transformed = classify(frame.s.T.dot(A).dot(frame.s), tolerances)
     angle_deviation = max(
         abs(original.left_angle - transformed.left_angle),
         abs(original.right_angle - transformed.right_angle),

@@ -50,6 +50,30 @@ def test_make_frame_round_trip():
         assert np.max(np.abs(van_elfrinkhof(frame.s_left, frame.s_right) - S)) <= 1e-12
 
 
+def test_frame_keeps_its_own_copy_of_s():
+    """A frame holds S as it was decomposed: writing to the caller's array
+    afterwards changes neither frame.s nor the conjugation, which agrees
+    with the factorwise one as before."""
+    S = random_rotation(44)
+    frame = make_frame(S)
+    original = S.copy()
+    S[:] = np.eye(4)
+    assert np.array_equal(frame.s, original)
+    A = random_rotation(45)
+    assert np.max(np.abs(conjugate(A, frame) - conjugate_factorwise(A, frame))) <= 1e-14
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeds, seeds)
+def test_conjugate_is_the_matrix_product(seed_a, seed_s):
+    """conjugate(A, frame) is numpy's S^T A S, formed by np.matmul, to within
+    4 eps ||A||_F in every entry, whichever product routine computes it."""
+    A, S = random_rotation(seed_a), random_rotation(seed_s)
+    expected = np.matmul(np.matmul(S.T, A), S)
+    bound = 4 * np.finfo(float).eps * np.linalg.norm(A)
+    assert np.max(np.abs(conjugate(A, make_frame(S)) - expected)) <= bound
+
+
 def test_conjugate_trivial_cases():
     A = random_rotation(31)
     assert np.array_equal(conjugate(A, make_frame(np.eye(4))), A)

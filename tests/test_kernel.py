@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
@@ -242,8 +242,24 @@ quaternions = st.lists(st.floats(allow_nan=False, width=64) | st.sampled_from([0
                        min_size=4, max_size=4)
 
 
+# inputs whose M ties in its largest magnitude, so that the read-off's
+# start column rests on the first-maximum rule: the rotation of L = R =
+# (1/2, -1/2, 1/2, -1/2), all 16 |m| = 1/4 with mixed signs; a Hadamard
+# reflection, all 16 |m| = 1/4 and m0 = -1/4, where the start column moves
+# the factors; and diag(-1, -1, -1, 1), |m| = 1/2 first as -1/2 at m0 and
+# later as +1/2 at m5
+TIED_ROTATION = bilinear_composition([0.5, -0.5, 0.5, -0.5], [0.5, -0.5, 0.5, -0.5]).ravel().tolist()
+TIED_REFLECTION = [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5, -0.5,
+                   0.5, 0.5, -0.5, -0.5, -0.5, 0.5, 0.5, -0.5]
+NEGATIVE_FIRST = [-1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0,
+                  0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+
 @settings(deadline=None, max_examples=600)
 @given(bit_inputs, tolerance_sets)
+@example(TIED_ROTATION, Tolerances())
+@example(TIED_REFLECTION, Tolerances(ortho_tol=math.inf))
+@example(NEGATIVE_FIRST, Tolerances(ortho_tol=math.inf))
 def test_generated_kernel_matches_the_loop_reference(a, tolerances):
     """associate and decompose give the loop reference's floats
     bit for bit, signs of zero included, or raise its error type with its
