@@ -12,6 +12,9 @@ row-major order, each read by float(), so "+1", ".5" and "1_0" are reals.
 --left and --right take 4 such tokens, separated by commas or spaces. Every
 number must be finite. All numbers are printed with repr, the shortest
 decimal that round-trips binary64, so piping output back in is lossless.
+Under --json each result is one line of strict JSON (JSON Lines): a
+report, or for compose and generate a {"matrix": ...} record per matrix,
+the form decompose reads.
 
 Exit codes: 0 success, 1 decomposition failure, 2 parse or usage error,
 3 validation failure (non-rotation input or zero quaternion), 141 (128 +
@@ -26,7 +29,6 @@ import json
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from . import _kernel
 from ._kernel import DEFAULT_TOLERANCES, Tolerances
@@ -63,28 +65,22 @@ def _exit_code(exc: IsoclinicError) -> int:
     return EXIT_DECOMPOSITION
 
 
-def _dumps(value, indent="\n") -> str:
-    """value as json.dumps(value, indent=2) writes it, byte for byte, except
-    that a float that is not finite is null: strict JSON (RFC 8259) has no
-    Infinity or NaN. Takes dicts with str keys, lists, tuples, str, float,
-    int, bool and None; json's C encoder serves no indented output."""
+def _dumps(value) -> str:
+    """value as one line of strict JSON (RFC 8259): json.dumps(value), with
+    each float that is not finite written as null, since strict JSON has no
+    Infinity or NaN."""
+    return json.dumps(_finite(value), allow_nan=False)
+
+
+def _finite(value):
+    """value with each float that is not finite replaced by None."""
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)  # int, bool or None
-    inner = indent + "  "
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}"
-                 for key, item in value.items()]
-        brackets = "{}"
-    else:
-        items = [_dumps(item, inner) for item in value]
-        brackets = "[]"
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def _bounds(tolerances) -> dict:
@@ -233,13 +229,8 @@ def cmd_generate(args) -> int:
     # the only command that builds arrays, so the only one that imports numpy
     import numpy as np
     rng = np.random.default_rng(args.seed)
-    matrices = [random_rotation(rng).ravel().tolist() for _ in range(args.count)]
-    if args.json:
-        rows = [[A[i:i + 4] for i in range(0, 16, 4)] for A in matrices]
-        print(_dumps({"matrices": rows}))
-    else:
-        for A in matrices:
-            print(_matrix_line(A))
+    for _ in range(args.count):
+        _emit_matrix(random_rotation(rng).ravel().tolist(), args.json)
     return EXIT_OK
 
 
@@ -277,14 +268,17 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("count must be >= 1")
-    return value
+def _int_from(low: int):
+    """argparse type of an integer flag whose values start at low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _ortho_tol(text: str) -> float:
@@ -326,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true",
-                           help="emit a JSON report instead of plain text")
+                           help="write each result as one line of JSON instead of plain text")
 
     p = subparsers.add_parser(
         "decompose", parents=[matrix_input, tolerance_flags, json_flag],
@@ -345,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "generate", parents=[json_flag],
         help="emit seeded uniform random rotation matrices")
-    p.add_argument("--seed", type=int, required=True, help="generator seed")
-    p.add_argument("--count", type=_positive_int, default=1,
+    p.add_argument("--seed", type=_int_from(0), required=True, help="generator seed")
+    p.add_argument("--count", type=_int_from(1), default=1,
                    help="number of matrices (default 1)")
     p.set_defaults(func=cmd_generate)
 

@@ -43,12 +43,15 @@ class SimilarityFrame(NamedTuple):
 
 def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFrame:
     """Decompose the frame rotation S and keep a copy of it with its
-    canonical factors, so that a later change to the caller's array does
-    not part S from its factors."""
+    canonical factors, all three read-only, so that no later write, to the
+    caller's array or to the frame's, parts S from its factors."""
     import numpy as np
     S, entries = _mat4(S)
     L, R, *_ = _kernel.decompose(entries, tolerances)
-    return SimilarityFrame(s=S.copy(), s_left=np.array(L), s_right=np.array(R))
+    frame = SimilarityFrame(s=S.copy(), s_left=np.array(L), s_right=np.array(R))
+    for array in frame:
+        array.setflags(write=False)
+    return frame
 
 
 def conjugate(A, frame: SimilarityFrame) -> np.ndarray:

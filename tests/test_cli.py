@@ -178,11 +178,15 @@ def test_generate_output_is_a_rotation():
 
 
 def test_generate_json():
+    """generate --json writes one {"matrix": ...} record per line, the
+    floats of plain generate bit for bit."""
     code, out, _ = run_cli(["generate", "--seed", "1", "--count", "2", "--json"])
     assert code == 0
-    matrices = json.loads(out)["matrices"]
-    assert len(matrices) == 2
-    assert np.array(matrices[0]).shape == (4, 4)
+    _, plain, _ = run_cli(["generate", "--seed", "1", "--count", "2"])
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [list(record) for record in records] == [["matrix"], ["matrix"]]
+    assert ([[x.hex() for row in record["matrix"] for x in row] for record in records]
+            == [[float(x).hex() for x in line.split()] for line in plain.splitlines()])
 
 
 def test_verify_identity(monkeypatch):
@@ -486,32 +490,18 @@ def _values(floats):
         max_leaves=30)
 
 
-_matrix_rows = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4)
-_generated = st.fixed_dictionaries(
-    {"matrices": st.lists(st.lists(_matrix_rows, min_size=4, max_size=4), max_size=3)})
-
-
-@settings(deadline=None, max_examples=400)
-@given(_values(st.floats(allow_nan=False, allow_infinity=False)) | _generated)
-@example({})
-@example([])
-@example({"a": [], "b": {}, "c": [{}], "d": ()})
-@example({"matrices": [np.eye(4).tolist(), (-np.eye(4)).tolist()]})
-def test_dumps_writes_what_json_dumps_writes(value):
-    """The report writer writes finite values byte for byte as
-    json.dumps(value, indent=2) does."""
-    assert _dumps(value) == json.dumps(value, indent=2)
-
-
 @settings(deadline=None, max_examples=400)
 @given(_values(st.floats()))
 @example([math.nan, math.inf, -math.inf])
 @example({"measured": math.inf, "tolerances": {"ortho_tol": math.inf, "iso_tol": 1e-9}})
+@example({"a": [], "b": {}, "c": [{}], "d": ()})
 def test_dumps_writes_non_finite_floats_as_null(value):
-    """A float that is not finite is written as null, where json.dumps
-    would write NaN or Infinity, which strict JSON has not."""
+    """The report writer writes one line, json.dumps(value) with each float
+    that is not finite written as null, where json.dumps would write NaN or
+    Infinity, which strict JSON has not."""
     text = _dumps(value)
-    assert text == json.dumps(_finite_or_none(value), indent=2)
+    assert "\n" not in text
+    assert text == json.dumps(_finite_or_none(value))
     assert json.loads(text, parse_constant=_reject_constant) == _finite_or_none(value)
 
 
@@ -544,6 +534,7 @@ DISPATCH_ARGV = [
     ["compose", "--left", "1 0 0 0"], ["compose", "--left", "1 0 0", "--right", "1 0 0 0"],
     ["generate", "--seed", "3", "--count", "2"], ["generate", "--seed", "3", "--json"],
     ["generate", "--seed", "x"], ["generate", "--seed", "1", "--count", "0"],
+    ["generate", "--seed", "-1"],
     ["--json", "decompose"], ["decompose", "a.txt", "b.txt"], ["decompose", "--dist-tol", "1"],
     ["decompose", "--ortho-tol", "nan"], ["verify", "--iso-tol", "-1"],
     ["classify", "--ortho-tol", "abc"], ["verify", "--ortho-tol"], ["decompose", "-x"],
@@ -614,16 +605,19 @@ def child_env():
     return env
 
 
+def run_fresh(command, *args, stdin=None):
+    """stdout of `command args` in a fresh process, which must exit 0."""
+    proc = subprocess.run([*command, *args], input=stdin, env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def assert_round_trip(command):
     """generate, decompose --json and compose, each in a fresh process started
     as `command`, rebuild the generated matrix to within 1e-11."""
-    env = child_env()
-
     def run(*args, stdin=None):
-        proc = subprocess.run([*command, *args], input=stdin, env=env,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+        return run_fresh(command, *args, stdin=stdin)
 
     generated = run("generate", "--seed", "123")
     report = json.loads(run("decompose", "--json", stdin=generated))
@@ -639,6 +633,25 @@ def test_console_script_round_trip():
     """End-to-end through the declared console-script entry point: generate,
     decompose, compose, and compare the matrices."""
     assert_round_trip(ENTRYPOINT)
+
+
+def test_generated_record_pipes_into_decompose():
+    """generate --json writes the record decompose reads: piped between two
+    fresh processes it gives the report that plain generate's line gives."""
+    reports = [run_fresh(ENTRYPOINT, "decompose", "--json",
+                         stdin=run_fresh(ENTRYPOINT, "generate", "--seed", "7", *flag))
+               for flag in (["--json"], [])]
+    assert reports[0] == reports[1]
+    assert reports[0].count("\n") == 1 and json.loads(reports[0])["status"] == "ok"
+
+
+def test_generate_rejects_a_negative_seed():
+    """--seed -1 is a usage error, as --count 0 is: exit 2 and an argparse
+    message naming the flag, not numpy's traceback."""
+    proc = subprocess.run([*ENTRYPOINT, "generate", "--seed", "-1"], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--seed" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_console_script_declared():

@@ -63,6 +63,20 @@ def test_frame_keeps_its_own_copy_of_s():
     assert np.max(np.abs(conjugate(A, frame) - conjugate_factorwise(A, frame))) <= 1e-14
 
 
+def test_frame_arrays_are_read_only():
+    """No write through the frame parts S from its factors: s, s_left and
+    s_right each refuse one, and the two conjugations still agree."""
+    S = random_rotation(46)
+    frame = make_frame(S)
+    for array, value in ((frame.s, np.eye(4)), (frame.s_left, IDENTITY),
+                         (frame.s_right, IDENTITY)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = value
+    assert np.array_equal(frame.s, S)
+    A = random_rotation(47)
+    assert np.max(np.abs(conjugate(A, frame) - conjugate_factorwise(A, frame))) <= 1e-14
+
+
 @settings(deadline=None, max_examples=200)
 @given(seeds, seeds)
 def test_conjugate_is_the_matrix_product(seed_a, seed_s):
