@@ -4,10 +4,11 @@ Subcommands: decompose, compose, generate, verify, classify. The three
 checking commands, decompose, verify and classify, run one pipeline
 (validate, decompose, classify) and differ only in what they print; a
 rejection is reported, and exits, the same from each. Matrices come from
-a file path or stdin. Input whose first nonblank character is '{' is JSON
-(RFC 8259): an object whose "matrix" is 4 arrays of 4 JSON numbers, row by
-row; a boolean, string, null, object or other array in a number's place is a
-parse error. Any other input is plain16: 16 whitespace-separated tokens in
+a file path or stdin, and one leading byte-order mark (U+FEFF) is dropped.
+Input whose first nonblank character is '{' is JSON (RFC 8259): an object
+whose "matrix" is 4 arrays of 4 JSON numbers, row by row; a boolean,
+string, null, object or other array in a number's place is a parse
+error. Any other input is plain16: 16 whitespace-separated tokens in
 row-major order, each read by float(), so "+1", ".5" and "1_0" are reals.
 --left and --right take 4 such tokens, separated by commas or spaces. Every
 number must be finite. All numbers are printed with repr, the shortest
@@ -65,11 +66,19 @@ def _exit_code(exc: IsoclinicError) -> int:
     return EXIT_DECOMPOSITION
 
 
+# built once per process: json.dumps(allow_nan=False) builds a new encoder per call
+_STRICT = json.JSONEncoder(allow_nan=False)
+
+
 def _dumps(value) -> str:
     """value as one line of strict JSON (RFC 8259): json.dumps(value), with
     each float that is not finite written as null, since strict JSON has no
-    Infinity or NaN."""
-    return json.dumps(_finite(value), allow_nan=False)
+    Infinity or NaN. The encoder refuses such a float, and only then is the
+    value walked to replace it."""
+    try:
+        return _STRICT.encode(value)
+    except ValueError:
+        return _STRICT.encode(_finite(value))
 
 
 def _finite(value):
@@ -84,12 +93,16 @@ def _finite(value):
 
 
 def _bounds(tolerances) -> dict:
-    return {name: getattr(tolerances, name) for name in ("ortho_tol", "dist_tol", "iso_tol")}
+    return {"ortho_tol": tolerances.ortho_tol, "dist_tol": tolerances.dist_tol,
+            "iso_tol": tolerances.iso_tol}
 
 
 def parse_matrix(text: str) -> list:
     """The 16 entries, in row-major order, of one matrix in JSON or plain16
     form, read by the grammar the module docstring states."""
+    # a byte-order mark, as some editors save it, is no part of either form
+    # (RFC 8259 section 8.1 lets a JSON parser ignore it)
+    text = text.removeprefix("\ufeff")
     if text.lstrip()[:1] == "{":
         try:
             # every JSON number a float: an integer too long for int() is inf
@@ -127,10 +140,12 @@ def _reals(tokens, count, flag=None) -> list:
         where = f"{flag}: " if flag else ""
         raise ParseError(f"{where}expected {count} numbers, got {len(tokens)}")
     try:
-        values = [float(t) for t in tokens]
+        values = list(map(float, tokens))
     except ValueError as exc:
         raise ParseError(f"non-numeric token in {flag or 'input'}: {exc}") from exc
-    if not all(map(math.isfinite, values)):
+    # the sum of finite floats is finite unless it overflows, and an inf or
+    # NaN makes it inf or NaN, so the entries are scanned only after that
+    if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
         raise ParseError(f"{flag or 'matrix'} entries must be finite")
     return values
 

@@ -29,7 +29,9 @@ class SimilarityFrame(NamedTuple):
 
     Either sign choice of the pair gives the same conjugation, since S
     itself is unchanged by the joint flip. Equality and hashing are by
-    identity, as for IsoclinicDecomposition.
+    identity, as for IsoclinicDecomposition. A copy, by pickle or by the
+    copy module, is rebuilt with its arrays read-only, as make_frame makes
+    them: numpy unpickles an array writable.
     """
 
     s: np.ndarray
@@ -40,6 +42,17 @@ class SimilarityFrame(NamedTuple):
     __ne__ = object.__ne__
     __hash__ = object.__hash__
 
+    def __reduce__(self):
+        return _read_only_frame, tuple(self)
+
+
+def _read_only_frame(s, s_left, s_right) -> SimilarityFrame:
+    """The frame of the three arrays, each marked read-only."""
+    frame = SimilarityFrame(s, s_left, s_right)
+    for array in frame:
+        array.setflags(write=False)
+    return frame
+
 
 def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFrame:
     """Decompose the frame rotation S and keep a copy of it with its
@@ -48,10 +61,7 @@ def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFram
     import numpy as np
     S, entries = _mat4(S)
     L, R, *_ = _kernel.decompose(entries, tolerances)
-    frame = SimilarityFrame(s=S.copy(), s_left=np.array(L), s_right=np.array(R))
-    for array in frame:
-        array.setflags(write=False)
-    return frame
+    return _read_only_frame(S.copy(), np.array(L), np.array(R))
 
 
 def conjugate(A, frame: SimilarityFrame) -> np.ndarray:

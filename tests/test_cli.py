@@ -154,7 +154,8 @@ def test_compose_bad_arity():
     ParseError names the flag."""
     for left, message in (("1 0 0", "error: --left: expected 4 numbers, got 3\n"),
                           ("1 0 0 one", "error: non-numeric token in --left: "),
-                          ("1 0 0 nan", "error: --left entries must be finite\n")):
+                          ("1 0 0 nan", "error: --left entries must be finite\n"),
+                          ("inf,0,0,0", "error: --left entries must be finite\n")):
         code, out, err = run_cli(["compose", "--left", left, "--right", "1 0 0 0"])
         assert code == 2 and out == "" and err.startswith(message), err
 
@@ -495,6 +496,7 @@ def _values(floats):
 @example([math.nan, math.inf, -math.inf])
 @example({"measured": math.inf, "tolerances": {"ortho_tol": math.inf, "iso_tol": 1e-9}})
 @example({"a": [], "b": {}, "c": [{}], "d": ()})
+@example({"checks": [{"measured": math.nan}, 1.0]})
 def test_dumps_writes_non_finite_floats_as_null(value):
     """The report writer writes one line, json.dumps(value) with each float
     that is not finite written as null, where json.dumps would write NaN or
@@ -781,6 +783,13 @@ PARSE_TABLE = {
     "plain16, Infinity token": ("0 " * 15 + "-Infinity", 2, NOT_FINITE),
     "plain16, 1e400": ("1e400 " + "0 " * 15, 2, NOT_FINITE),
     "plain16, word": ("x " + "0 " * 15, 2, "error: non-numeric token in input"),
+    # the sum of inf and -inf is NaN; that of sixteen 1e308 overflows, though
+    # each is finite, so the text parses and validation rejects the matrix
+    "plain16, inf and -inf": ("inf -inf " + "0 " * 14, 2, NOT_FINITE),
+    "plain16, sum past the float range": ("1e308 " * 16, 3, "rejected: matrix is not orthogonal"),
+    # one leading byte-order mark is dropped, as RFC 8259 lets a parser do
+    "byte-order mark, plain16": ("\ufeff" + IDENTITY16, 0, ""),
+    "byte-order mark, JSON": ("\ufeff" + _json(np.eye(4).tolist()), 0, ""),
 }
 
 

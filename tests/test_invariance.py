@@ -1,3 +1,4 @@
+import copy
 import pickle
 
 import numpy as np
@@ -75,6 +76,22 @@ def test_frame_arrays_are_read_only():
     assert np.array_equal(frame.s, S)
     A = random_rotation(47)
     assert np.max(np.abs(conjugate(A, frame) - conjugate_factorwise(A, frame))) <= 1e-14
+
+
+@pytest.mark.parametrize("duplicate", [lambda frame: pickle.loads(pickle.dumps(frame)),
+                                       copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_copied_frame_arrays_stay_read_only(duplicate):
+    """A frame copied by pickle or by the copy module holds the same bits,
+    and each of its arrays refuses a write as make_frame's do."""
+    frame = make_frame(random_rotation(48))
+    twin = duplicate(frame)
+    assert type(twin) is SimilarityFrame
+    for original, array in zip(frame, twin):
+        assert array.tobytes() == original.tobytes()
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
 
 
 @settings(deadline=None, max_examples=200)
