@@ -19,12 +19,10 @@ from .associate import (
     Tolerances,
     associate_matrix,
     associate_norm,
-    canonical_pair,
     classify,
     classify_pair,
     decompose,
     max_abs_minor,
-    minor_2x2,
 )
 from .errors import (
     DecompositionError,
@@ -53,9 +51,7 @@ from .quat import (
     isoclinic_angle,
     left_matrix,
     normalize,
-    quat_conjugate,
     quat_mul,
-    quat_norm,
     random_unit_quaternion,
     right_matrix,
 )
@@ -63,21 +59,10 @@ from .rotation4 import random_rotation, validate_rotation, van_elfrinkhof
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    # IDENTITY is an ndarray that quat builds on first use
-    if name == "IDENTITY":
-        from . import quat
-
-        return quat.IDENTITY
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DEFAULT_TOLERANCES",
     "DecompositionError",
     "DegenerateNormError",
-    "IDENTITY",
     "InvarianceError",
     "InvarianceReport",
     "IsoclinicDecomposition",
@@ -97,7 +82,6 @@ __all__ = [
     "ZeroQuaternionError",
     "associate_matrix",
     "associate_norm",
-    "canonical_pair",
     "check_isocliny_preserved",
     "classify",
     "classify_pair",
@@ -108,11 +92,8 @@ __all__ = [
     "left_matrix",
     "make_frame",
     "max_abs_minor",
-    "minor_2x2",
     "normalize",
-    "quat_conjugate",
     "quat_mul",
-    "quat_norm",
     "random_rotation",
     "random_unit_quaternion",
     "right_matrix",

@@ -10,7 +10,7 @@ the Frobenius distance from A to the rotation they generate. Any matrix
 not close to a 4D rotation is rejected instead of producing garbage.
 
 The factor pair is unique only up to a joint sign flip: (L, R) and
-(-L, -R) produce the same rotation. ``canonical_pair`` picks the
+(-L, -R) produce the same rotation. ``decompose`` returns the
 representative whose first left component above SIGN_TOL in magnitude is
 positive; the other decomposition is always the negated pair.
 
@@ -37,27 +37,15 @@ def associate_matrix(A) -> np.ndarray:
 
     The adjoint of ``van_elfrinkhof``'s table, divided by 4: linear in A,
     each entry a signed quarter-sum of four entries of A. For the matrix
-    of P -> L*P*R the result is exactly column(L) * row(R).
+    of P -> L*P*R the result is column(L) * row(R), to rounding.
     """
     import numpy as np
     return np.array(_kernel.associate(_mat4(A)[1])).reshape(4, 4)
 
 
 def associate_norm(M) -> float:
-    """Frobenius norm; exactly 1 when M comes from a rotation matrix."""
+    """Frobenius norm; 1, to rounding, when M comes from a rotation matrix."""
     return math.hypot(*_mat4(M)[1])
-
-
-def minor_2x2(M, i: int, j: int, k: int, l: int) -> float:
-    """2x2 minor on rows i < j and columns k < l: m_ik*m_jl - m_jk*m_il."""
-    import numpy as np
-    for name, idx in (("i", i), ("j", j), ("k", k), ("l", l)):
-        if not isinstance(idx, (int, np.integer)) or not 0 <= idx <= 3:
-            raise IndexError(f"index {name}={idx!r} not in 0..3")
-    if not (i < j and k < l):
-        raise IndexError(f"need i<j and k<l, got rows ({i},{j}) cols ({k},{l})")
-    m = _mat4(M)[1]
-    return m[4 * i + k] * m[4 * j + l] - m[4 * j + k] * m[4 * i + l]
 
 
 def max_abs_minor(M) -> float:
@@ -66,18 +54,6 @@ def max_abs_minor(M) -> float:
     A minor whose products overflow reads inf.
     """
     return _kernel.max_minor(_mat4(M)[1])
-
-
-def canonical_pair(L, R):
-    """Resolve the joint sign: first left component above SIGN_TOL is positive.
-
-    Scans L as (w, x, y, z); if the anchoring component is negative, both
-    quaternions are negated. A unit quaternion always has a component of
-    magnitude at least 1/2, so an anchor exists.
-    """
-    import numpy as np
-    L, R = _kernel.canonical(_floats(L), _floats(R))
-    return np.array(L), np.array(R)
 
 
 class IsoclinicDecomposition(NamedTuple):

@@ -22,17 +22,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def __getattr__(name):
-    # IDENTITY is an ndarray, built on first use so importing the module
-    # does not import numpy
-    if name == "IDENTITY":
-        import numpy as np
-        global IDENTITY
-        IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
-        return IDENTITY
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _coerce(x, shape, noun, parts):
     """x coerced through numpy to a float array of the given shape with finite
     entries: the array and its entries as a row-major list.
@@ -63,16 +52,6 @@ def quat_mul(lhs, rhs) -> np.ndarray:
     """Hamilton product lhs * rhs."""
     import numpy as np
     return np.array(_kernel.hamilton(_floats(lhs), _floats(rhs)))
-
-
-def quat_conjugate(q) -> np.ndarray:
-    """Negate the vector part; q * conj(q) = (|q|^2, 0, 0, 0)."""
-    import numpy as np
-    return np.array(_kernel.conjugate(_floats(q)))
-
-
-def quat_norm(q) -> float:
-    return math.hypot(*_floats(q))
 
 
 def normalize(q) -> np.ndarray:

@@ -3,9 +3,10 @@
 A rotation here is an orthogonal 4x4 matrix with determinant +1, acting on
 column vectors (w, x, y, z) of R^4. Every such matrix is the matrix of a
 two-sided quaternion map P -> L*P*R, which is linear in the outer product
-of L and R; ``COMPOSITION_TABLE`` is that linear map. The checks and the
-composition run in ``_kernel`` on Python floats; numpy is imported by the
-functions that take or return arrays, not by importing this module.
+of L and R; the composition table ``_kernel.TABLE`` is that linear map. The
+checks and the composition run in ``_kernel`` on Python floats; numpy is
+imported by the functions that take or return arrays, not by importing this
+module.
 """
 
 from __future__ import annotations
@@ -14,26 +15,10 @@ from typing import TYPE_CHECKING
 
 from . import _kernel
 from ._kernel import DEFAULT_TOLERANCES, Tolerances
-from .quat import _coerce, _floats, normalize
+from .quat import _coerce, _floats, random_unit_quaternion
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def __getattr__(name):
-    # COMPOSITION_TABLE, the 16x16 table B of _kernel.TABLE as an ndarray:
-    # column 4*i + j is the row-major matrix of P -> e_i*P*e_j, so the matrix
-    # of P -> L*P*R is B @ vec(outer(L, R)); its entries are 0 and +/-1 and
-    # B^T B = 4I. Built on first use so importing the module does not
-    # import numpy.
-    if name == "COMPOSITION_TABLE":
-        import numpy as np
-        global COMPOSITION_TABLE
-        COMPOSITION_TABLE = np.zeros((16, 16))
-        for row, column, sign in _kernel.TABLE:
-            COMPOSITION_TABLE[row, column] = sign
-        return COMPOSITION_TABLE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def as_mat4(A) -> np.ndarray:
@@ -82,6 +67,6 @@ def random_rotation(seed) -> np.ndarray:
     """
     import numpy as np
     rng = np.random.default_rng(seed)
-    L = normalize(rng.standard_normal(4))
-    R = normalize(rng.standard_normal(4))
+    L = random_unit_quaternion(rng)
+    R = random_unit_quaternion(rng)
     return van_elfrinkhof(L, R)

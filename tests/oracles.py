@@ -4,8 +4,9 @@ Nothing here reuses the package's composition table or its factor
 read-off: the associate matrix and the two-sided product are spelled out
 entry by entry, factors are recovered by a generic 16x16 linear solve plus
 an SVD, the nearest rotation is the SVD's special Procrustes projection,
-and minors are scanned with plain Python loops, so agreement with the
-library is evidence rather than tautology.
+minors are scanned with plain Python loops, and the sign rule is a loop
+over L with its own anchor, so agreement with the library is evidence
+rather than tautology.
 """
 
 from fractions import Fraction
@@ -112,6 +113,26 @@ def exact_det(A):
             factor = rows[r][c] / rows[c][c]
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
     return det
+
+
+# components of L at most this far from zero do not decide the joint sign
+SIGN_ANCHOR = 1e-8
+
+
+def canonical_reference(L, R):
+    """The pair, or the negated pair, whose first component of L above
+    SIGN_ANCHOR in magnitude is positive; the pair as given when there is no
+    such component."""
+    L, R = np.asarray(L, dtype=float), np.asarray(R, dtype=float)
+    for component in L:
+        if abs(component) > SIGN_ANCHOR:
+            return (L, R) if component > 0 else (-L, -R)
+    return L, R
+
+
+def conjugate_reference(q):
+    """The quaternion with its vector part negated."""
+    return np.asarray(q, dtype=float) * [1.0, -1.0, -1.0, -1.0]
 
 
 def pair_deviation(pair_a, pair_b):

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from isoclinic import (
     DegenerateNormError,
-    IDENTITY,
     IsoclinicError,
     NormDeviationError,
     ReconstructionError,
@@ -18,15 +17,15 @@ from isoclinic import (
     Tolerances,
     associate_matrix,
     associate_norm,
-    canonical_pair,
     classify,
     classify_pair,
     decompose,
     left_matrix,
     max_abs_minor,
-    minor_2x2,
     normalize,
+    quat_mul,
     random_rotation,
+    random_unit_quaternion,
     right_matrix,
     validate_rotation,
     _kernel,
@@ -35,12 +34,15 @@ from isoclinic import (
 from oracles import (
     associate_reference,
     brute_max_minor,
+    canonical_reference,
+    conjugate_reference,
     pair_deviation,
     procrustes,
     random_improper,
 )
 
 seeds = st.integers(0, 2**32 - 1)
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 E00 = np.outer(IDENTITY, IDENTITY)
 
@@ -85,24 +87,11 @@ def test_norm_values():
 
 
 def test_minor_examples():
+    """Every minor of a rank-1 matrix vanishes, the associate matrix of a
+    rotation's among them."""
     rank1 = np.outer([1.0, 2.0, 3.0, 4.0], [0.5, -1.0, 2.0, 1.5])
-    for idx in ((0, 1, 0, 1), (0, 3, 1, 2), (2, 3, 0, 3)):
-        assert abs(minor_2x2(rank1, *idx)) <= 1e-13
-    M = associate_matrix(random_rotation(11))
-    assert abs(minor_2x2(M, 0, 1, 0, 1)) <= 1e-12
-    assert minor_2x2(np.eye(4), 0, 1, 0, 1) == 1.0
-
-
-def test_minor_index_validation():
-    M = np.eye(4)
-    with pytest.raises(IndexError):
-        minor_2x2(M, 1, 0, 0, 1)  # rows not increasing
-    with pytest.raises(IndexError):
-        minor_2x2(M, 0, 1, 2, 2)  # columns not increasing
-    with pytest.raises(IndexError):
-        minor_2x2(M, 0, 4, 0, 1)  # out of range
-    with pytest.raises(IndexError):
-        minor_2x2(M, 0, 1.5, 0, 1)  # not an index
+    assert max_abs_minor(rank1) <= 1e-13
+    assert max_abs_minor(associate_matrix(random_rotation(11))) <= 1e-12
 
 
 def test_max_abs_minor_matches_brute_scan():
@@ -111,23 +100,6 @@ def test_max_abs_minor_matches_brute_scan():
         M = rng.standard_normal((4, 4))
         assert max_abs_minor(M) == pytest.approx(brute_max_minor(M), abs=1e-13)
     assert max_abs_minor(np.eye(4)) == 1.0
-
-
-def test_canonical_pair():
-    L = np.array([-0.5, 0.5, 0.5, 0.5])
-    R = np.array([0.0, 1.0, 0.0, 0.0])
-    cL, cR = canonical_pair(L, R)
-    assert np.array_equal(cL, -L)
-    assert np.array_equal(cR, -R)
-    # components below SIGN_TOL do not anchor the sign
-    L = np.array([1e-12, -0.8, 0.6, 0.0])
-    cL, cR = canonical_pair(L, R)
-    assert np.array_equal(cL, -L)
-    # already canonical input passes through unchanged
-    L = np.array([0.6, -0.8, 0.0, 0.0])
-    cL, cR = canonical_pair(L, R)
-    assert np.array_equal(cL, L)
-    assert np.array_equal(cR, R)
 
 
 def test_decompose_identity():
@@ -248,6 +220,34 @@ def test_decompose_canonical_sign_invariant():
         result = decompose(random_rotation(seed))
         anchor = next(c for c in result.left if abs(c) > 1e-8)
         assert anchor > 0
+
+
+@settings(deadline=None)
+@given(seeds)
+def test_decompose_follows_the_group_laws(seed):
+    """(L, R) -> (P -> L*P*R) is a homomorphism onto SO(4) with kernel
+    +/-(1, 1), so decompose reads products, transposes, negations and
+    one-sided factors off the factors of A and B, up to the joint sign; each
+    returned pair is canonical. Right multiplication reverses the order of
+    the right factors."""
+    rng = np.random.default_rng(seed)
+    A, B = random_rotation(rng), random_rotation(rng)
+    p, q = random_unit_quaternion(rng), random_unit_quaternion(rng)
+    (LA, RA, *_), (LB, RB, *_) = decompose(A), decompose(B)
+    laws = {
+        "A B": (A @ B, quat_mul(LA, LB), quat_mul(RB, RA)),
+        "A^T": (A.T, conjugate_reference(LA), conjugate_reference(RA)),
+        "-A": (-A, -LA, RA),
+        "left(p) A": (left_matrix(p) @ A, quat_mul(p, LA), RA),
+        "A left(p)": (A @ left_matrix(p), quat_mul(LA, p), RA),
+        "right(q) A": (right_matrix(q) @ A, LA, quat_mul(RA, q)),
+        "A right(q)": (A @ right_matrix(q), LA, quat_mul(q, RA)),
+    }
+    for law, (M, left, right) in laws.items():
+        result = decompose(M)
+        assert pair_deviation((result.left, result.right), (left, right)) <= 4e-15, law
+        canonical = canonical_reference(result.left, result.right)
+        assert all(map(np.array_equal, canonical, (result.left, result.right))), law
 
 
 def test_decompose_rejects_improper():

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import isoclinic
+from isoclinic import associate, quat, rotation4
 from test_cli import IDENTITY16, ROUNDED16, child_env
 
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code,
@@ -68,9 +69,14 @@ def test_generate_imports_numpy():
 
 def test_exported_names_exist():
     """Each name in __all__ resolves, and the names removed with the
-    rank-1 side path and the per-check bounds are exported no more."""
+    rank-1 side path, the per-check bounds and the names no caller outside
+    the tests used are exported no more, from the package or from the
+    module that held them."""
     for name in isoclinic.__all__:
         getattr(isoclinic, name)
-    removed = {"rank1_factor", "NotRankOneError", "check_unit", "ORTHO_TOL", "DET_TOL"}
+    removed = {"rank1_factor", "NotRankOneError", "check_unit", "ORTHO_TOL", "DET_TOL",
+               "minor_2x2", "canonical_pair", "quat_norm", "quat_conjugate", "IDENTITY",
+               "COMPOSITION_TABLE"}
     assert not removed & set(isoclinic.__all__)
-    assert not [name for name in removed if hasattr(isoclinic, name)]
+    for module in (isoclinic, associate, quat, rotation4):
+        assert not [name for name in removed if hasattr(module, name)], module.__name__

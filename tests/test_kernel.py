@@ -383,8 +383,9 @@ def test_nan_component_fails_the_unit_check(side, position):
     [-0.6, 0.8, 0.0, -0.0],
     [0.6, -0.8, -0.0, 0.0],
     [SIGN_TOL, -SIGN_TOL, 0.0, -0.0],
+    [1e-12, -0.8, 0.6, 0.0],
 ], ids=["leading +0", "leading -0", "+SIGN_TOL skipped", "-SIGN_TOL skipped",
-        "negative anchor", "positive anchor", "no anchor"])
+        "negative anchor", "positive anchor", "no anchor", "1e-12 skipped"])
 def test_canonical_edge_cases(L):
     """The first component of L above SIGN_TOL in magnitude decides the
     joint sign, as the generator rule written out here does; signs of zero

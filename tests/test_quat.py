@@ -1,25 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
-    IDENTITY,
     IsoclinicError,
     NotUnitQuaternionError,
     ZeroQuaternionError,
     isoclinic_angle,
     left_matrix,
     normalize,
-    quat_conjugate,
     quat_mul,
-    quat_norm,
     random_unit_quaternion,
     right_matrix,
     van_elfrinkhof,
+    _kernel,
 )
+from oracles import conjugate_reference
 
 seeds = st.integers(0, 2**32 - 1)
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def test_identity_element():
@@ -53,20 +55,22 @@ def test_norm_multiplicative(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(4)
     b = rng.standard_normal(4)
-    assert quat_norm(quat_mul(a, b)) == pytest.approx(quat_norm(a) * quat_norm(b), rel=1e-12)
+    assert math.hypot(*quat_mul(a, b)) == pytest.approx(math.hypot(*a) * math.hypot(*b), rel=1e-12)
 
 
 def test_conjugate_examples():
-    assert np.array_equal(quat_conjugate(IDENTITY), IDENTITY)
-    assert np.array_equal(quat_conjugate([2.0, 3.0, -4.0, 5.0]), [2.0, -3.0, 4.0, -5.0])
+    """The kernel's conjugation, which conjugate_factorwise applies to the
+    frame's factors."""
+    assert _kernel.conjugate([1.0, 0.0, 0.0, 0.0]) == [1.0, 0.0, 0.0, 0.0]
+    assert _kernel.conjugate([2.0, 3.0, -4.0, 5.0]) == [2.0, -3.0, 4.0, -5.0]
 
 
 def test_conjugate_product_gives_squared_norm():
     rng = np.random.default_rng(0)
     for _ in range(100):
         q = rng.standard_normal(4)
-        product = quat_mul(q, quat_conjugate(q))
-        assert abs(product[0] - quat_norm(q) ** 2) <= 1e-13
+        product = quat_mul(q, conjugate_reference(q))
+        assert abs(product[0] - math.hypot(*q) ** 2) <= 1e-13
         assert np.max(np.abs(product[1:])) <= 1e-13
 
 
@@ -213,4 +217,4 @@ def test_random_unit_quaternion():
     q3 = random_unit_quaternion(np.random.default_rng(10))
     assert np.array_equal(q1, q2)
     assert np.max(np.abs(q1 - q3)) > 1e-6
-    assert quat_norm(q1) == pytest.approx(1.0, abs=1e-15)
+    assert math.hypot(*q1) == pytest.approx(1.0, abs=1e-15)

@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
-    IDENTITY,
     associate_matrix,
     associate_norm,
-    canonical_pair,
     classify,
     classify_pair,
     IsoclinicError,
@@ -31,10 +29,11 @@ from isoclinic import (
     validate_rotation,
     van_elfrinkhof,
 )
-from isoclinic.rotation4 import COMPOSITION_TABLE
+from isoclinic._kernel import TABLE
 from oracles import bilinear_composition
 
 seeds = st.integers(0, 2**32 - 1)
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def test_pure_imaginary_factors():
@@ -83,15 +82,19 @@ def test_van_elfrinkhof_matches_matrix_product(seed):
 
 
 def test_composition_table():
-    """Column 4*i + j is the matrix of P -> e_i*P*e_j, and B^T B = 4I; the
+    """B, the 16x16 table of TABLE's (row, column, sign) entries:
+    column 4*i + j is the matrix of P -> e_i*P*e_j, and B^T B = 4I; the
     expected columns come from the oracle, since left_matrix and right_matrix
     are read off the table itself."""
+    B = np.zeros((16, 16))
+    for row, column, sign in TABLE:
+        B[row, column] = sign
     basis = np.eye(4)
     for i in range(4):
         for j in range(4):
             expected = bilinear_composition(basis[i], basis[j])
-            assert np.array_equal(COMPOSITION_TABLE[:, 4 * i + j].reshape(4, 4), expected)
-    assert np.array_equal(COMPOSITION_TABLE.T @ COMPOSITION_TABLE, 4.0 * np.eye(16))
+            assert np.array_equal(B[:, 4 * i + j].reshape(4, 4), expected)
+    assert np.array_equal(B.T @ B, 4.0 * np.eye(16))
 
 
 def test_van_elfrinkhof_matches_bilinear_oracle():
@@ -197,7 +200,7 @@ def test_malformed_input_is_typed():
                        "abcd", 1.0]
     for q in bad_quaternions:
         calls += [(normalize, (q,)), (left_matrix, (q,))]
-        calls += [(entry, args) for entry in (canonical_pair, classify_pair, quat_mul)
+        calls += [(entry, args) for entry in (classify_pair, quat_mul)
                   for args in ((q, IDENTITY), (IDENTITY, q))]
     for entry, args in calls:
         with pytest.raises(IsoclinicError) as info:
