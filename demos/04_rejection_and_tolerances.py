@@ -8,7 +8,6 @@
 import numpy as np
 
 from isoclinic import (
-    NormDeviationError,
     NotProperRotationError,
     ReconstructionError,
     Tolerances,
@@ -52,12 +51,13 @@ except ReconstructionError as exc:
 forced = decompose(reflection, Tolerances(ortho_tol=5))
 print("forced reconstruction misses by:", forced.distance)
 
-# A scaled matrix fails before any read-off, at the norm: the norm's
-# deviation from 1 is at most half the distance, so it is checked against
-# dist_tol / 2.
+# A scaled matrix keeps rank 1 but misses norm 1, and the same distance
+# rejects it: 0.9 I lies at distance 0.2 from the identity. The norm's
+# deviation from 1 is at most half the distance, so the distance is the
+# one check a noisy or scaled input has to pass.
 try:
     decompose(0.9 * np.eye(4))
-except NormDeviationError as exc:
+except ReconstructionError as exc:
     print("\nscaled input:", exc)
 
 # Mild noise is a different story: the distance bound dist_tol, derived as
@@ -74,27 +74,27 @@ print("  norm deviation:", result.norm_deviation)
 
 # The same input fails under a stricter policy; tolerances are a value you
 # pass, not a global setting. An ortho_tol of 5e-15 holds the distance to
-# 1e-14 and the norm deviation to 5e-15.
+# 1e-14.
 try:
     decompose(noisy, Tolerances(ortho_tol=5e-15))
-except NormDeviationError as exc:
+except ReconstructionError as exc:
     print("\nstrict policy on the same input:", exc)
 
 # One Tolerances carries every bound, and its one field, ortho_tol, is the
-# noise budget. dist_tol and iso_tol are not settings: loosening ortho_tol
-# moves dist_tol to twice its value, so a rotation with noise of 1e-7 that
-# the looser validation accepts is split under the same object.
+# noise budget. dist_tol is not a setting: loosening ortho_tol moves
+# dist_tol to twice its value, so a rotation with noise of 1e-7 that the
+# looser validation accepts is split under the same object.
 noisy = A + 1e-7 * rng.standard_normal((4, 4))
 loose = Tolerances(ortho_tol=1e-6)
-print("\nloose policy:", loose, "with dist_tol", loose.dist_tol, "and iso_tol", loose.iso_tol)
+print("\nloose policy:", loose, "with dist_tol", loose.dist_tol)
 validate_rotation(noisy, loose)
 print("  noise 1e-7 validated and split, distance", decompose(noisy, loose).distance)
 try:
     decompose(noisy)
-except NormDeviationError as exc:
+except ReconstructionError as exc:
     print("  the default policy rejects it:", exc)
 
-# The trivial-factor bound iso_tol is the budget itself, so noise the loose
+# The trivial-factor bound is ortho_tol itself, so noise the loose
 # policy accepts does not hide a rotation's kind: a right-isoclinic rotation
 # with noise of 1e-8 keeps its kind, and its left factor reads as +/-1.
 right_isoclinic = right_matrix(random_unit_quaternion(rng)) + 1e-8 * rng.standard_normal((4, 4))

@@ -30,7 +30,6 @@ from .errors import (
     InvarianceError,
     IsoclinicError,
     MalformedInputError,
-    NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
     NotUnitQuaternionError,
@@ -68,7 +67,6 @@ __all__ = [
     "IsoclinicDecomposition",
     "IsoclinicError",
     "MalformedInputError",
-    "NormDeviationError",
     "NotOrthogonalError",
     "NotProperRotationError",
     "NotUnitQuaternionError",

@@ -23,12 +23,11 @@ from __future__ import annotations
 import enum
 import math
 from itertools import combinations
-from math import acos, hypot
+from math import acos, hypot, inf
 from typing import NamedTuple
 
 from .errors import (
     DegenerateNormError,
-    NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
     NotUnitQuaternionError,
@@ -50,15 +49,15 @@ class _Bounds(NamedTuple):
 
 
 class Tolerances(_Bounds):
-    """The one noise budget, ortho_tol, and the bounds derived from it.
+    """The one noise budget, ortho_tol, and the bound derived from it.
 
-    ortho_tol   the field: bound on max |A^T A - I| and on |det A - 1|
+    ortho_tol   the field: bound on max |A^T A - I| and on |det A - 1|; a
+                factor within it of +/-1 is trivial (every factor is under
+                ortho_tol = inf), and the factor angles may drift by it
+                under a frame change
     dist_tol    read-only, 2 ortho_tol: bound on ||A - Q||_F for the rotation
                 Q of the factors; to first order only, it bounds the distance
                 from SO(4) of what validation accepts
-    iso_tol     read-only, ortho_tol: a factor within it of +/-1 is trivial
-                (every factor is under ortho_tol = inf), and the factor
-                angles may drift by it under a frame change
     Tolerances(a, b) raises TypeError. A NaN or negative bound raises
     ValueError: NaN would pass every check, a negative one fail an exact one.
     """
@@ -75,7 +74,6 @@ class Tolerances(_Bounds):
         # _replace builds through _make; route it through the checks above
         return cls(*iterable)
 
-    iso_tol = _Bounds.ortho_tol  # the field's getter: read as fast as a field
     dist_tol = property(lambda self: 2 * self.ortho_tol)
 
 
@@ -366,21 +364,21 @@ def associate(a):
 def decompose(a, tolerances):
     """Split the rotation with row-major entries a into its factor pair.
 
-    Returns (L, R, distance, norm deviation) or raises the error of the
-    first check that fails. |norm(M) - 1| <= ||M - outer(L, R)||_F for
-    every unit pair, so a norm deviation above dist_tol / 2 already puts
-    the distance above dist_tol, and it is rejected before any read-off.
+    Returns (L, R, distance, norm deviation). The distance is the one gate:
+    above dist_tol it raises ReconstructionError. The read-off needs a
+    finite norm(M) of at least 1/2, and DegenerateNormError rejects any
+    other, NaN included. The norm deviation |norm(M) - 1| is reported, not
+    checked: |norm(M) - 1| <= ||M - outer(L, R)||_F for every unit pair,
+    so it is at most distance / 2, to rounding, and a bound on it would
+    reject nothing the distance does not.
     """{_ASSOCIATE}
-    dist = tolerances.dist_tol
     norm = hypot({_M})
-    norm_deviation = abs(norm - 1.0)
-    if not norm_deviation <= dist / 2:
-        raise NormDeviationError(norm_deviation, dist / 2)
-    if not norm >= 0.5:
+    if not 0.5 <= norm < inf:
         raise DegenerateNormError(norm, 0.5){_READ_OFF}
+    dist = tolerances.dist_tol
     if not d <= dist:
         raise ReconstructionError(d, dist){_SIGN}
-    return [{_L}], [{_R}], d, norm_deviation
+    return [{_L}], [{_R}], d, abs(norm - 1.0)
 ''',
     "two_sided": '''
 def two_sided(L, R):
@@ -421,7 +419,7 @@ def angle(q):
 def classify(L, R, tolerances):
     """Classify the rotation generated by the canonical factor pair (L, R).
 
-    A factor within tolerances.iso_tol (= ortho_tol) of +/-1 is trivial, so
+    A factor within tolerances.ortho_tol of +/-1 is trivial, so
     under ortho_tol = inf every factor is. Both factors trivial: the
     identity when the scalar parts agree in sign, the antipodal map
     otherwise. One trivial factor leaves a purely left- or right-isoclinic
@@ -429,7 +427,7 @@ def classify(L, R, tolerances):
     """
     {_L} = L
     {_R} = R{_unit_check("l")}{_unit_check("r")}
-    iso = tolerances.iso_tol
+    iso = tolerances.ortho_tol
     left_trivial = {_trivial("l")}
     right_trivial = {_trivial("r")}
     if left_trivial and right_trivial:

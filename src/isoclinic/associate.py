@@ -61,8 +61,10 @@ class IsoclinicDecomposition(NamedTuple):
 
     The alternate decomposition is always (-left, -right); no third pair
     exists. distance is ||A - Q||_F for the rotation Q the factors
-    generate, the distance of A from SO(4) near the group; norm_deviation
-    is |norm(M) - 1| of the associate matrix, at most distance / 2.
+    generate, the distance of A from SO(4) near the group, and the one
+    bound decompose checks; norm_deviation is |norm(M) - 1| of the
+    associate matrix, at most distance / 2 to rounding, reported as a
+    certificate and not checked.
     Equality and hashing are by identity: comparing the array fields
     elementwise has no single truth value.
     """
@@ -82,11 +84,13 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
 
     Pipeline: form the associate matrix M, then read off the factors and,
     in the same pass, the Frobenius distance 2 ||M - outer(L, R)||_F from
-    the input to the rotation they generate. A distance above dist_tol, a
-    first-order bound derived as twice ortho_tol and not settable, raises
-    ReconstructionError carrying it; a norm deviation above dist_tol / 2
-    raises NormDeviationError before the read-off. Orthogonal matrices of
-    determinant -1 keep unit norm but lie at distance 2.
+    the input to the rotation they generate. That distance is the one gate:
+    above dist_tol, a first-order bound derived as twice ortho_tol and not
+    settable, it raises ReconstructionError carrying it, so a scaled
+    rotation is rejected there too. An M whose norm is below 1/2, infinite
+    or NaN has no pair to read off and raises DegenerateNormError carrying
+    the norm. Orthogonal matrices of determinant -1 keep unit norm but lie
+    at distance 2.
     """
     import numpy as np
     L, R, distance, norm_deviation = _kernel.decompose(_mat4(A)[1], tolerances)
@@ -96,8 +100,8 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
 def classify_pair(L, R, tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:
     """Classify the rotation generated by a canonical factor pair.
 
-    A factor within tolerances.iso_tol (= ortho_tol, the one noise budget)
-    of +/-1 is trivial, so under ortho_tol = inf every factor is. Both
+    A factor within tolerances.ortho_tol, the one noise budget, of +/-1 is
+    trivial, so under ortho_tol = inf every factor is. Both
     factors trivial: the identity when the scalar parts agree in sign, the
     antipodal map otherwise. One trivial factor leaves a purely left- or
     right-isoclinic rotation; two nontrivial factors make the general

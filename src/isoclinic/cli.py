@@ -94,7 +94,7 @@ def _finite(value):
 
 def _bounds(tolerances) -> dict:
     return {"ortho_tol": tolerances.ortho_tol, "dist_tol": tolerances.dist_tol,
-            "iso_tol": tolerances.iso_tol}
+            "iso_tol": tolerances.ortho_tol}
 
 
 def parse_matrix(text: str) -> list:
@@ -296,17 +296,17 @@ def _int_from(low: int):
     return parse
 
 
-def _ortho_tol(text: str) -> float:
-    """argparse type of --ortho-tol, checked by Tolerances."""
+def _tolerances(text: str) -> Tolerances:
+    """argparse type of --ortho-tol: the Tolerances it sets. Its ValueError
+    on a NaN or negative budget becomes a usage error naming the flag."""
     value = float(text)
     try:
-        Tolerances(value)
+        return Tolerances(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
-_ortho_tol.__name__ = "float"  # argparse's message on a non-number: "invalid float value"
+_tolerances.__name__ = "float"  # argparse's message on a non-number: "invalid float value"
 
 
 @functools.cache
@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="matrix file path, or - for stdin (default)")
 
     tolerance_flags = argparse.ArgumentParser(add_help=False)
-    tolerance_flags.add_argument("--ortho-tol", type=_ortho_tol,
-                                 default=DEFAULT_TOLERANCES.ortho_tol,
+    tolerance_flags.add_argument("--ortho-tol", type=_tolerances, dest="tolerances",
+                                 metavar="ORTHO_TOL", default=DEFAULT_TOLERANCES,
                                  help="the one noise budget: orthogonality, determinant "
                                       "and trivial-factor tolerance, half the distance "
                                       "tolerance")
@@ -404,10 +404,6 @@ def main(argv=None) -> int:
         args, extras = command.parse_known_args(argv[1:])
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if "ortho_tol" in args:
-        # decompose, verify and classify: --ortho-tol makes the one bound
-        # object every check of the command reads
-        args.tolerances = Tolerances(args.ortho_tol)
     try:
         return args.func(args)
     except (ValidationError, DecompositionError) as exc:

@@ -64,12 +64,9 @@ class DecompositionError(IsoclinicError):
     """The isoclinic factorization failed; input too far from SO(4)."""
 
 
-class NormDeviationError(_Measured, DecompositionError):
-    template = "associate matrix norm deviates from 1 by {measured:.6g} (tolerance {tol:.1e})"
-
-
 class DegenerateNormError(_Measured, DecompositionError):
-    template = "matrix norm {measured:.6g} too small to factor (need >= {tol:g})"
+    template = ("associate matrix norm {measured:.6g} is outside [{tol:g}, inf): "
+                "no factor pair can be read off")
 
 
 class ReconstructionError(_Measured, DecompositionError):

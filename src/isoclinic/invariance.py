@@ -109,7 +109,7 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
 
     Classifies A and S^T A S under tolerances and raises InvarianceError
     when the kind changes, or when either factor angle drifts by more than
-    tolerances.iso_tol, the noise budget ortho_tol; that rejection carries
+    tolerances.ortho_tol, the one noise budget; that rejection carries
     the drift in `measured` and the bound in `tol`. Returns the report when
     the check passes.
     """
@@ -126,7 +126,7 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
             f"rotation kind changed under frame change: "
             f"{original.kind.value} became {transformed.kind.value}"
         )
-    bound = tolerances.iso_tol
+    bound = tolerances.ortho_tol
     if not angle_deviation <= bound:
         raise InvarianceError(
             f"factor angles drifted by {angle_deviation:.6g} under frame change "

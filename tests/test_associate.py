@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 from isoclinic import (
     DegenerateNormError,
     IsoclinicError,
-    NormDeviationError,
     ReconstructionError,
     RotationKind,
     Tolerances,
@@ -33,6 +32,7 @@ from isoclinic import (
 )
 from oracles import (
     associate_reference,
+    bilinear_composition,
     brute_max_minor,
     canonical_reference,
     conjugate_reference,
@@ -139,30 +139,28 @@ def test_tolerances_reject_nan_and_negative_bounds(field, bound):
 
 @pytest.mark.parametrize("ortho_tol", [0.0, 1e-9, 1e-6, math.inf])
 def test_distance_bound_is_derived_from_ortho_tol(ortho_tol):
-    """dist_tol is twice the noise budget and iso_tol the budget itself."""
-    tolerances = Tolerances(ortho_tol=ortho_tol)
-    assert (tolerances.dist_tol, tolerances.iso_tol) == (2 * ortho_tol, ortho_tol)
+    """dist_tol is twice the noise budget."""
+    assert Tolerances(ortho_tol=ortho_tol).dist_tol == 2 * ortho_tol
 
 
 def test_distance_bound_cannot_be_set():
-    """ortho_tol is the one field; dist_tol and iso_tol are read-only and
-    no fields: neither can be passed to the constructor or _replace, nor
+    """ortho_tol is the one field; dist_tol is read-only and no field: it
+    can be passed neither to the constructor nor to _replace, nor
     assigned."""
     assert Tolerances._fields == ("ortho_tol",)
     tolerances = Tolerances()
-    for name in ("dist_tol", "iso_tol"):
-        with pytest.raises(TypeError):
-            Tolerances(**{name: 1.0})
-        with pytest.raises(ValueError):
-            tolerances._replace(**{name: 1.0})
-        with pytest.raises(AttributeError):
-            setattr(tolerances, name, 1.0)
+    with pytest.raises(TypeError):
+        Tolerances(dist_tol=1.0)
+    with pytest.raises(ValueError):
+        tolerances._replace(dist_tol=1.0)
+    with pytest.raises(AttributeError):
+        tolerances.dist_tol = 1.0
 
 
 def test_tolerances_round_trip_through_pickle_and_copy():
     """Tolerances(a) is (ortho_tol,), and a second bound is a TypeError;
     pickle, copy and _replace rebuild it with its field and the derived
-    bounds."""
+    bound."""
     tolerances = Tolerances(1e-6)
     assert tuple(tolerances) == (1e-6,)
     with pytest.raises(TypeError):
@@ -170,7 +168,7 @@ def test_tolerances_round_trip_through_pickle_and_copy():
     for clone in (pickle.loads(pickle.dumps(tolerances)), copy.copy(tolerances),
                   copy.deepcopy(tolerances), tolerances._replace()):
         assert type(clone) is Tolerances and clone == tolerances
-        assert (clone.dist_tol, clone.iso_tol) == (2e-6, 1e-6)
+        assert clone.dist_tol == 2e-6
 
 
 # exact rotations of the identity-factor kinds, with their factors as
@@ -264,10 +262,13 @@ def test_decompose_rejects_improper():
 
 
 def test_decompose_rejects_scaled_input():
-    with pytest.raises(NormDeviationError):
-        decompose(0.9 * np.eye(4))
-    with pytest.raises(NormDeviationError):
-        decompose(2.0 * random_rotation(1))
+    """A scaled rotation keeps rank 1 but misses norm 1; the distance, the
+    one gate, rejects it with the SVD oracle's distance from SO(4)."""
+    for A in (0.9 * np.eye(4), 2.0 * random_rotation(1)):
+        with pytest.raises(ReconstructionError) as info:
+            decompose(A)
+        assert info.value.measured == pytest.approx(np.linalg.norm(A - procrustes(A)),
+                                                    rel=0, abs=1e-14)
 
 
 def test_decompose_tolerates_tiny_noise():
@@ -282,25 +283,25 @@ def test_decompose_tolerates_tiny_noise():
 
 
 def test_decompose_strict_tolerances_reject_noise():
-    """Noise of 1e-11 passes the defaults but not a stricter policy. Below
-    twice the norm deviation the norm check rejects; between that and the
-    distance the distance check does, with the SVD oracle's distance."""
+    """Noise of 1e-11 passes the defaults but not a stricter policy. Any
+    dist_tol below the distance rejects it with that distance, the SVD
+    oracle's, below twice the norm deviation as well as between that and
+    the distance: the norm deviation is reported, never checked."""
     rng = np.random.default_rng(22)
     A = random_rotation(rng)
     noisy = A + 1e-11 * rng.standard_normal((4, 4))
     result = decompose(noisy)
-    with pytest.raises(NormDeviationError) as info:
-        decompose(noisy, Tolerances(ortho_tol=5e-15))
-    assert info.value.measured == result.norm_deviation
-    between = Tolerances(ortho_tol=(2 * result.norm_deviation + result.distance) / 4)
-    with pytest.raises(ReconstructionError) as info:
-        decompose(noisy, between)
-    assert info.value.measured == pytest.approx(np.linalg.norm(noisy - procrustes(noisy)),
-                                                rel=0, abs=1e-14)
+    assert 0 < 2 * result.norm_deviation < result.distance
+    for ortho_tol in (5e-15, (2 * result.norm_deviation + result.distance) / 4):
+        with pytest.raises(ReconstructionError) as info:
+            decompose(noisy, Tolerances(ortho_tol=ortho_tol))
+        assert info.value.measured == result.distance
+        assert info.value.measured == pytest.approx(np.linalg.norm(noisy - procrustes(noisy)),
+                                                    rel=0, abs=1e-14)
 
 
 def test_zero_matrix_is_degenerate_under_open_tolerances():
-    """With the norm check wide open a zero matrix still fails as a
+    """With the distance bound wide open a zero matrix still fails as a
     DecompositionError, never as a ZeroQuaternionError from normalizing."""
     wide_open = Tolerances(ortho_tol=5.0)
     for A in (np.zeros((4, 4)), 1e-200 * np.eye(4)):
@@ -412,18 +413,18 @@ def test_classify_pair_threshold():
 # value, computed from the input by the oracles
 REJECTIONS = {
     "rotation scaled by 1.5": (
-        lambda: 1.5 * random_rotation(31), decompose, NormDeviationError,
-        lambda A: abs(np.linalg.norm(associate_reference(A)) - 1.0)),
+        lambda: 1.5 * random_rotation(31), decompose, ReconstructionError,
+        lambda A: np.linalg.norm(A - procrustes(A))),
     "orthogonal, det -1": (
         lambda: random_improper(np.random.default_rng(32)), decompose, ReconstructionError,
         lambda A: np.linalg.norm(A - procrustes(A))),
-    # 0.4 I, whose associate matrix is 0.4 E00: its norm passes a wide-open
-    # dist_tol but is too small to read a pair off
+    # 0.4 I, whose associate matrix is 0.4 E00: its norm is too small to
+    # read a pair off, under a wide-open dist_tol too
     "0.4 E00": (lambda: 0.4 * np.eye(4), lambda A: decompose(A, Tolerances(ortho_tol=5.0)),
                 DegenerateNormError, lambda A: 0.4),
-    "zero matrix": (lambda: np.zeros((4, 4)), decompose, NormDeviationError, lambda A: 1.0),
-    # the norm itself exceeds the largest float, so its deviation reads inf
-    "norm overflows": (lambda: np.full((4, 4), 1e308), decompose, NormDeviationError,
+    "zero matrix": (lambda: np.zeros((4, 4)), decompose, DegenerateNormError, lambda A: 0.0),
+    # the norm itself exceeds the largest float, so it reads inf
+    "norm overflows": (lambda: np.full((4, 4), 1e308), decompose, DegenerateNormError,
                        lambda A: math.inf),
 }
 
@@ -452,6 +453,67 @@ def test_every_rejection_is_typed_and_measured(A):
         decompose(A)
     except IsoclinicError as exc:
         assert exc.measured is not None and math.isfinite(exc.measured), exc
+
+
+# scaled, noisy, reflected, zero and overflowing inputs: every way the
+# norm or the distance can miss, each under six budgets from exact to open
+gate_inputs = st.one_of(
+    st.builds(lambda seed, scale: scale * random_rotation(seed), seeds,
+              st.sampled_from([1e-200, 0.3, 0.5, 1.0, 1.0 + 1e-10, 1.5, 1e150, 1e308])
+              | st.floats(0.45, 1.1)),
+    st.builds(near_rotation, seeds, st.floats(-17, 0), st.booleans()),
+    st.sampled_from([np.zeros((4, 4)), np.full((4, 4), 1e308)]),
+)
+gate_tolerances = st.sampled_from([Tolerances(ortho_tol=t)
+                                   for t in (0.0, 1e-12, 1e-9, 1e-6, 0.6, math.inf)])
+
+
+@settings(deadline=None, max_examples=400)
+@given(gate_inputs, gate_tolerances)
+def test_decompose_decides_by_the_norm_domain_and_the_distance(A, tolerances):
+    """decompose accepts exactly when the associate norm lies in [1/2, inf)
+    and the distance, which no bound changes, is within dist_tol. A norm
+    outside raises DegenerateNormError and a distance past dist_tol
+    ReconstructionError, each carrying its measured value and bound. The
+    distance is that of A from the rotation of the factors read off, by
+    the oracle's composition."""
+    norm = associate_norm(associate_matrix(A))
+    readable = 0.5 <= norm < math.inf
+    if readable:
+        unbounded = decompose(A, Tolerances(ortho_tol=math.inf))
+        distance = unbounded.distance
+        rotation = bilinear_composition(unbounded.left, unbounded.right)
+        assert distance == pytest.approx(math.hypot(*(A - rotation).ravel()), rel=1e-12, abs=1e-14)
+    try:
+        result = decompose(A, tolerances)
+    except DegenerateNormError as exc:
+        assert not readable and (exc.measured, exc.tol) == (norm, 0.5)
+    except ReconstructionError as exc:
+        assert readable and not distance <= tolerances.dist_tol
+        assert (exc.measured, exc.tol) == (distance, tolerances.dist_tol)
+    else:
+        assert readable and distance <= tolerances.dist_tol
+        assert (result.distance, result.norm_deviation) == (distance, abs(norm - 1.0))
+
+
+@settings(deadline=None, max_examples=400)
+@given(seeds, st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.6, 0.74]),
+       st.floats(-3, 0.3), st.booleans())
+def test_validation_bounds_the_norm_deviation(seed, ortho_tol, offset, scaled):
+    """Once validate_rotation accepts under ortho_tol, ||M||^2 = trace(A^T A) / 4
+    lies within ortho_tol of 1, so the norm deviation is at most ortho_tol,
+    dist_tol / 2: a bound on it would never reject validated input, which
+    is why decompose checks none. The noise, a scale factor or Gaussian, is
+    drawn on the scale of ortho_tol, where the bounds meet."""
+    rng = np.random.default_rng(seed)
+    A = random_rotation(rng)
+    noise = ortho_tol * 10.0 ** offset
+    A = (1.0 + noise) * A if scaled else A + noise * rng.standard_normal((4, 4))
+    try:
+        validate_rotation(A, Tolerances(ortho_tol=ortho_tol))
+    except IsoclinicError:
+        return
+    assert abs(associate_norm(associate_matrix(A)) - 1.0) <= ortho_tol
 
 
 def test_overflowed_minor_reads_inf():

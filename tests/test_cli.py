@@ -361,14 +361,16 @@ def test_ortho_tol_is_the_trivial_factor_bound(monkeypatch, capsys):
 
 
 def test_tolerance_flags_match_tolerances():
-    """The tolerance flags of each checking command are the fields of
-    Tolerances, one to one, and their defaults make the default object."""
-    fields = set(Tolerances._fields)
+    """Each checking command has one tolerance flag, --ortho-tol for the one
+    field of Tolerances, and parsing builds the Tolerances itself: the
+    default object when the flag is absent."""
+    assert Tolerances._fields == ("ortho_tol",)
     for command in ("decompose", "classify", "verify"):
         args = vars(build_parser().parse_args([command]))
-        flags = {name: args[name] for name in set(args) - {"command", "func", "input", "json"}}
-        assert set(flags) == fields
-        assert Tolerances(**flags) == DEFAULT_TOLERANCES
+        assert set(args) - {"command", "func", "input", "json"} == {"tolerances"}
+        assert args["tolerances"] is DEFAULT_TOLERANCES
+        args = build_parser().parse_args([command, "--ortho-tol", "1e-6"])
+        assert type(args.tolerances) is Tolerances and args.tolerances == Tolerances(1e-6)
 
 
 def test_parser_is_built_once(monkeypatch):
@@ -511,8 +513,6 @@ def _one_parse_main(argv):
     """main as it ran with one parse by the whole parser tree, the reference
     that main's dispatch to the command's own parser must match."""
     args = build_parser().parse_args(cli._attach_vector_values(list(argv)))
-    if "ortho_tol" in args:
-        args.tolerances = Tolerances(args.ortho_tol)
     try:
         return args.func(args)
     except (ValidationError, DecompositionError) as exc:

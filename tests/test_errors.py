@@ -1,6 +1,7 @@
 """The rejection record: every measured rejection carries its value and bound."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -9,7 +10,6 @@ from isoclinic import (
     DecompositionError,
     DegenerateNormError,
     IsoclinicError,
-    NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
     NotUnitQuaternionError,
@@ -33,11 +33,9 @@ RECORDS = [
     (NotProperRotationError, -0.999999123, 1e-9,
      "matrix is not a proper rotation: det = -0.999999123, expected 1 within 1.0e-09",
      (True, False, False)),
-    (NormDeviationError, 0.0123456789, 1e-9,
-     "associate matrix norm deviates from 1 by 0.0123457 (tolerance 1.0e-09)",
-     (False, True, False)),
     (DegenerateNormError, 0.25, 0.5,
-     "matrix norm 0.25 too small to factor (need >= 0.5)", (False, True, False)),
+     "associate matrix norm 0.25 is outside [0.5, inf): no factor pair can be read off",
+     (False, True, False)),
     (ReconstructionError, 2.0, 2e-9,
      "factor pair does not reproduce the input: distance ||A - Q||_F = 2 exceeds 2.0e-09",
      (False, True, False)),
@@ -53,6 +51,15 @@ def test_rejection_record(cls, measured, tol, message, ancestry):
     assert exc.tol == tol
     bases = (ValidationError, DecompositionError, ValueError)
     assert tuple(isinstance(exc, base) for base in bases) == ancestry
+
+
+@pytest.mark.parametrize("norm", [0.0, math.inf, math.nan])
+def test_degenerate_norm_message_reads_for_any_norm(norm):
+    """decompose raises DegenerateNormError for a norm below 1/2, infinite
+    or NaN; the message states the interval the norm missed, which reads
+    true for each."""
+    assert str(DegenerateNormError(norm, 0.5)) == (
+        f"associate matrix norm {norm:g} is outside [0.5, inf): no factor pair can be read off")
 
 
 def _subclasses(cls):

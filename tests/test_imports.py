@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import isoclinic
-from isoclinic import associate, quat, rotation4
+from isoclinic import _kernel, associate, errors, quat, rotation4
 from test_cli import IDENTITY16, ROUNDED16, child_env
 
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code,
@@ -70,13 +70,16 @@ def test_generate_imports_numpy():
 def test_exported_names_exist():
     """Each name in __all__ resolves, and the names removed with the
     rank-1 side path, the per-check bounds and the names no caller outside
-    the tests used are exported no more, from the package or from the
-    module that held them."""
+    the tests used, and the norm-deviation gate's error, are exported no
+    more, from the package or from the module that held them; Tolerances
+    has no iso_tol, whose bound is ortho_tol itself."""
     for name in isoclinic.__all__:
         getattr(isoclinic, name)
     removed = {"rank1_factor", "NotRankOneError", "check_unit", "ORTHO_TOL", "DET_TOL",
                "minor_2x2", "canonical_pair", "quat_norm", "quat_conjugate", "IDENTITY",
-               "COMPOSITION_TABLE"}
+               "COMPOSITION_TABLE", "NormDeviationError"}
     assert not removed & set(isoclinic.__all__)
     for module in (isoclinic, associate, quat, rotation4):
         assert not [name for name in removed if hasattr(module, name)], module.__name__
+    assert not hasattr(errors, "NormDeviationError") and not hasattr(_kernel, "NormDeviationError")
+    assert not hasattr(isoclinic.Tolerances(), "iso_tol")

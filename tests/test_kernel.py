@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
+    DegenerateNormError,
     IsoclinicError,
-    NormDeviationError,
     NotOrthogonalError,
     NotUnitQuaternionError,
     RotationClass,
@@ -152,15 +152,12 @@ def canonical_loop(L, R):
 def decompose_loop(a, tolerances):
     m = associate_loop(a)
     norm = math.hypot(*m)
-    norm_deviation = abs(norm - 1.0)
-    if not norm_deviation <= tolerances.dist_tol / 2:
-        raise _kernel.NormDeviationError(norm_deviation, tolerances.dist_tol / 2)
-    if not norm >= 0.5:
+    if not 0.5 <= norm < math.inf:
         raise _kernel.DegenerateNormError(norm, 0.5)
     L, R, distance = nearest_loop(m)
     if not distance <= tolerances.dist_tol:
         raise _kernel.ReconstructionError(distance, tolerances.dist_tol)
-    return (*canonical_loop(L, R), distance, norm_deviation)
+    return (*canonical_loop(L, R), distance, abs(norm - 1.0))
 
 
 def check_unit_loop(q):
@@ -321,14 +318,14 @@ unit_factors = st.builds(unit_factor, seeds, st.booleans(),
 basis_factors = st.builds(lambda k, sign, zeros: [sign * (n == k) or zero for n, zero in enumerate(zeros)],
                           st.integers(0, 3), st.sampled_from([1.0, -1.0]),
                           st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4))
-# the trivial-factor bound iso_tol is ortho_tol: four budgets, four bounds
-iso_tolerances = st.sampled_from([Tolerances(), Tolerances(ortho_tol=0.0),
+# the trivial-factor bound is ortho_tol: four budgets, four bounds
+trivial_tolerances = st.sampled_from([Tolerances(), Tolerances(ortho_tol=0.0),
                                   Tolerances(ortho_tol=1e-6), Tolerances(ortho_tol=math.inf)])
 
 
 @settings(deadline=None, max_examples=600)
 @given(unit_factors | basis_factors | sign_factors, unit_factors | basis_factors | sign_factors,
-       iso_tolerances)
+       trivial_tolerances)
 def test_generated_sign_rule_and_classification_match_the_loop_reference(L, R, tolerances):
     """canonical, check_unit, angle and classify give the loop reference's
     floats bit for bit, signs of zero and the kind included, or raise its
@@ -345,16 +342,16 @@ IDENTITY16 = [float(k % 5 == 0) for k in range(16)]
 
 @pytest.mark.parametrize("position", range(16))
 def test_nan_entry_fails_every_matrix_check(position):
-    """A NaN entry fails the orthogonality check and decomposition, under an
-    infinite distance bound too, with the NaN it measured; on the identity
-    and on a Haar rotation."""
+    """A NaN entry fails the orthogonality check, and the associate norm that
+    decomposition reads off under any distance bound, an infinite one too,
+    with the NaN it measured; on the identity and on a Haar rotation."""
     for base in (IDENTITY16, random_rotation(position).ravel().tolist()):
         a = base[:position] + [math.nan] + base[position + 1:]
         with pytest.raises(NotOrthogonalError) as info:
             _kernel.validate(a, Tolerances())
         assert math.isnan(info.value.measured)
         for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf)):
-            with pytest.raises(NormDeviationError) as info:
+            with pytest.raises(DegenerateNormError) as info:
                 _kernel.decompose(a, tolerances)
             assert math.isnan(info.value.measured)
 

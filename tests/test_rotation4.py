@@ -11,9 +11,9 @@ from isoclinic import (
     associate_norm,
     classify,
     classify_pair,
+    DegenerateNormError,
     IsoclinicError,
     MalformedInputError,
-    NormDeviationError,
     NotOrthogonalError,
     NotProperRotationError,
     NotUnitQuaternionError,
@@ -222,7 +222,8 @@ def forms(x):
 def test_finite_check_reads_the_entry_sum():
     """Coercion scans the entries one by one only when their sum is not
     finite. Finite entries whose sum overflows still reach the checks and
-    are rejected there; +inf beside -inf, whose sum is NaN, is malformed;
+    are rejected there, decompose's by the associate norm that overflows
+    with them; +inf beside -inf, whose sum is NaN, is malformed;
     for every form the coercion takes. An int past the float range is
     malformed, not an untyped OverflowError."""
     big = np.full((4, 4), 1e308)
@@ -234,8 +235,9 @@ def test_finite_check_reads_the_entry_sum():
         with pytest.raises(NotOrthogonalError):
             validate_rotation(A)
         for entry in (decompose, classify):
-            with pytest.raises(NormDeviationError):
+            with pytest.raises(DegenerateNormError) as info:
                 entry(A)
+            assert info.value.measured == math.inf
     for q in forms(big_q) + [[10 ** 308] * 4]:
         for args in ((q, IDENTITY), (IDENTITY, q)):
             with pytest.raises(NotUnitQuaternionError):
