@@ -56,8 +56,8 @@ class Tolerances(_Bounds):
                 ortho_tol = inf), and the factor angles may drift by it
                 under a frame change
     dist_tol    read-only, 2 ortho_tol: bound on ||A - Q||_F for the rotation
-                Q of the factors; to first order only, it bounds the distance
-                from SO(4) of what validation accepts
+                Q of the factors, decompose's one gate; to first order only,
+                it bounds the distance from SO(4) of what validation accepts
     Tolerances(a, b) raises TypeError. A NaN or negative bound raises
     ValueError: NaN would pass every check, a negative one fail an exact one.
     """
@@ -268,12 +268,10 @@ def _lane(first, second):
 
 def _unit(q):
     """Source that scales the locals q0..q3 to unit norm, as unit() does
-    short of rescaling components whose norm overflows."""
+    short of its checks, which no norm of the read-off can fail."""
     names = f"{q}0, {q}1, {q}2, {q}3"
     return f"""
     n = hypot({names})
-    if n <= DEGENERACY_TOL:
-        raise ZeroQuaternionError(n, DEGENERACY_TOL)
     {names} = {q}0 / n, {q}1 / n, {q}2 / n, {q}3 / n"""
 
 
@@ -338,6 +336,8 @@ _ASSOCIATE = "\n    " + ", ".join(f"a{k}" for k in range(16)) + " = a" + "".join
 # check has already rejected an M with an inf or NaN entry. One alternating
 # step, R = M^T L and L = M R, each normalized, moves the pair to the top
 # singular pair of a nearly rank-1 M and gives outer(L, R) the sign of M.
+# Each norm divided by is at least norm(M)/4, to rounding: column j holds an
+# entry that large, (M^T L)_j is its norm and L^T M R the norm of M^T L.
 # Each sum adds in index order after a leading 0.0, so a sum of negative
 # zeros is +0.0 and the factors keep their signs of zero.
 _READ_OFF = (
@@ -365,16 +365,16 @@ def decompose(a, tolerances):
     """Split the rotation with row-major entries a into its factor pair.
 
     Returns (L, R, distance, norm deviation). The distance is the one gate:
-    above dist_tol it raises ReconstructionError. The read-off needs a
-    finite norm(M) of at least 1/2, and DegenerateNormError rejects any
-    other, NaN included. The norm deviation |norm(M) - 1| is reported, not
-    checked: |norm(M) - 1| <= ||M - outer(L, R)||_F for every unit pair,
-    so it is at most distance / 2, to rounding, and a bound on it would
-    reject nothing the distance does not.
+    above dist_tol it raises ReconstructionError. The read-off needs only a
+    finite norm(M) above DEGENERACY_TOL, and DegenerateNormError rejects
+    any other, NaN included. The norm deviation |norm(M) - 1| is reported,
+    not checked: |norm(M) - 1| <= ||M - outer(L, R)||_F for every unit
+    pair, so it is at most distance / 2, to rounding, and a bound on it
+    would reject nothing the distance does not.
     """{_ASSOCIATE}
     norm = hypot({_M})
-    if not 0.5 <= norm < inf:
-        raise DegenerateNormError(norm, 0.5){_READ_OFF}
+    if not DEGENERACY_TOL < norm < inf:
+        raise DegenerateNormError(norm, DEGENERACY_TOL){_READ_OFF}
     dist = tolerances.dist_tol
     if not d <= dist:
         raise ReconstructionError(d, dist){_SIGN}

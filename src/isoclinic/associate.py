@@ -62,11 +62,11 @@ class IsoclinicDecomposition(NamedTuple):
     The alternate decomposition is always (-left, -right); no third pair
     exists. distance is ||A - Q||_F for the rotation Q the factors
     generate, the distance of A from SO(4) near the group, and the one
-    bound decompose checks; norm_deviation is |norm(M) - 1| of the
-    associate matrix, at most distance / 2 to rounding, reported as a
-    certificate and not checked.
-    Equality and hashing are by identity: comparing the array fields
-    elementwise has no single truth value.
+    bound decompose checks on an associate matrix M of finite norm above
+    1e-150; norm_deviation is |norm(M) - 1|, at most distance / 2 to
+    rounding, reported as a certificate and not checked. Equality and
+    hashing are by identity: comparing the array fields elementwise has no
+    single truth value.
     """
 
     left: np.ndarray
@@ -87,10 +87,10 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     the input to the rotation they generate. That distance is the one gate:
     above dist_tol, a first-order bound derived as twice ortho_tol and not
     settable, it raises ReconstructionError carrying it, so a scaled
-    rotation is rejected there too. An M whose norm is below 1/2, infinite
-    or NaN has no pair to read off and raises DegenerateNormError carrying
-    the norm. Orthogonal matrices of determinant -1 keep unit norm but lie
-    at distance 2.
+    rotation is rejected there too, however small. An M whose norm is at
+    most DEGENERACY_TOL (1e-150), infinite or NaN has no pair to read off
+    and raises DegenerateNormError carrying the norm. Orthogonal matrices
+    of determinant -1 keep unit norm but lie at distance 2.
     """
     import numpy as np
     L, R, distance, norm_deviation = _kernel.decompose(_mat4(A)[1], tolerances)

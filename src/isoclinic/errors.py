@@ -65,7 +65,7 @@ class DecompositionError(IsoclinicError):
 
 
 class DegenerateNormError(_Measured, DecompositionError):
-    template = ("associate matrix norm {measured:.6g} is outside [{tol:g}, inf): "
+    template = ("associate matrix norm {measured:.6g} is outside ({tol:g}, inf): "
                 "no factor pair can be read off")
 
 

@@ -15,7 +15,6 @@ import math
 from typing import TYPE_CHECKING
 
 from . import _kernel
-from ._kernel import DEGENERACY_TOL, UNIT_TOL  # noqa: F401  (public bounds)
 from .errors import MalformedInputError
 
 if TYPE_CHECKING:

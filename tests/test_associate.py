@@ -418,10 +418,10 @@ REJECTIONS = {
     "orthogonal, det -1": (
         lambda: random_improper(np.random.default_rng(32)), decompose, ReconstructionError,
         lambda A: np.linalg.norm(A - procrustes(A))),
-    # 0.4 I, whose associate matrix is 0.4 E00: its norm is too small to
-    # read a pair off, under a wide-open dist_tol too
-    "0.4 E00": (lambda: 0.4 * np.eye(4), lambda A: decompose(A, Tolerances(ortho_tol=5.0)),
-                DegenerateNormError, lambda A: 0.4),
+    # 0.4 I, whose associate matrix is 0.4 E00: the pair (1, 1) reads off,
+    # and the distance 2 ||0.4 E00 - E00||_F = 1.2 rejects it
+    "0.4 E00": (lambda: 0.4 * np.eye(4), decompose, ReconstructionError,
+                lambda A: np.linalg.norm(A - procrustes(A))),
     "zero matrix": (lambda: np.zeros((4, 4)), decompose, DegenerateNormError, lambda A: 0.0),
     # the norm itself exceeds the largest float, so it reads inf
     "norm overflows": (lambda: np.full((4, 4), 1e308), decompose, DegenerateNormError,
@@ -437,6 +437,16 @@ def test_rejection_stage_and_measured(case):
         call(x)
     assert type(info.value) is error
     assert info.value.measured == pytest.approx(expected(x), rel=0, abs=1e-15)
+
+
+def test_small_norm_is_decided_by_the_distance():
+    """No norm floor stands before the distance: 0.4 I, whose associate norm
+    is 0.4, decomposes into the identity pair at distance 1.2 once dist_tol
+    = 10 admits it."""
+    result = decompose(0.4 * np.eye(4), Tolerances(ortho_tol=5.0))
+    assert result.left.tolist() == result.right.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert result.distance == pytest.approx(1.2, rel=0, abs=1e-15)
+    assert result.norm_deviation == pytest.approx(0.6, rel=0, abs=1e-15)
 
 
 @settings(deadline=None, max_examples=300)
@@ -459,7 +469,8 @@ def test_every_rejection_is_typed_and_measured(A):
 # norm or the distance can miss, each under six budgets from exact to open
 gate_inputs = st.one_of(
     st.builds(lambda seed, scale: scale * random_rotation(seed), seeds,
-              st.sampled_from([1e-200, 0.3, 0.5, 1.0, 1.0 + 1e-10, 1.5, 1e150, 1e308])
+              st.sampled_from([1e-200, 1e-151, 1e-149, 0.3, 0.5, 1.0, 1.0 + 1e-10, 1.5, 1e150,
+                               1e308])
               | st.floats(0.45, 1.1)),
     st.builds(near_rotation, seeds, st.floats(-17, 0), st.booleans()),
     st.sampled_from([np.zeros((4, 4)), np.full((4, 4), 1e308)]),
@@ -471,14 +482,14 @@ gate_tolerances = st.sampled_from([Tolerances(ortho_tol=t)
 @settings(deadline=None, max_examples=400)
 @given(gate_inputs, gate_tolerances)
 def test_decompose_decides_by_the_norm_domain_and_the_distance(A, tolerances):
-    """decompose accepts exactly when the associate norm lies in [1/2, inf)
-    and the distance, which no bound changes, is within dist_tol. A norm
-    outside raises DegenerateNormError and a distance past dist_tol
-    ReconstructionError, each carrying its measured value and bound. The
-    distance is that of A from the rotation of the factors read off, by
-    the oracle's composition."""
+    """decompose accepts exactly when the associate norm lies in
+    (DEGENERACY_TOL, inf) and the distance, which no bound changes, is
+    within dist_tol. A norm outside raises DegenerateNormError and a
+    distance past dist_tol ReconstructionError, each carrying its measured
+    value and bound. The distance is that of A from the rotation of the
+    factors read off, by the oracle's composition."""
     norm = associate_norm(associate_matrix(A))
-    readable = 0.5 <= norm < math.inf
+    readable = _kernel.DEGENERACY_TOL < norm < math.inf
     if readable:
         unbounded = decompose(A, Tolerances(ortho_tol=math.inf))
         distance = unbounded.distance
@@ -487,7 +498,7 @@ def test_decompose_decides_by_the_norm_domain_and_the_distance(A, tolerances):
     try:
         result = decompose(A, tolerances)
     except DegenerateNormError as exc:
-        assert not readable and (exc.measured, exc.tol) == (norm, 0.5)
+        assert not readable and (exc.measured, exc.tol) == (norm, _kernel.DEGENERACY_TOL)
     except ReconstructionError as exc:
         assert readable and not distance <= tolerances.dist_tol
         assert (exc.measured, exc.tol) == (distance, tolerances.dist_tol)

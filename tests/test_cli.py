@@ -292,8 +292,9 @@ def _checked_input(draw):
 def test_verify_agrees_with_decompose(checked, as_json):
     """verify runs decompose's checks: it exits with decompose's code, and a
     rejection prints what decompose prints. 0.45 I under --ortho-tol 0.96
-    passes the orthogonality and determinant checks, and its associate norm
-    0.45 is below the floor of 0.5."""
+    passes the orthogonality and determinant checks, and both commands
+    accept it at distance 1.1, within dist_tol = 1.92: no norm floor stands
+    before the distance."""
     text, ortho_tol = checked
     flags = ["--ortho-tol", repr(ortho_tol)] + ["--json"] * as_json
     verified = run_on(["verify", *flags], text)

@@ -33,8 +33,8 @@ RECORDS = [
     (NotProperRotationError, -0.999999123, 1e-9,
      "matrix is not a proper rotation: det = -0.999999123, expected 1 within 1.0e-09",
      (True, False, False)),
-    (DegenerateNormError, 0.25, 0.5,
-     "associate matrix norm 0.25 is outside [0.5, inf): no factor pair can be read off",
+    (DegenerateNormError, 1e-200, DEGENERACY_TOL,
+     "associate matrix norm 1e-200 is outside (1e-150, inf): no factor pair can be read off",
      (False, True, False)),
     (ReconstructionError, 2.0, 2e-9,
      "factor pair does not reproduce the input: distance ||A - Q||_F = 2 exceeds 2.0e-09",
@@ -55,11 +55,11 @@ def test_rejection_record(cls, measured, tol, message, ancestry):
 
 @pytest.mark.parametrize("norm", [0.0, math.inf, math.nan])
 def test_degenerate_norm_message_reads_for_any_norm(norm):
-    """decompose raises DegenerateNormError for a norm below 1/2, infinite
-    or NaN; the message states the interval the norm missed, which reads
-    true for each."""
-    assert str(DegenerateNormError(norm, 0.5)) == (
-        f"associate matrix norm {norm:g} is outside [0.5, inf): no factor pair can be read off")
+    """decompose raises DegenerateNormError for a norm at most
+    DEGENERACY_TOL, infinite or NaN; the message states the interval the
+    norm missed, which reads true for each."""
+    assert str(DegenerateNormError(norm, DEGENERACY_TOL)) == (
+        f"associate matrix norm {norm:g} is outside (1e-150, inf): no factor pair can be read off")
 
 
 def _subclasses(cls):

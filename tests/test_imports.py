@@ -70,14 +70,15 @@ def test_generate_imports_numpy():
 def test_exported_names_exist():
     """Each name in __all__ resolves, and the names removed with the
     rank-1 side path, the per-check bounds and the names no caller outside
-    the tests used, and the norm-deviation gate's error, are exported no
-    more, from the package or from the module that held them; Tolerances
-    has no iso_tol, whose bound is ortho_tol itself."""
+    the tests used, the norm-deviation gate's error and quat's copies of
+    the kernel's DEGENERACY_TOL and UNIT_TOL, are exported no more, from
+    the package or from the module that held them; Tolerances has no
+    iso_tol, whose bound is ortho_tol itself."""
     for name in isoclinic.__all__:
         getattr(isoclinic, name)
     removed = {"rank1_factor", "NotRankOneError", "check_unit", "ORTHO_TOL", "DET_TOL",
                "minor_2x2", "canonical_pair", "quat_norm", "quat_conjugate", "IDENTITY",
-               "COMPOSITION_TABLE", "NormDeviationError"}
+               "COMPOSITION_TABLE", "NormDeviationError", "DEGENERACY_TOL", "UNIT_TOL"}
     assert not removed & set(isoclinic.__all__)
     for module in (isoclinic, associate, quat, rotation4):
         assert not [name for name in removed if hasattr(module, name)], module.__name__

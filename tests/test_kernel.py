@@ -71,14 +71,15 @@ def test_associate_distance_is_the_frobenius_distance(A):
     """The distance read off M, 2 ||M - outer(L, R)||_F, is ||A - Q||_F for
     the rotation Q the read-off's factors generate, built by the oracle's
     bilinear formula: from the loop reference for a rejected matrix too,
-    and from decompose when the distance bound is lifted."""
+    and from decompose when the distance bound is lifted, since every such
+    matrix has a readable norm."""
     a = A.ravel().tolist()
     bound = 8 * EPS * max(1.0, float(np.linalg.norm(A)))
-    L, R, distance = nearest_loop(associate_loop(a))
+    L, R, distance, _ = nearest_loop(associate_loop(a))
     assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
-    if math.hypot(*_kernel.associate(a)) >= 0.5:
-        L, R, distance, _ = _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
-        assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
+    assert _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < math.inf
+    L, R, distance, _ = _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
+    assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
 
 
 # ---- the loop reference ------------------------------------------------------
@@ -111,33 +112,34 @@ def two_sided_loop(L, R):
             for k0, s0, k1, s1, k2, s2, k3, s3 in _COMPOSE]
 
 
-def unit_loop(q):
-    """q over its norm, as the generated read-off scales a factor: unlike
-    _kernel.unit it does not rescale a finite q whose norm overflows."""
-    norm = math.hypot(*q)
-    if norm <= _kernel.DEGENERACY_TOL:
-        raise _kernel.ZeroQuaternionError(norm, _kernel.DEGENERACY_TOL)
-    return [component / norm for component in q]
+def unit_loop(q, norms):
+    """q over its norm, as the generated read-off scales a factor, with no
+    check: unlike _kernel.unit it neither rejects a small norm nor rescales
+    a finite q whose norm overflows. The norm is appended to norms."""
+    norms.append(math.hypot(*q))
+    return [component / norms[-1] for component in q]
 
 
 def nearest_loop(m):
+    """(L, R, distance, the three norms the read-off divides by)."""
     (m00, m01, m02, m03, m10, m11, m12, m13,
      m20, m21, m22, m23, m30, m31, m32, m33) = m
     magnitudes = list(map(abs, m))
-    l0, l1, l2, l3 = unit_loop(m[magnitudes.index(max(magnitudes)) % 4::4])
+    norms = []
+    l0, l1, l2, l3 = unit_loop(m[magnitudes.index(max(magnitudes)) % 4::4], norms)
     R = r0, r1, r2, r3 = unit_loop([0.0 + m00 * l0 + m10 * l1 + m20 * l2 + m30 * l3,
                                     0.0 + m01 * l0 + m11 * l1 + m21 * l2 + m31 * l3,
                                     0.0 + m02 * l0 + m12 * l1 + m22 * l2 + m32 * l3,
-                                    0.0 + m03 * l0 + m13 * l1 + m23 * l2 + m33 * l3])
+                                    0.0 + m03 * l0 + m13 * l1 + m23 * l2 + m33 * l3], norms)
     L = l0, l1, l2, l3 = unit_loop([0.0 + m00 * r0 + m01 * r1 + m02 * r2 + m03 * r3,
                                     0.0 + m10 * r0 + m11 * r1 + m12 * r2 + m13 * r3,
                                     0.0 + m20 * r0 + m21 * r1 + m22 * r2 + m23 * r3,
-                                    0.0 + m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3])
+                                    0.0 + m30 * r0 + m31 * r1 + m32 * r2 + m33 * r3], norms)
     return L, R, 2.0 * math.hypot(
         m00 - l0 * r0, m01 - l0 * r1, m02 - l0 * r2, m03 - l0 * r3,
         m10 - l1 * r0, m11 - l1 * r1, m12 - l1 * r2, m13 - l1 * r3,
         m20 - l2 * r0, m21 - l2 * r1, m22 - l2 * r2, m23 - l2 * r3,
-        m30 - l3 * r0, m31 - l3 * r1, m32 - l3 * r2, m33 - l3 * r3)
+        m30 - l3 * r0, m31 - l3 * r1, m32 - l3 * r2, m33 - l3 * r3), norms
 
 
 def canonical_loop(L, R):
@@ -152,9 +154,9 @@ def canonical_loop(L, R):
 def decompose_loop(a, tolerances):
     m = associate_loop(a)
     norm = math.hypot(*m)
-    if not 0.5 <= norm < math.inf:
-        raise _kernel.DegenerateNormError(norm, 0.5)
-    L, R, distance = nearest_loop(m)
+    if not _kernel.DEGENERACY_TOL < norm < math.inf:
+        raise _kernel.DegenerateNormError(norm, _kernel.DEGENERACY_TOL)
+    L, R, distance, _ = nearest_loop(m)
     if not distance <= tolerances.dist_tol:
         raise _kernel.ReconstructionError(distance, tolerances.dist_tol)
     return (*canonical_loop(L, R), distance, abs(norm - 1.0))
@@ -277,6 +279,94 @@ def test_generated_two_sided_matches_the_loop_reference(L, R):
     """two_sided gives the loop reference's floats bit for bit on any pair,
     unit or not, signed zeros and overflow to inf or NaN included."""
     assert outcome(_kernel.two_sided, L, R) == outcome(two_sided_loop, L, R)
+
+
+def low_rank(seed, rank):
+    """A sum of rank outer products of Gaussian vectors: rank 0 to 4."""
+    rng = np.random.default_rng(seed)
+    return sum((np.outer(*rng.standard_normal((2, 4))) for _ in range(rank)),
+               np.zeros((4, 4))).ravel().tolist()
+
+
+# matrices of every rank and of scattered magnitudes, far from the group,
+# each scaled by 10**k from just above DEGENERACY_TOL to near the float range
+readable_bases = st.one_of(
+    st.lists(st.just(0.0) | st.just(-0.0) | st.floats(-1e3, 1e3), min_size=16, max_size=16),
+    st.builds(low_rank, seeds, st.integers(0, 4)),
+    st.lists(st.sampled_from([1.0, -1.0]), min_size=16, max_size=16),
+    st.builds(lambda seed: np.random.default_rng(seed).standard_cauchy(16).tolist(), seeds),
+    st.sampled_from([TIED_ROTATION, TIED_REFLECTION]),
+)
+
+
+@settings(deadline=None, max_examples=600)
+@given(readable_bases, st.integers(-149, 300))
+def test_every_readable_norm_reads_off_unit_factors(base, k):
+    """With the distance bound lifted, decompose returns factors of unit
+    norm to 4 eps for any M whose norm is finite and above DEGENERACY_TOL,
+    and rejects the rest, only those, with DegenerateNormError: the read-off
+    needs no norm floor. Each of the three norms it divides by is at least
+    norm(M)/8."""
+    a = [x * 10.0 ** k for x in base]
+    norm = math.hypot(*_kernel.associate(a))
+    readable = _kernel.DEGENERACY_TOL < norm < math.inf
+    try:
+        L, R, *_ = _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
+    except DegenerateNormError:
+        assert not readable
+        return
+    assert readable
+    assert abs(math.hypot(*L) - 1.0) <= 4 * EPS and abs(math.hypot(*R) - 1.0) <= 4 * EPS
+    assert min(nearest_loop(associate_loop(a))[3]) >= norm / 8
+
+
+# each single-operator mutant of decompose's two checks: a comparison
+# loosened or tightened, or a check's `not` dropped
+CHECK_MUTANTS = [
+    ("DEGENERACY_TOL < norm", "DEGENERACY_TOL <= norm"),
+    ("norm < inf", "norm <= inf"),
+    ("if not DEGENERACY_TOL", "if DEGENERACY_TOL"),
+    ("d <= dist", "d < dist"),
+    ("if not d <= dist", "if d <= dist"),
+]
+
+
+def outcome_of_any(function, *args):
+    """outcome(), with any other exception reported by its type."""
+    try:
+        return outcome(function, *args)
+    except Exception as exc:  # a mutant may divide by zero
+        return type(exc).__name__
+
+
+def test_every_mutant_of_the_checks_is_killed():
+    """The generated decompose makes two checks, the norm's domain before
+    the read-off and the distance after it, and every mutant of either
+    fails on a pool of inputs at their bounds: an M whose norm is exactly
+    DEGENERACY_TOL, one whose norm overflows, the zero matrix, and a
+    rotation whose distance is exactly dist_tol."""
+    source = _kernel._SOURCES["decompose"]
+    assert "ZeroQuaternionError" not in source and "0.5" not in source
+    assert source.count("raise ") == 2
+    floor = [_kernel.DEGENERACY_TOL * (k % 5 == 0) for k in range(16)]
+    assert math.hypot(*_kernel.associate(floor)) == _kernel.DEGENERACY_TOL
+    assert math.hypot(*_kernel.associate([1e308] * 16)) == math.inf
+    haar = random_rotation(3).ravel().tolist()
+    d = _kernel.decompose(haar, Tolerances())[2]
+    assert Tolerances(ortho_tol=d / 2).dist_tol == d
+    pool = [(floor, Tolerances()), ([1e308] * 16, Tolerances()), ([0.0] * 16, Tolerances()),
+            (haar, Tolerances(ortho_tol=d / 2))]
+
+    def outcomes(text):
+        namespace = dict(vars(_kernel))
+        exec(compile(text, "<mutant>", "exec"), namespace)
+        return [outcome_of_any(namespace["decompose"], *args) for args in pool]
+
+    expected = outcomes(source)
+    assert expected == [outcome(_kernel.decompose, *args) for args in pool]
+    for old, new in CHECK_MUTANTS:
+        assert source.count(old) == 1, old
+        assert outcomes(source.replace(old, new)) != expected, new
 
 
 def test_generated_functions_are_compiled_from_the_table():
