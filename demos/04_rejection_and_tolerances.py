@@ -25,14 +25,16 @@ from isoclinic import (
 np.set_printoptions(precision=6, suppress=True)
 
 # A reflection is orthogonal but reverses orientation. Validation catches
-# the determinant...
+# the determinant's sign. The budget bounds the orthogonality deviation
+# only, so no budget lets a reflection through, not even an ortho_tol of 5...
 reflection = np.diag([1.0, 1.0, 1.0, -1.0])
-try:
-    validate_rotation(reflection)
-except NotProperRotationError as exc:
-    print("validate_rotation:", exc)
+for budget in (Tolerances(), Tolerances(ortho_tol=5)):
+    try:
+        validate_rotation(reflection, budget)
+    except NotProperRotationError as exc:
+        print(f"validate_rotation, ortho_tol {budget.ortho_tol:g}:", exc)
 
-# ...but the decomposition rejects it on its own. The recombined matrix of
+# ...and the decomposition rejects it on its own. The recombined matrix of
 # an improper orthogonal matrix has unit norm, but it is not rank 1: its
 # four singular values are all 1/2, so 2M is orthogonal. No factor pair
 # comes closer than distance 2.

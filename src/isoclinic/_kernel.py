@@ -2,20 +2,20 @@
 
 A 4x4 matrix is the row-major list of its 16 entries and a quaternion the
 list of its four components (w, x, y, z). Every check made on a rotation
-runs here: orthogonality and determinant, the associate matrix and its
-norm, the factor read-off with its distance, the sign, and the
+runs here: orthogonality and the determinant's sign, the associate matrix
+and its norm, the factor read-off with its distance, the sign, and the
 classification, each against a bound of the one ``Tolerances`` object the
 caller passes. The array API in ``quat``, ``rotation4``, ``associate``
 and ``invariance`` coerces its input once, calls into this module and
 boxes the result; the CLI calls it on the floats it parses, so a command
 that never builds an array never imports numpy.
 
-``associate``, ``decompose``, ``two_sided``, ``canonical``, ``check_unit``,
-``angle`` and ``classify`` are not written here: their straight-line
-source (``_SOURCES``) is generated when the module is imported, the first
-three from the composition table ``TABLE`` and the sign rule and the
-quaternion checks from one fragment each, and each is compiled into this
-namespace the first time it is read.
+``associate``, ``decompose``, ``two_sided``, ``check_unit``, ``angle`` and
+``classify`` are not written here: their straight-line source
+(``_SOURCES``) is generated when the module is imported, the first three
+from the composition table ``TABLE`` and the sign rule and the quaternion
+checks from one fragment each, and each is compiled into this namespace
+the first time it is read.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ class _Bounds(NamedTuple):
 class Tolerances(_Bounds):
     """The one noise budget, ortho_tol, and the bound derived from it.
 
-    ortho_tol   the field: bound on max |A^T A - I| and on |det A - 1|; a
-                factor within it of +/-1 is trivial (every factor is under
-                ortho_tol = inf), and the factor angles may drift by it
-                under a frame change
+    ortho_tol   the field: bound on max |A^T A - I|, the one bound of
+                validation, whose properness test is det A > 0 under any
+                budget; a factor within it of +/-1 is trivial (every
+                factor is under ortho_tol = inf), and the factor angles may
+                drift by it under a frame change
     dist_tol    read-only, 2 ortho_tol: bound on ||A - Q||_F for the rotation
                 Q of the factors, decompose's one gate; to first order only,
                 it bounds the distance from SO(4) of what validation accepts
@@ -188,16 +189,18 @@ def determinant(a):
 
 
 def validate(a, tolerances):
-    """(max |A^T A - I|, det A) when A is orthogonal with determinant +1,
-    both within tolerances.ortho_tol; NotOrthogonalError or
-    NotProperRotationError otherwise."""
+    """(max |A^T A - I|, det A) when A is orthogonal within
+    tolerances.ortho_tol and det A > 0; NotOrthogonalError or
+    NotProperRotationError otherwise. The budget bounds the Gram deviation
+    alone: an orthogonal matrix has determinant +/-1, so properness is the
+    determinant's sign, under every budget."""
     bound = tolerances.ortho_tol
     deviation = gram_deviation(a)
     if not deviation <= bound:
         raise NotOrthogonalError(deviation, bound)
     det = determinant(a)
-    if not abs(det - 1.0) <= bound:
-        raise NotProperRotationError(det, bound)
+    if not det > 0.0:
+        raise NotProperRotationError(det, 0.0)
     return deviation, det
 
 
@@ -392,14 +395,6 @@ def two_sided(L, R):
     + "".join(f"\n    o{4 * p + q} = l{p} * r{q}" for p in range(4) for q in range(4))
     + "\n    return [" + ",\n            ".join(
         f"{_lane(t0, t2)} + ({_lane(t1, t3)}) + 0.0" for t0, t1, t2, t3 in _by(0)) + "]\n",
-    "canonical": f'''
-def canonical(L, R):
-    """Negate both factors unless the first component of L above SIGN_TOL in
-    magnitude is positive."""
-    {_L} = L
-    {_R} = R{_SIGN}
-    return [{_L}], [{_R}]
-''',
     "check_unit": f'''
 def check_unit(q):
     """Raise NotUnitQuaternionError unless q lies on the unit 3-sphere within

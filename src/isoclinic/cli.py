@@ -256,7 +256,7 @@ def cmd_verify(args) -> int:
     tolerances = args.tolerances
     checks = {
         "orthogonality": {"measured": ortho_deviation, "tol": tolerances.ortho_tol, "pass": True},
-        "determinant": {"measured": det, "tol": tolerances.ortho_tol, "pass": True},
+        "determinant": {"measured": det, "tol": 0.0, "pass": True},
         "distance": {"measured": distance, "tol": tolerances.dist_tol, "pass": True},
     }
     if args.json:
@@ -329,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance_flags = argparse.ArgumentParser(add_help=False)
     tolerance_flags.add_argument("--ortho-tol", type=_tolerances, dest="tolerances",
                                  metavar="ORTHO_TOL", default=DEFAULT_TOLERANCES,
-                                 help="the one noise budget: orthogonality, determinant "
-                                      "and trivial-factor tolerance, half the distance "
-                                      "tolerance")
+                                 help="the one noise budget: orthogonality and "
+                                      "trivial-factor tolerance, half the distance "
+                                      "tolerance; under any budget the determinant must be positive")
 
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true",

@@ -56,8 +56,7 @@ class NotOrthogonalError(_Measured, ValidationError):
 
 
 class NotProperRotationError(_Measured, ValidationError):
-    template = ("matrix is not a proper rotation: det = {measured:.15g}, "
-                "expected 1 within {tol:.1e}")
+    template = "matrix is not a proper rotation: det = {measured:.15g} is not positive"
 
 
 class DecompositionError(IsoclinicError):

@@ -32,14 +32,15 @@ def _mat4(A):
 
 
 def validate_rotation(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Check that A is orthogonal with determinant +1, within ortho_tol.
+    """Check that A is orthogonal within ortho_tol and has det A > 0.
 
-    The one bound tolerances.ortho_tol applies to max |A^T A - I| and to
-    |det A - 1|. Returns A as an ndarray on success. Raises
+    The one bound tolerances.ortho_tol applies to max |A^T A - I|. An
+    orthogonal matrix has determinant +/-1, so properness is its sign,
+    tested under every budget. Returns A as an ndarray on success. Raises
     NotOrthogonalError carrying the max-abs deviation of A^T A from I, or
-    NotProperRotationError carrying the determinant. A matrix that fails is
-    rejected, never repaired; callers wanting a nearby rotation must build
-    one themselves.
+    NotProperRotationError carrying the determinant and tol 0.0. A matrix
+    that fails is rejected, never repaired; callers wanting a nearby
+    rotation must build one themselves.
     """
     A, entries = _mat4(A)
     _kernel.validate(entries, tolerances)

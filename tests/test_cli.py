@@ -237,11 +237,54 @@ def test_verify_zero_matrix():
 
 def test_verify_reflection_reports_determinant():
     """diag(1,1,1,-1) is orthogonal and is rejected by the determinant check,
-    which reports det = -1 against its bound."""
+    which reports det = -1 against its bound 0: the determinant must be
+    positive."""
     code, error = run_rejected(["verify"], REFLECTION16)
     assert code == 3
     assert (error["type"], error["measured"], error["tol"]) \
-        == ("NotProperRotationError", -1.0, 1e-9)
+        == ("NotProperRotationError", -1.0, 0.0)
+
+
+# sqrt(1 + 0.9e-9) I: Gram deviation 9.0e-10, within the default budget,
+# and determinant 1.0000000018; diag(1, 1, 1, 0): Gram deviation 1 and
+# determinant 0
+SCALED16 = " ".join(repr(math.sqrt(1 + 0.9e-9) * x) for x in EYE16)
+SINGULAR16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 0"
+BUDGETS = [0.0, 1e-12, 1e-9, 1e-6, 0.6, 0.96, 1.0, 2.0, 5.0, math.inf]
+
+
+def test_a_determinant_off_one_within_the_budget_is_proper():
+    """The budget bounds the Gram deviation alone: sqrt(1 + 0.9e-9) I is
+    within the default budget, and its determinant, 1 + 1.8e-9, need only
+    be positive. Every checking command accepts it, decompose at distance
+    9.0e-10."""
+    for command in ("decompose", "verify", "classify"):
+        code, out, err = run_on([command, "--json"], SCALED16)
+        assert (code, json.loads(out)["status"], err) == (0, "ok", "")
+    report = json.loads(run_on(["decompose", "--json"], SCALED16)[1])
+    assert report["residuals"]["distance"] == pytest.approx(9.0e-10, rel=1e-6)
+    report = json.loads(run_on(["verify", "--json"], SCALED16)[1])
+    assert report["checks"]["determinant"] == {"measured": 1.0000000018000001, "tol": 0.0,
+                                               "pass": True}
+
+
+@pytest.mark.parametrize("ortho_tol", BUDGETS)
+def test_non_rotations_are_rejected_under_every_budget(ortho_tol):
+    """diag(1, 1, 1, -1), diag(1, 1, 1, 0) and the zero matrix, whose Gram
+    deviations are 0, 1 and 1, are rejected by each checking command, plain
+    and --json, with exit 3: not orthogonal under a budget below the
+    deviation, and otherwise not proper, the determinant not positive. No
+    budget bounds the determinant, so a reflection under a budget of 2 and
+    diag(1, 1, 1, 0) under 1 are rejected too."""
+    flags = ["--ortho-tol", repr(ortho_tol)]
+    for text, deviation, det in ((REFLECTION16, 0.0, -1.0), (SINGULAR16, 1.0, 0.0),
+                                 ("0 " * 16, 1.0, 0.0)):
+        expected = (("NotOrthogonalError", deviation, ortho_tol) if deviation > ortho_tol
+                    else ("NotProperRotationError", det, 0.0))
+        for command in ("decompose", "verify", "classify"):
+            code, error = run_rejected([command, *flags], text)
+            assert (code, (error["type"], error["measured"], error["tol"])) == (3, expected)
+            assert run_on([command, *flags], text) == (3, "", f"rejected: {error['message']}\n")
 
 
 def test_verify_minor_failure_exit_code():
@@ -445,7 +488,8 @@ def test_json_reports_are_strict(monkeypatch):
     reports write those as null, and the message keeps the number. An
     infinite bound is a valid one, and every report lists it as null,
     whether the input is accepted (the identity) or rejected (sixteen 1e308
-    entries, whose determinant is NaN), and a rejection as its "tol"."""
+    entries, whose determinant is NaN). That rejection's "tol" is 0.0, the
+    determinant's bound under every budget, and its "measured" is null."""
     for command in ("decompose", "verify"):
         code, out, _ = run_cli([command, "--json"], "1e308 " * 16, monkeypatch)
         assert code == 3
@@ -461,8 +505,10 @@ def test_json_reports_are_strict(monkeypatch):
             assert report["tolerances"] == {"ortho_tol": None, "dist_tol": None, "iso_tol": None}
             if status == "rejected":
                 # an infinite ortho_tol passes the Gram deviation inf, and
-                # the NaN determinant is rejected against the bound inf
-                assert report["error"]["tol"] is None
+                # the NaN determinant is not positive
+                error = report["error"]
+                assert error["type"] == "NotProperRotationError"
+                assert error["measured"] is None and error["tol"] == 0.0
 
 
 def _finite_or_none(value):

@@ -30,8 +30,8 @@ RECORDS = [
      (True, False, True)),
     (NotOrthogonalError, 3.0, 1e-9,
      "matrix is not orthogonal: max |A^T A - I| = 3 exceeds 1.0e-09", (True, False, False)),
-    (NotProperRotationError, -0.999999123, 1e-9,
-     "matrix is not a proper rotation: det = -0.999999123, expected 1 within 1.0e-09",
+    (NotProperRotationError, -0.999999123, 0.0,
+     "matrix is not a proper rotation: det = -0.999999123 is not positive",
      (True, False, False)),
     (DegenerateNormError, 1e-200, DEGENERACY_TOL,
      "associate matrix norm 1e-200 is outside (1e-150, inf): no factor pair can be read off",

@@ -1,6 +1,7 @@
 """The float kernel against numpy, the independent oracles and the loop
 reference its generated straight-line code replaces."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -140,6 +141,23 @@ def nearest_loop(m):
         m10 - l1 * r0, m11 - l1 * r1, m12 - l1 * r2, m13 - l1 * r3,
         m20 - l2 * r0, m21 - l2 * r1, m22 - l2 * r2, m23 - l2 * r3,
         m30 - l3 * r0, m31 - l3 * r1, m32 - l3 * r2, m33 - l3 * r3), norms
+
+
+def compiled(text, name):
+    """The function name defined by the source text, compiled into a fresh
+    copy of the kernel's namespace."""
+    namespace = dict(vars(_kernel))
+    exec(compile(text, "<test>", "exec"), namespace)
+    return namespace[name]
+
+
+# the sign rule, compiled on its own from the fragment spliced into decompose
+canonical = compiled(f"""
+def canonical(L, R):
+    l0, l1, l2, l3 = L
+    r0, r1, r2, r3 = R{_kernel._SIGN}
+    return [l0, l1, l2, l3], [r0, r1, r2, r3]
+""", "canonical")
 
 
 def canonical_loop(L, R):
@@ -331,12 +349,34 @@ CHECK_MUTANTS = [
 ]
 
 
+# each single-operator mutant of validate's two checks
+VALIDATE_MUTANTS = [
+    ("deviation <= bound", "deviation < bound"),
+    ("if not deviation", "if deviation"),
+    ("det > 0.0", "det >= 0.0"),
+    ("if not det", "if det"),
+]
+
+
 def outcome_of_any(function, *args):
     """outcome(), with any other exception reported by its type."""
     try:
         return outcome(function, *args)
     except Exception as exc:  # a mutant may divide by zero
         return type(exc).__name__
+
+
+def assert_mutants_killed(source, name, mutants, pool):
+    """Each mutant of source, one replacement of (old, new) each, gives an
+    outcome other than source's on some input of pool."""
+    def outcomes(text):
+        return [outcome_of_any(compiled(text, name), *args) for args in pool]
+
+    expected = outcomes(source)
+    assert expected == [outcome(getattr(_kernel, name), *args) for args in pool]
+    for old, new in mutants:
+        assert source.count(old) == 1, old
+        assert outcomes(source.replace(old, new)) != expected, new
 
 
 def test_every_mutant_of_the_checks_is_killed():
@@ -356,17 +396,26 @@ def test_every_mutant_of_the_checks_is_killed():
     assert Tolerances(ortho_tol=d / 2).dist_tol == d
     pool = [(floor, Tolerances()), ([1e308] * 16, Tolerances()), ([0.0] * 16, Tolerances()),
             (haar, Tolerances(ortho_tol=d / 2))]
+    assert_mutants_killed(source, "decompose", CHECK_MUTANTS, pool)
 
-    def outcomes(text):
-        namespace = dict(vars(_kernel))
-        exec(compile(text, "<mutant>", "exec"), namespace)
-        return [outcome_of_any(namespace["decompose"], *args) for args in pool]
 
-    expected = outcomes(source)
-    assert expected == [outcome(_kernel.decompose, *args) for args in pool]
-    for old, new in CHECK_MUTANTS:
-        assert source.count(old) == 1, old
-        assert outcomes(source.replace(old, new)) != expected, new
+def test_every_mutant_of_validate_is_killed():
+    """validate makes two checks, the Gram deviation against ortho_tol and
+    the determinant's sign, and every mutant of either fails on a pool at
+    their bounds: a noisy rotation whose deviation is exactly the bound,
+    diag(1, 1, 1, 0) under ortho_tol = 1, whose deviation is exactly 1 and
+    whose determinant is exactly 0, the reflection diag(1, 1, 1, -1) and
+    the identity."""
+    source = inspect.getsource(_kernel.validate)
+    assert source.count("raise ") == 2 and "det - 1" not in source
+    rng = np.random.default_rng(5)
+    noisy = (random_rotation(rng) + 1e-10 * rng.standard_normal((4, 4))).ravel().tolist()
+    singular = [1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert (_kernel.gram_deviation(singular), _kernel.determinant(singular)) == (1.0, 0.0)
+    pool = [(noisy, Tolerances(ortho_tol=_kernel.gram_deviation(noisy))),
+            (singular, Tolerances(ortho_tol=1.0)),
+            (IDENTITY16[:15] + [-1.0], Tolerances()), (IDENTITY16, Tolerances())]
+    assert_mutants_killed(source, "validate", VALIDATE_MUTANTS, pool)
 
 
 def test_generated_functions_are_compiled_from_the_table():
@@ -374,11 +423,11 @@ def test_generated_functions_are_compiled_from_the_table():
     under one filename; any other name the module lacks stays an
     AttributeError, the loop functions they replace and the removed
     distance among them."""
-    for name in ("associate", "decompose", "two_sided",
-                 "canonical", "check_unit", "angle", "classify"):
+    for name in ("associate", "decompose", "two_sided", "check_unit", "angle", "classify"):
         code = getattr(_kernel, name).__code__
         assert code.co_filename == "<isoclinic._kernel: generated>"
-    for name in ("nearest", "distance", "_COMPOSE", "_terms", "_trivial_deviation"):
+    for name in ("canonical", "nearest", "distance", "_COMPOSE", "_terms",
+                 "_trivial_deviation"):
         assert not hasattr(_kernel, name)
 
 
@@ -417,11 +466,11 @@ trivial_tolerances = st.sampled_from([Tolerances(), Tolerances(ortho_tol=0.0),
 @given(unit_factors | basis_factors | sign_factors, unit_factors | basis_factors | sign_factors,
        trivial_tolerances)
 def test_generated_sign_rule_and_classification_match_the_loop_reference(L, R, tolerances):
-    """canonical, check_unit, angle and classify give the loop reference's
+    """The sign rule, check_unit, angle and classify give the loop reference's
     floats bit for bit, signs of zero and the kind included, or raise its
     error type with its measured value and bound, on unit and non-unit
     factors alike."""
-    assert outcome(_kernel.canonical, L, R) == outcome(canonical_loop, L, R)
+    assert outcome(canonical, L, R) == outcome(canonical_loop, L, R)
     assert outcome(_kernel.check_unit, L) == outcome(check_unit_loop, L)
     assert outcome(_kernel.angle, R) == outcome(angle_loop, R)
     assert outcome(_kernel.classify, L, R, tolerances) == outcome(classify_loop, L, R, tolerances)
@@ -480,4 +529,4 @@ def test_canonical_edge_cases(L):
     R = [0.0, -0.0, 0.5, -1.0]
     anchor = next((c for c in L if abs(c) > SIGN_TOL), 0.0)
     expected = ([-c for c in L], [-c for c in R]) if anchor < 0 else (L, R)
-    assert repr(_kernel.canonical(L, R)) == repr(expected)
+    assert repr(canonical(L, R)) == repr(expected)

@@ -29,8 +29,9 @@ from isoclinic import (
     validate_rotation,
     van_elfrinkhof,
 )
+from isoclinic import _kernel
 from isoclinic._kernel import TABLE
-from oracles import bilinear_composition
+from oracles import bilinear_composition, random_improper
 
 seeds = st.integers(0, 2**32 - 1)
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -54,6 +55,46 @@ def test_validate_rotation():
     with pytest.raises(NotOrthogonalError) as info:
         validate_rotation(2.0 * np.eye(4))
     assert info.value.measured == pytest.approx(3.0, abs=1e-12)
+
+
+BUDGETS = [0.0, 1e-12, 1e-9, 1e-6, 0.6, 0.96, 1.0, 2.0, 5.0, math.inf]
+
+
+def _zero_column(rng):
+    """A Haar rotation with one column zeroed: its determinant is exactly 0."""
+    A = random_rotation(rng)
+    A[:, rng.integers(4)] = 0.0
+    return A
+
+
+@settings(deadline=None, max_examples=300)
+@given(seeds, st.sampled_from([random_improper, _zero_column]), st.floats(0.0, 2.0),
+       st.sampled_from(BUDGETS))
+def test_no_budget_accepts_a_matrix_of_non_positive_determinant(seed, family, c, ortho_tol):
+    """A scaled reflection or a scaled matrix with a zero column is rejected
+    under every budget; where its Gram deviation passes, the determinant's
+    sign decides, with tol 0.0."""
+    A = c * family(np.random.default_rng(seed))
+    entries = A.ravel().tolist()
+    with pytest.raises((NotOrthogonalError, NotProperRotationError)) as info:
+        validate_rotation(A, Tolerances(ortho_tol=ortho_tol))
+    if _kernel.gram_deviation(entries) <= ortho_tol:
+        det = _kernel.determinant(entries)
+        assert det <= 0.0
+        assert type(info.value) is NotProperRotationError
+        assert (info.value.measured.hex(), info.value.tol) == (det.hex(), 0.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeds, st.floats(0.0, 0.9), st.sampled_from([1e-12, 1e-9, 1e-6, 0.6, 0.96]))
+def test_a_scaled_rotation_within_the_budget_is_accepted(seed, c, ortho_tol):
+    """sqrt(1 + c ortho_tol) Q for a Haar rotation Q has Gram deviation about
+    c ortho_tol and determinant (1 + c ortho_tol)^2: validate_rotation and
+    decompose both accept it, whatever its determinant's distance from 1."""
+    A = math.sqrt(1.0 + c * ortho_tol) * random_rotation(seed)
+    tolerances = Tolerances(ortho_tol=ortho_tol)
+    validate_rotation(A, tolerances)
+    decompose(A, tolerances)
 
 
 def test_validate_rotation_tolerances_are_adjustable():
