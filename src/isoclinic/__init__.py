@@ -34,7 +34,6 @@ from .errors import (
     NotProperRotationError,
     NotUnitQuaternionError,
     ParseError,
-    ReconstructionError,
     ValidationError,
     ZeroQuaternionError,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "NotProperRotationError",
     "NotUnitQuaternionError",
     "ParseError",
-    "ReconstructionError",
     "RotationClass",
     "RotationKind",
     "SimilarityFrame",

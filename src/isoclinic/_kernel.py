@@ -31,7 +31,6 @@ from .errors import (
     NotOrthogonalError,
     NotProperRotationError,
     NotUnitQuaternionError,
-    ReconstructionError,
     ZeroQuaternionError,
 )
 
@@ -42,6 +41,18 @@ DEGENERACY_TOL = 1e-150
 # magnitude a component of L must exceed to anchor the joint sign; a unit
 # quaternion always has a component of magnitude at least 1/2
 SIGN_TOL = 1e-8
+# Rounding slack of decompose's shortcut. A = Q + E, Q the rotation of the
+# unit factors and ||E||_F = d, gives max |A^T A - I| <= 2d + d^2, and d <= 1/2
+# keeps det A >= 1/16, far above its rounding. In floats (u = 2^-53; n rounded
+# terms sum to within n u times their magnitudes: Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., ch. 3) a computed d <= 1/2 is
+# within 31 u of ||E||_F: 15 u from M's sums of quarters (3 u ||A||_F,
+# doubled), 12 u from the factors' norms (3 u each, doubled), 4 u from the
+# products, differences and hypot. So the exact Gram deviation is within
+# 2d + d^2 + 93 u, the computed one 11 u more (sums of four products, columns
+# of norm <= 1.5), and the test's roundings cost 4 u: 108 u, rounded up to a
+# power of two.
+SHORTCUT_SLACK = 2.0 ** -46
 
 
 class _Bounds(NamedTuple):
@@ -49,16 +60,13 @@ class _Bounds(NamedTuple):
 
 
 class Tolerances(_Bounds):
-    """The one noise budget, ortho_tol, and the bound derived from it.
+    """The one noise budget, ortho_tol.
 
-    ortho_tol   the field: bound on max |A^T A - I|, the one bound of
-                validation, whose properness test is det A > 0 under any
-                budget; a factor within it of +/-1 is trivial (every
-                factor is under ortho_tol = inf), and the factor angles may
-                drift by it under a frame change
-    dist_tol    read-only, 2 ortho_tol: bound on ||A - Q||_F for the rotation
-                Q of the factors, decompose's one gate; to first order only,
-                it bounds the distance from SO(4) of what validation accepts
+    ortho_tol   bound on max |A^T A - I|, the one bound of validation, whose
+                properness test is det A > 0 under any budget; decompose
+                accepts what validation accepts; a factor within it of +/-1
+                is trivial (every factor is under ortho_tol = inf), and the
+                factor angles may drift by it under a frame change
     Tolerances(a, b) raises TypeError. A NaN or negative bound raises
     ValueError: NaN would pass every check, a negative one fail an exact one.
     """
@@ -74,8 +82,6 @@ class Tolerances(_Bounds):
     def _make(cls, iterable):
         # _replace builds through _make; route it through the checks above
         return cls(*iterable)
-
-    dist_tol = property(lambda self: 2 * self.ortho_tol)
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -250,7 +256,7 @@ class RotationClass(NamedTuple):
 # a sum of quarters of four finite floats cannot overflow where a quarter of
 # their sum can. The sign rule and the checks on a quaternion are written out
 # once each, on named locals, and spliced into every function that runs
-# them. The bound tests of decompose and of the unit check read
+# them. The shortcut of decompose and the unit check read
 # `not measured <= bound`, so a NaN measure fails them.
 
 def _by(side):
@@ -367,20 +373,19 @@ def associate(a):
 def decompose(a, tolerances):
     """Split the rotation with row-major entries a into its factor pair.
 
-    Returns (L, R, distance, norm deviation). The distance is the one gate:
-    above dist_tol it raises ReconstructionError. The read-off needs only a
-    finite norm(M) above DEGENERACY_TOL, and DegenerateNormError rejects
-    any other, NaN included. The norm deviation |norm(M) - 1| is reported,
-    not checked: |norm(M) - 1| <= ||M - outer(L, R)||_F for every unit
-    pair, so it is at most distance / 2, to rounding, and a bound on it
-    would reject nothing the distance does not.
+    Returns (L, R, distance d, |norm(M) - 1|) for what validate accepts and
+    raises what it raises otherwise: d <= 1/2 with 2d + d^2 + SHORTCUT_SLACK
+    within ortho_tol proves that validate accepts, and only a matrix that
+    misses it runs validate. Outside the read-off's domain, a finite norm(M)
+    above DEGENERACY_TOL, validate runs first, so DegenerateNormError
+    rejects only what it accepts, under ortho_tol = inf.
     """{_ASSOCIATE}
     norm = hypot({_M})
     if not DEGENERACY_TOL < norm < inf:
+        validate(a, tolerances)
         raise DegenerateNormError(norm, DEGENERACY_TOL){_READ_OFF}
-    dist = tolerances.dist_tol
-    if not d <= dist:
-        raise ReconstructionError(d, dist){_SIGN}
+    if not (d <= 0.5 and 2.0 * d + d * d + SHORTCUT_SLACK <= tolerances.ortho_tol):
+        validate(a, tolerances){_SIGN}
     return [{_L}], [{_R}], d, abs(norm - 1.0)
 ''',
     "two_sided": '''

@@ -6,8 +6,8 @@ When A is the matrix of the two-sided quaternion map P -> L*P*R, it equals
 the outer product column(L) * row(R): a rank-1 matrix of unit Frobenius
 norm whose rows and columns are scalar multiples of the two factors.
 ``decompose`` reads off the factors and, in the same pass, one number:
-the Frobenius distance from A to the rotation they generate. Any matrix
-not close to a 4D rotation is rejected instead of producing garbage.
+the Frobenius distance from A to the rotation they generate. It accepts
+exactly what ``validate_rotation`` accepts, with that distance as shortcut.
 
 The factor pair is unique only up to a joint sign flip: (L, R) and
 (-L, -R) produce the same rotation. ``decompose`` returns the
@@ -61,10 +61,10 @@ class IsoclinicDecomposition(NamedTuple):
 
     The alternate decomposition is always (-left, -right); no third pair
     exists. distance is ||A - Q||_F for the rotation Q the factors
-    generate, the distance of A from SO(4) near the group, and the one
-    bound decompose checks on an associate matrix M of finite norm above
-    1e-150; norm_deviation is |norm(M) - 1|, at most distance / 2 to
-    rounding, reported as a certificate and not checked. Equality and
+    generate, the distance of A from SO(4) near the group and the
+    certificate of decompose's shortcut; norm_deviation is |norm(M) - 1|
+    for the associate matrix M, at most distance / 2 to rounding. Both are
+    reported, not checked against a bound of their own. Equality and
     hashing are by identity: comparing the array fields elementwise has no
     single truth value.
     """
@@ -83,14 +83,13 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     """Factor a rotation matrix into its two isoclinic unit quaternions.
 
     Pipeline: form the associate matrix M, then read off the factors and,
-    in the same pass, the Frobenius distance 2 ||M - outer(L, R)||_F from
-    the input to the rotation they generate. That distance is the one gate:
-    above dist_tol, a first-order bound derived as twice ortho_tol and not
-    settable, it raises ReconstructionError carrying it, so a scaled
-    rotation is rejected there too, however small. An M whose norm is at
-    most DEGENERACY_TOL (1e-150), infinite or NaN has no pair to read off
-    and raises DegenerateNormError carrying the norm. Orthogonal matrices
-    of determinant -1 keep unit norm but lie at distance 2.
+    in the same pass, the Frobenius distance d = 2 ||M - outer(L, R)||_F
+    from the input to the rotation they generate. It accepts exactly what
+    validate_rotation accepts under the same tolerances and otherwise raises
+    what that raises: d <= 1/2 with 2d + d^2 within ortho_tol, to a rounding
+    slack, proves that validation passes, and only a matrix d does not
+    certify runs it. DegenerateNormError, carrying the norm of M, rejects a
+    validated matrix with no pair to read off, only under ortho_tol = inf.
     """
     import numpy as np
     L, R, distance, norm_deviation = _kernel.decompose(_mat4(A)[1], tolerances)

@@ -93,8 +93,7 @@ def _finite(value):
 
 
 def _bounds(tolerances) -> dict:
-    return {"ortho_tol": tolerances.ortho_tol, "dist_tol": tolerances.dist_tol,
-            "iso_tol": tolerances.ortho_tol}
+    return {"ortho_tol": tolerances.ortho_tol}
 
 
 def parse_matrix(text: str) -> list:
@@ -252,18 +251,21 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     # _factor_input returns only when every check passed; a rejection goes
     # to main, which reports it as it reports decompose's
-    (ortho_deviation, det), (_, _, distance, _), _ = _factor_input(args)
+    (ortho_deviation, det), (_, _, distance, norm_deviation), _ = _factor_input(args)
     tolerances = args.tolerances
     checks = {
         "orthogonality": {"measured": ortho_deviation, "tol": tolerances.ortho_tol, "pass": True},
         "determinant": {"measured": det, "tol": 0.0, "pass": True},
-        "distance": {"measured": distance, "tol": tolerances.dist_tol, "pass": True},
     }
     if args.json:
-        print(_dumps({"status": "ok", "checks": checks, "tolerances": _bounds(tolerances)}))
+        print(_dumps({"status": "ok", "checks": checks,
+                      "residuals": {"distance": distance, "norm_deviation": norm_deviation},
+                      "tolerances": _bounds(tolerances)}))
     else:
         for name, entry in checks.items():
             print(f"{name}: {_fmt(entry['measured'])} [pass] (tol {entry['tol']:g})")
+        print(f"distance: {_fmt(distance)}")
+        print(f"norm deviation: {_fmt(norm_deviation)}")
         print("overall: ok")
     return EXIT_OK
 
@@ -330,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     tolerance_flags.add_argument("--ortho-tol", type=_tolerances, dest="tolerances",
                                  metavar="ORTHO_TOL", default=DEFAULT_TOLERANCES,
                                  help="the one noise budget: orthogonality and "
-                                      "trivial-factor tolerance, half the distance "
-                                      "tolerance; under any budget the determinant must be positive")
+                                      "trivial-factor tolerance; under any budget the "
+                                      "determinant must be positive")
 
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true",
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser(
         "verify", parents=[matrix_input, tolerance_flags, json_flag],
-        help="report orthogonality, determinant and distance checks")
+        help="report the orthogonality and determinant checks and the distance")
     p.set_defaults(func=cmd_verify)
 
     p = subparsers.add_parser(

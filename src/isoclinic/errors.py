@@ -60,17 +60,12 @@ class NotProperRotationError(_Measured, ValidationError):
 
 
 class DecompositionError(IsoclinicError):
-    """The isoclinic factorization failed; input too far from SO(4)."""
+    """The isoclinic factorization failed: no factor pair can be read off."""
 
 
 class DegenerateNormError(_Measured, DecompositionError):
     template = ("associate matrix norm {measured:.6g} is outside ({tol:g}, inf): "
                 "no factor pair can be read off")
-
-
-class ReconstructionError(_Measured, DecompositionError):
-    template = ("factor pair does not reproduce the input: distance ||A - Q||_F = "
-                "{measured:.6g} exceeds {tol:.1e}")
 
 
 class InvarianceError(IsoclinicError):

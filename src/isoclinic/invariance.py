@@ -68,8 +68,8 @@ def conjugate(A, frame: SimilarityFrame) -> np.ndarray:
     """Matrix of the rotation A expressed in the rotated frame: S^T A S.
 
     S^T stands in for the inverse of S, which it is only to within the
-    tolerance the frame was made under: make_frame accepts any S within
-    dist_tol of a rotation, not only an orthogonal one.
+    tolerance the frame was made under: make_frame accepts any S that
+    validates under it, not only an orthogonal one.
     """
     return frame.s.T.dot(as_mat4(A)).dot(frame.s)
 

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from isoclinic import (
-    DecompositionError,
+    NotProperRotationError,
     RotationKind,
     Tolerances,
     associate_matrix,
@@ -38,6 +38,7 @@ from oracles import (
     brute_max_minor,
     canonical_reference,
     pair_deviation,
+    procrustes,
     random_improper,
     solve_factor_pair,
 )
@@ -186,18 +187,19 @@ def test_c08_improper_rejection():
     cases += [random_improper(rng) for _ in range(100)]
     closest = np.inf
     for A in cases:
-        try:
-            decompose(A)
-        except DecompositionError:
-            pass
-        else:
-            raise AssertionError("improper matrix was not rejected")
-        # even with the tolerance wide open, the best factor pair misses the
-        # input by a wide margin: every improper orthogonal matrix lies at
-        # Frobenius distance 2 from SO(4)
-        forced = decompose(A, loose)
-        assert abs(forced.distance - 2.0) <= 1e-14, f"distance {forced.distance!r}"
-        closest = min(closest, forced.distance)
+        # rejected as not proper, carrying the determinant, under the
+        # default budget and with the budget wide open alike: every improper
+        # orthogonal matrix lies at Frobenius distance 2 from SO(4)
+        for tolerances in (Tolerances(), loose):
+            try:
+                decompose(A, tolerances)
+            except NotProperRotationError as exc:
+                assert abs(exc.measured + 1.0) <= 1e-14, f"determinant {exc.measured!r}"
+            else:
+                raise AssertionError("improper matrix was not rejected")
+        distance = np.linalg.norm(A - procrustes(A))
+        assert abs(distance - 2.0) <= 1e-14, f"distance {distance!r}"
+        closest = min(closest, distance)
     assert closest >= 1e-6, f"closest distance {closest:.3e}"
     return f"closest distance {closest:.2e}"
 

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from isoclinic import (
     DegenerateNormError,
     IsoclinicError,
-    ReconstructionError,
+    NotOrthogonalError,
+    NotProperRotationError,
     RotationKind,
     Tolerances,
     associate_matrix,
@@ -20,6 +21,7 @@ from isoclinic import (
     classify_pair,
     decompose,
     left_matrix,
+    make_frame,
     max_abs_minor,
     normalize,
     quat_mul,
@@ -40,6 +42,7 @@ from oracles import (
     procrustes,
     random_improper,
 )
+from test_kernel import read_off
 
 seeds = st.integers(0, 2**32 - 1)
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -137,16 +140,10 @@ def test_tolerances_reject_nan_and_negative_bounds(field, bound):
     assert [getattr(t, field) for t in edges] == [0.0, math.inf]
 
 
-@pytest.mark.parametrize("ortho_tol", [0.0, 1e-9, 1e-6, math.inf])
-def test_distance_bound_is_derived_from_ortho_tol(ortho_tol):
-    """dist_tol is twice the noise budget."""
-    assert Tolerances(ortho_tol=ortho_tol).dist_tol == 2 * ortho_tol
-
-
 def test_distance_bound_cannot_be_set():
-    """ortho_tol is the one field; dist_tol is read-only and no field: it
-    can be passed neither to the constructor nor to _replace, nor
-    assigned."""
+    """ortho_tol is the one field and there is no distance bound: dist_tol
+    can be passed neither to the constructor nor to _replace, nor assigned,
+    nor read."""
     assert Tolerances._fields == ("ortho_tol",)
     tolerances = Tolerances()
     with pytest.raises(TypeError):
@@ -155,12 +152,12 @@ def test_distance_bound_cannot_be_set():
         tolerances._replace(dist_tol=1.0)
     with pytest.raises(AttributeError):
         tolerances.dist_tol = 1.0
+    assert not hasattr(tolerances, "dist_tol")
 
 
 def test_tolerances_round_trip_through_pickle_and_copy():
     """Tolerances(a) is (ortho_tol,), and a second bound is a TypeError;
-    pickle, copy and _replace rebuild it with its field and the derived
-    bound."""
+    pickle, copy and _replace rebuild it with its field."""
     tolerances = Tolerances(1e-6)
     assert tuple(tolerances) == (1e-6,)
     with pytest.raises(TypeError):
@@ -168,7 +165,6 @@ def test_tolerances_round_trip_through_pickle_and_copy():
     for clone in (pickle.loads(pickle.dumps(tolerances)), copy.copy(tolerances),
                   copy.deepcopy(tolerances), tolerances._replace()):
         assert type(clone) is Tolerances and clone == tolerances
-        assert clone.dist_tol == 2e-6
 
 
 # exact rotations of the identity-factor kinds, with their factors as
@@ -248,32 +244,39 @@ def test_decompose_follows_the_group_laws(seed):
         assert all(map(np.array_equal, canonical, (result.left, result.right))), law
 
 
+def gram(A):
+    """max |A^T A - I| by numpy, the oracle of the Gram deviation."""
+    return float(np.abs(A.T @ A - np.eye(4)).max())
+
+
 def test_decompose_rejects_improper():
-    """An orthogonal matrix of determinant -1 keeps unit norm; its nearest
-    rotation lies at Frobenius distance exactly 2."""
-    with pytest.raises(ReconstructionError) as info:
+    """An orthogonal matrix of determinant -1 lies at distance 2 from SO(4),
+    past the shortcut, and is rejected as validation rejects it: not
+    proper, carrying its determinant."""
+    with pytest.raises(NotProperRotationError) as info:
         decompose(np.diag([1.0, 1.0, 1.0, -1.0]))
-    assert info.value.measured == 2.0
+    assert (info.value.measured, info.value.tol) == (-1.0, 0.0)
     rng = np.random.default_rng(13)
     for _ in range(20):
-        with pytest.raises(ReconstructionError) as info:
-            decompose(random_improper(rng))
-        assert abs(info.value.measured - 2.0) <= 1e-14
+        A = random_improper(rng)
+        with pytest.raises(NotProperRotationError) as info:
+            decompose(A)
+        assert abs(info.value.measured - np.linalg.det(A)) <= 1e-14
 
 
 def test_decompose_rejects_scaled_input():
-    """A scaled rotation keeps rank 1 but misses norm 1; the distance, the
-    one gate, rejects it with the SVD oracle's distance from SO(4)."""
+    """A scaled rotation keeps rank 1 but misses norm 1; decompose rejects
+    it as validation does, not orthogonal, with the Gram deviation."""
     for A in (0.9 * np.eye(4), 2.0 * random_rotation(1)):
-        with pytest.raises(ReconstructionError) as info:
+        with pytest.raises(NotOrthogonalError) as info:
             decompose(A)
-        assert info.value.measured == pytest.approx(np.linalg.norm(A - procrustes(A)),
-                                                    rel=0, abs=1e-14)
+        assert info.value.measured == pytest.approx(gram(A), rel=0, abs=1e-14)
 
 
 def test_decompose_tolerates_tiny_noise():
     """Perturbations around 1e-11 leave a small nonzero distance, well
-    below dist_tol, and a norm deviation below half of it."""
+    inside the shortcut of the default budget, and a norm deviation below
+    half of it."""
     rng = np.random.default_rng(21)
     A = random_rotation(rng)
     noisy = A + 1e-11 * rng.standard_normal((4, 4))
@@ -284,30 +287,53 @@ def test_decompose_tolerates_tiny_noise():
 
 def test_decompose_strict_tolerances_reject_noise():
     """Noise of 1e-11 passes the defaults but not a stricter policy. Any
-    dist_tol below the distance rejects it with that distance, the SVD
-    oracle's, below twice the norm deviation as well as between that and
-    the distance: the norm deviation is reported, never checked."""
+    ortho_tol below the Gram deviation rejects it as validate_rotation
+    does, with that deviation, the oracle's; a budget of the deviation
+    itself accepts it, below 2d + d^2, where the shortcut gives way to
+    validation. The distance and the norm deviation are reported, never
+    checked."""
     rng = np.random.default_rng(22)
     A = random_rotation(rng)
     noisy = A + 1e-11 * rng.standard_normal((4, 4))
     result = decompose(noisy)
+    deviation = _kernel.gram_deviation(noisy.ravel().tolist())
     assert 0 < 2 * result.norm_deviation < result.distance
-    for ortho_tol in (5e-15, (2 * result.norm_deviation + result.distance) / 4):
-        with pytest.raises(ReconstructionError) as info:
+    assert deviation < 2 * result.distance
+    for ortho_tol in (5e-15, math.nextafter(deviation, 0.0)):
+        with pytest.raises(NotOrthogonalError) as info:
             decompose(noisy, Tolerances(ortho_tol=ortho_tol))
-        assert info.value.measured == result.distance
-        assert info.value.measured == pytest.approx(np.linalg.norm(noisy - procrustes(noisy)),
-                                                    rel=0, abs=1e-14)
+        assert (info.value.measured, info.value.tol) == (deviation, ortho_tol)
+        assert info.value.measured == pytest.approx(gram(noisy), rel=0, abs=1e-15)
+    assert decompose(noisy, Tolerances(ortho_tol=deviation)).distance == result.distance
 
 
 def test_zero_matrix_is_degenerate_under_open_tolerances():
-    """With the distance bound wide open a zero matrix still fails as a
-    DecompositionError, never as a ZeroQuaternionError from normalizing."""
-    wide_open = Tolerances(ortho_tol=5.0)
+    """A zero or tiny matrix, whose associate norm is at most
+    DEGENERACY_TOL, fails as validation fails it, never as a
+    ZeroQuaternionError from normalizing: under a budget of 5 or inf its
+    Gram deviation, 1, passes and its determinant, 0, is not positive."""
     for A in (np.zeros((4, 4)), 1e-200 * np.eye(4)):
-        with pytest.raises(DegenerateNormError) as info:
-            decompose(A, wide_open)
-        assert info.value.measured == associate_norm(associate_matrix(A))
+        assert associate_norm(associate_matrix(A)) <= _kernel.DEGENERACY_TOL
+        for ortho_tol in (5.0, math.inf):
+            with pytest.raises(NotProperRotationError) as info:
+                decompose(A, Tolerances(ortho_tol=ortho_tol))
+            assert (info.value.measured, info.value.tol) == (0.0, 0.0)
+
+
+def test_only_an_infinite_budget_reaches_the_degenerate_norm():
+    """1.4e308 times a rotation of 2x2 blocks has Gram deviation inf and
+    determinant +inf, so ortho_tol = inf validates it; its associate norm
+    overflows, and decompose raises DegenerateNormError carrying inf. Any
+    finite budget rejects it as validation does."""
+    block = np.array([[1.0, -1.0], [1.0, 1.0]])
+    A = 1.4e308 * np.kron(np.eye(2), block)
+    validate_rotation(A, Tolerances(ortho_tol=math.inf))
+    with pytest.raises(DegenerateNormError) as info:
+        decompose(A, Tolerances(ortho_tol=math.inf))
+    assert (info.value.measured, info.value.tol) == (math.inf, _kernel.DEGENERACY_TOL)
+    for ortho_tol in (1e-9, 1e300):
+        assert verdict(decompose, A, Tolerances(ortho_tol)) == (
+            NotOrthogonalError, float.hex(math.inf), float.hex(ortho_tol))
 
 
 def near_rotation(seed, exponent, improper):
@@ -322,9 +348,8 @@ def near_rotation(seed, exponent, improper):
 @given(seeds, st.floats(-12, -6), st.floats(-2, 0.5))
 def test_validated_matrices_decompose(seed, log_tol, noise_offset):
     """Under one Tolerances(ortho_tol=t), t from 1e-12 to 1e-6, whatever
-    validate_rotation accepts, decompose and classify accept: dist_tol
-    follows ortho_tol. The noise is drawn on the scale of t, where the
-    bounds meet."""
+    validate_rotation accepts, decompose and classify accept. The noise is
+    drawn on the scale of t, where the shortcut gives way to validation."""
     tolerances = Tolerances(ortho_tol=10.0 ** log_tol)
     A = near_rotation(seed, log_tol + noise_offset, False)
     try:
@@ -347,21 +372,27 @@ def test_distance_is_the_distance_to_so4(A):
 HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
 
 
-@pytest.mark.xfail(strict=True, raises=ReconstructionError,
-                   reason="dist_tol = 2 * ortho_tol bounds the distance to first order only")
+def hadamard_root(t):
+    """(I + tH)^(1/2), H the Sylvester-Hadamard matrix. H^2 = 4I, so
+    (I +/- H/2) / 2 project onto its eigenspaces for +2 and -2 and the root
+    is built from them with no rounding beyond two square roots."""
+    eye = np.eye(4)
+    return (np.sqrt(1 + 2 * t) * (eye + HADAMARD / 2) / 2
+            + np.sqrt(1 - 2 * t) * (eye - HADAMARD / 2) / 2)
+
+
 @pytest.mark.parametrize("t", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
 def test_validated_hadamard_square_root_decomposes(t):
-    """A = (I + tH)^(1/2), H the Sylvester-Hadamard matrix, has A^T A = I + tH,
-    so it validates under ortho_tol = its Gram deviation, t; but it lies at
-    distance about 2t (1 + 5t^2 / 8) from SO(4), past dist_tol = 2t, and
-    decompose rejects it. H^2 = 4I, so (I +/- H/2) / 2 project onto its
-    eigenspaces for +2 and -2 and A is built from them with no rounding
-    beyond two square roots."""
-    eye = np.eye(4)
-    A = np.sqrt(1 + 2 * t) * (eye + HADAMARD / 2) / 2 + np.sqrt(1 - 2 * t) * (eye - HADAMARD / 2) / 2
+    """A = (I + tH)^(1/2) has A^T A = I + tH, so it validates under ortho_tol
+    = its Gram deviation, t; it lies at distance about 2t (1 + 5t^2 / 8)
+    from SO(4), where 2d + d^2 is past t, and decompose accepts it as
+    validation does, at that distance."""
+    A = hadamard_root(t)
     tolerances = Tolerances(ortho_tol=_kernel.gram_deviation(A.ravel().tolist()))
     validate_rotation(A, tolerances)
-    decompose(A, tolerances)
+    result = decompose(A, tolerances)
+    assert result.distance == pytest.approx(np.linalg.norm(A - procrustes(A)), rel=1e-12)
+    assert 2 * result.distance > tolerances.ortho_tol
 
 
 def test_only_two_sign_choices_reconstruct():
@@ -410,21 +441,20 @@ def test_classify_pair_threshold():
 
 
 # input, the call that rejects it, the error type and the expected measured
-# value, computed from the input by the oracles
+# value, computed from the input by the oracles: every rejection is
+# validation's
 REJECTIONS = {
-    "rotation scaled by 1.5": (
-        lambda: 1.5 * random_rotation(31), decompose, ReconstructionError,
-        lambda A: np.linalg.norm(A - procrustes(A))),
+    "rotation scaled by 1.5": (lambda: 1.5 * random_rotation(31), decompose,
+                               NotOrthogonalError, gram),
     "orthogonal, det -1": (
-        lambda: random_improper(np.random.default_rng(32)), decompose, ReconstructionError,
-        lambda A: np.linalg.norm(A - procrustes(A))),
-    # 0.4 I, whose associate matrix is 0.4 E00: the pair (1, 1) reads off,
-    # and the distance 2 ||0.4 E00 - E00||_F = 1.2 rejects it
-    "0.4 E00": (lambda: 0.4 * np.eye(4), decompose, ReconstructionError,
-                lambda A: np.linalg.norm(A - procrustes(A))),
-    "zero matrix": (lambda: np.zeros((4, 4)), decompose, DegenerateNormError, lambda A: 0.0),
-    # the norm itself exceeds the largest float, so it reads inf
-    "norm overflows": (lambda: np.full((4, 4), 1e308), decompose, DegenerateNormError,
+        lambda: random_improper(np.random.default_rng(32)), decompose, NotProperRotationError,
+        lambda A: np.linalg.det(A)),
+    # 0.4 I, whose associate matrix is 0.4 E00: the pair (1, 1) reads off at
+    # distance 2 ||0.4 E00 - E00||_F = 1.2, and validation rejects it
+    "0.4 E00": (lambda: 0.4 * np.eye(4), decompose, NotOrthogonalError, gram),
+    "zero matrix": (lambda: np.zeros((4, 4)), decompose, NotOrthogonalError, gram),
+    # the squares exceed the largest float, so the Gram deviation reads inf
+    "norm overflows": (lambda: np.full((4, 4), 1e308), decompose, NotOrthogonalError,
                        lambda A: math.inf),
 }
 
@@ -440,9 +470,10 @@ def test_rejection_stage_and_measured(case):
 
 
 def test_small_norm_is_decided_by_the_distance():
-    """No norm floor stands before the distance: 0.4 I, whose associate norm
-    is 0.4, decomposes into the identity pair at distance 1.2 once dist_tol
-    = 10 admits it."""
+    """No norm floor stands before validation: 0.4 I, whose associate norm
+    is 0.4, decomposes into the identity pair at distance 1.2 once a budget
+    of 5 admits its Gram deviation, 0.84; its determinant, 0.0256, is
+    positive."""
     result = decompose(0.4 * np.eye(4), Tolerances(ortho_tol=5.0))
     assert result.left.tolist() == result.right.tolist() == [1.0, 0.0, 0.0, 0.0]
     assert result.distance == pytest.approx(1.2, rel=0, abs=1e-15)
@@ -456,9 +487,10 @@ def test_small_norm_is_decided_by_the_distance():
 ))
 def test_every_rejection_is_typed_and_measured(A):
     """decompose rejects a finite matrix only with an IsoclinicError whose
-    measured value is finite, whenever the matrix's Frobenius norm is a
-    finite float (see "norm overflows" above for when it is not)."""
-    assume(math.isfinite(math.hypot(*A.ravel())))
+    measured value is finite, whenever the squares of its entries sum to a
+    finite float (see "norm overflows" above for when they do not): the
+    Gram deviation, or, once that passes, the determinant."""
+    assume(math.isfinite(sum(x * x for x in A.ravel().tolist())))
     try:
         decompose(A)
     except IsoclinicError as exc:
@@ -479,32 +511,115 @@ gate_tolerances = st.sampled_from([Tolerances(ortho_tol=t)
                                    for t in (0.0, 1e-12, 1e-9, 1e-6, 0.6, math.inf)])
 
 
+def verdict(function, *args):
+    """None when function returns, else the type of what it raises and its
+    measured value and bound, spelled by float.hex so that NaN compares equal."""
+    try:
+        function(*args)
+    except IsoclinicError as exc:
+        return type(exc), float.hex(exc.measured), float.hex(exc.tol)
+    return None
+
+
 @settings(deadline=None, max_examples=400)
 @given(gate_inputs, gate_tolerances)
 def test_decompose_decides_by_the_norm_domain_and_the_distance(A, tolerances):
-    """decompose accepts exactly when the associate norm lies in
-    (DEGENERACY_TOL, inf) and the distance, which no bound changes, is
-    within dist_tol. A norm outside raises DegenerateNormError and a
-    distance past dist_tol ReconstructionError, each carrying its measured
-    value and bound. The distance is that of A from the rotation of the
-    factors read off, by the oracle's composition."""
+    """decompose reads a distance off every matrix whose associate norm lies
+    in (DEGENERACY_TOL, inf), that of A from the rotation of the factors
+    read off, by the oracle's composition; at most 1/2, with 2d + d^2 +
+    SHORTCUT_SLACK within ortho_tol, it certifies that validation accepts.
+    Whatever the distance, decompose accepts what validation accepts,
+    reporting it, and raises what validation raises otherwise. A norm
+    outside the domain raises DegenerateNormError, carrying the norm and
+    its bound, only for a matrix that validates, which takes ortho_tol = inf."""
     norm = associate_norm(associate_matrix(A))
     readable = _kernel.DEGENERACY_TOL < norm < math.inf
+    expected = verdict(validate_rotation, A, tolerances)
     if readable:
-        unbounded = decompose(A, Tolerances(ortho_tol=math.inf))
-        distance = unbounded.distance
-        rotation = bilinear_composition(unbounded.left, unbounded.right)
+        L, R, distance = read_off(A.ravel().tolist())
+        rotation = bilinear_composition(L, R)
         assert distance == pytest.approx(math.hypot(*(A - rotation).ravel()), rel=1e-12, abs=1e-14)
+        if distance <= 0.5 and (2 * distance + distance * distance + _kernel.SHORTCUT_SLACK
+                                <= tolerances.ortho_tol):
+            assert expected is None
     try:
         result = decompose(A, tolerances)
     except DegenerateNormError as exc:
-        assert not readable and (exc.measured, exc.tol) == (norm, _kernel.DEGENERACY_TOL)
-    except ReconstructionError as exc:
-        assert readable and not distance <= tolerances.dist_tol
-        assert (exc.measured, exc.tol) == (distance, tolerances.dist_tol)
+        assert not readable and expected is None and tolerances.ortho_tol == math.inf
+        assert (exc.measured, exc.tol) == (norm, _kernel.DEGENERACY_TOL)
+    except IsoclinicError:
+        assert verdict(decompose, A, tolerances) == expected is not None
     else:
-        assert readable and distance <= tolerances.dist_tol
+        assert readable and expected is None
         assert (result.distance, result.norm_deviation) == (distance, abs(norm - 1.0))
+
+
+AGREEMENT_BUDGETS = [0.0, 1e-12, 1e-9, 1e-6, 0.1, 1.0, 2.0]
+AGREEMENT_FAMILIES = ["noisy", "hadamard", "scaled", "stretch", "reflection", "zero column"]
+
+
+@st.composite
+def agreement_cases(draw):
+    """A matrix and the budget it is tried under. The matrix is a Haar
+    rotation Q plus noise of 10^k times a budget, Q (I + tH)^(1/2), (1 + c
+    tau) Q, the stretch Q diag(1 + e, 1, 1, 1), whose Gram deviation is
+    exactly 2d + d^2 for its distance d, Q diag(1, 1, 1, -1) times c in
+    [0, 2], or Q with a zero column; the budget is that one, the matrix's
+    own Gram deviation or the float below it."""
+    scale = draw(st.sampled_from(AGREEMENT_BUDGETS))
+    rng = np.random.default_rng(draw(seeds))
+    Q = random_rotation(rng)
+    family = draw(st.sampled_from(AGREEMENT_FAMILIES))
+    if family == "noisy":
+        A = Q + 10.0 ** draw(st.floats(-3, 2)) * scale * rng.standard_normal((4, 4))
+    elif family == "hadamard":
+        A = Q @ hadamard_root(draw(st.floats(0.0, 0.45)))
+    elif family == "scaled":
+        A = (1.0 + draw(st.floats(-2.0, 2.0)) * scale) * Q
+    elif family == "stretch":
+        A = Q * [1.0 + 10.0 ** draw(st.floats(-17, math.log10(0.45))), 1.0, 1.0, 1.0]
+    elif family == "reflection":
+        A = draw(st.floats(0.0, 2.0)) * Q * [1.0, 1.0, 1.0, -1.0]
+    else:
+        A = Q * (np.arange(4) != draw(st.integers(0, 3)))
+    deviation = _kernel.gram_deviation(A.ravel().tolist())
+    budget = draw(st.sampled_from([scale, deviation, math.nextafter(deviation, 0.0)]))
+    return A, Tolerances(ortho_tol=budget)
+
+
+@settings(deadline=None, max_examples=600)
+@given(agreement_cases())
+def test_decompose_accepts_exactly_what_validation_accepts(case):
+    """validate_rotation accepts a matrix exactly when decompose accepts it
+    under the same tolerances, and on a rejection both raise the same type
+    with the same measured value and bound."""
+    A, tolerances = case
+    assert verdict(decompose, A, tolerances) == verdict(validate_rotation, A, tolerances)
+
+
+def test_a_reflection_is_improper_under_a_budget_of_one():
+    """diag(1, 1, 1, -1) under ortho_tol = 1: decompose, classify and
+    make_frame raise validation's NotProperRotationError. The distance
+    gate, 2 within dist_tol = 2, let each read off the identity pair, and
+    classify named the reflection the identity."""
+    reflection = np.diag([1.0, 1.0, 1.0, -1.0])
+    for call in (decompose, classify, make_frame):
+        with pytest.raises(NotProperRotationError) as info:
+            call(reflection, Tolerances(ortho_tol=1.0))
+        assert (info.value.measured, info.value.tol) == (-1.0, 0.0)
+
+
+def test_a_scaled_rotation_past_the_budget_is_rejected_by_both():
+    """(1 + 0.8e-6) Q has Gram deviation 1.6e-6 and distance 1.6e-6 from
+    SO(4): past a budget of 1e-6, within the old dist_tol of 2e-6.
+    validate_rotation and decompose each raise NotOrthogonalError carrying
+    the Gram deviation."""
+    A = (1.0 + 0.8e-6) * random_rotation(27)
+    tolerances = Tolerances(ortho_tol=1e-6)
+    expected = (NotOrthogonalError, float.hex(_kernel.gram_deviation(A.ravel().tolist())),
+                float.hex(1e-6))
+    assert verdict(validate_rotation, A, tolerances) == expected
+    assert verdict(decompose, A, tolerances) == expected
 
 
 @settings(deadline=None, max_examples=400)
@@ -512,10 +627,10 @@ def test_decompose_decides_by_the_norm_domain_and_the_distance(A, tolerances):
        st.floats(-3, 0.3), st.booleans())
 def test_validation_bounds_the_norm_deviation(seed, ortho_tol, offset, scaled):
     """Once validate_rotation accepts under ortho_tol, ||M||^2 = trace(A^T A) / 4
-    lies within ortho_tol of 1, so the norm deviation is at most ortho_tol,
-    dist_tol / 2: a bound on it would never reject validated input, which
-    is why decompose checks none. The noise, a scale factor or Gaussian, is
-    drawn on the scale of ortho_tol, where the bounds meet."""
+    lies within ortho_tol of 1, so the norm deviation is at most ortho_tol:
+    a bound on it would never reject validated input, which is why
+    decompose checks none. The noise, a scale factor or Gaussian, is drawn
+    on the scale of ortho_tol, where the bounds meet."""
     rng = np.random.default_rng(seed)
     A = random_rotation(rng)
     noise = ortho_tol * 10.0 ** offset

@@ -24,8 +24,8 @@ IDENTITY16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1"
 REFLECTION16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 -1"
 # the rotation P -> L*P*R for L = (1, 0, 2, 2) / 3 and R = (1, 2, 0, 2) / 3,
 # its entries ninths rounded to binary64: the Gram deviation reads exactly
-# 0.0 and the determinant exactly 1.0, but the distance 8.6e-17, so under
-# --ortho-tol 0 only the distance check rejects it
+# 0.0 and the determinant exactly 1.0, and the distance 8.6e-17, so it
+# validates under --ortho-tol 0 and is split at that distance
 ROUNDED16 = " ".join(map(repr, _kernel.two_sided([1 / 3, 0.0, 2 / 3, 2 / 3],
                                                  [1 / 3, 2 / 3, 0.0, 2 / 3])))
 
@@ -97,7 +97,7 @@ def test_decompose_json_report(monkeypatch):
     assert report["class"] == "general"
     assert len(report["left"]) == 4 and len(report["right"]) == 4
     assert report["residuals"]["distance"] <= 1e-12
-    assert report["tolerances"] == {"ortho_tol": 1e-9, "dist_tol": 2e-9, "iso_tol": 1e-9}
+    assert report["tolerances"] == {"ortho_tol": 1e-9}
 
 
 def test_decompose_json_rejection_report(monkeypatch):
@@ -191,10 +191,12 @@ def test_generate_json():
 
 
 def test_verify_identity(monkeypatch):
+    """verify reports its two checks, orthogonality and the determinant,
+    and the distance and norm deviation as decompose reports them."""
     code, out, _ = run_cli(["verify"], IDENTITY16, monkeypatch)
     assert code == 0
-    assert "overall: ok" in out
-    assert out.count("[pass]") == 3
+    assert out.splitlines()[-3:] == ["distance: 0.0", "norm deviation: 0.0", "overall: ok"]
+    assert out.count("[pass]") == 2
 
 
 def run_on(args, stdin_text):
@@ -289,17 +291,18 @@ def test_non_rotations_are_rejected_under_every_budget(ortho_tol):
 
 def test_verify_minor_failure_exit_code():
     """Under --ortho-tol 0 a matrix off SO(4) by rounding alone passes the
-    orthogonality and determinant checks and fails the distance check,
-    with the decomposition-failure exit code and the same report from
-    every checking command."""
-    reports = set()
+    orthogonality and determinant checks, so every checking command
+    accepts it, as the library does: decompose and verify report the same
+    distance, 8.6e-17. The distance gate rejected it with exit 1."""
     for command in ("verify", "decompose", "classify"):
-        code, error = run_rejected([command, "--ortho-tol", "0"], ROUNDED16)
-        assert code == 1
-        assert error["type"] == "ReconstructionError" and error["tol"] == 0.0
-        assert 0.0 < error["measured"] < 1e-15
-        reports.add(json.dumps(error))
-    assert len(reports) == 1
+        code, out, err = run_on([command, "--json", "--ortho-tol", "0"], ROUNDED16)
+        assert (code, json.loads(out)["status"], err) == (0, "ok", "")
+    residuals = [json.loads(run_on([command, "--json", "--ortho-tol", "0"], ROUNDED16)[1])
+                 ["residuals"] for command in ("verify", "decompose")]
+    assert residuals[0] == residuals[1]
+    A = np.array(parse_matrix(ROUNDED16)).reshape(4, 4)
+    assert isoclinic.decompose(A, Tolerances(0.0)).distance == residuals[0]["distance"]
+    assert 0.0 < residuals[0]["distance"] < 1e-16
 
 
 # the inputs of the agreement property: a Haar rotation, a reflection
@@ -336,8 +339,7 @@ def test_verify_agrees_with_decompose(checked, as_json):
     """verify runs decompose's checks: it exits with decompose's code, and a
     rejection prints what decompose prints. 0.45 I under --ortho-tol 0.96
     passes the orthogonality and determinant checks, and both commands
-    accept it at distance 1.1, within dist_tol = 1.92: no norm floor stands
-    before the distance."""
+    accept it, at distance 1.1: no norm floor stands before validation."""
     text, ortho_tol = checked
     flags = ["--ortho-tol", repr(ortho_tol)] + ["--json"] * as_json
     verified = run_on(["verify", *flags], text)
@@ -368,15 +370,14 @@ def _noisy_rotation16():
 
 
 def test_ortho_tol_moves_the_distance_bound(monkeypatch):
-    """--ortho-tol sets one Tolerances whose dist_tol is twice it, so what
-    validation accepts under it, decomposition accepts."""
+    """--ortho-tol sets the one Tolerances, so what validation accepts under
+    it, decomposition accepts; the report lists that one bound."""
     noisy = _noisy_rotation16()
     for command in ("decompose", "classify", "verify"):
         code, out, err = run_cli([command, "--ortho-tol", "1e-6"], noisy, monkeypatch)
         assert code == 0, out + err
     code, out, _ = run_cli(["decompose", "--json", "--ortho-tol", "1e-6"], noisy, monkeypatch)
-    assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-6, "dist_tol": 2e-6,
-                                             "iso_tol": 1e-6}
+    assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-6}
 
 
 def _noisy_right_isoclinic16():
@@ -427,8 +428,7 @@ def test_parser_is_built_once(monkeypatch):
     assert code == 0 and json.loads(out)["tolerances"]["ortho_tol"] == 1e-6
     code, out, _ = run_cli(["decompose", "--json"], IDENTITY16, monkeypatch)
     assert code == 0
-    assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-9, "dist_tol": 2e-9,
-                                             "iso_tol": 1e-9}
+    assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-9}
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])
@@ -449,8 +449,8 @@ def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, ca
 
 
 def test_distance_bound_is_not_a_flag(monkeypatch, capsys):
-    """The distance bound is derived from --ortho-tol; --dist-tol is an
-    unknown option, a usage error."""
+    """There is no distance bound, --ortho-tol being decompose's budget as
+    validation's; --dist-tol is an unknown option, a usage error."""
     for command in ("decompose", "classify", "verify"):
         monkeypatch.setattr(sys, "stdin", io.StringIO(IDENTITY16))
         with pytest.raises(SystemExit) as exited:
@@ -502,7 +502,7 @@ def test_json_reports_are_strict(monkeypatch):
             assert code == (0 if status == "ok" else 3)
             report = json.loads(out, parse_constant=_reject_constant)
             assert report["status"] == status
-            assert report["tolerances"] == {"ortho_tol": None, "dist_tol": None, "iso_tol": None}
+            assert report["tolerances"] == {"ortho_tol": None}
             if status == "rejected":
                 # an infinite ortho_tol passes the Gram deviation inf, and
                 # the NaN determinant is not positive

@@ -13,7 +13,6 @@ from isoclinic import (
     NotOrthogonalError,
     NotProperRotationError,
     NotUnitQuaternionError,
-    ReconstructionError,
     ValidationError,
     ZeroQuaternionError,
 )
@@ -35,9 +34,6 @@ RECORDS = [
      (True, False, False)),
     (DegenerateNormError, 1e-200, DEGENERACY_TOL,
      "associate matrix norm 1e-200 is outside (1e-150, inf): no factor pair can be read off",
-     (False, True, False)),
-    (ReconstructionError, 2.0, 2e-9,
-     "factor pair does not reproduce the input: distance ||A - Q||_F = 2 exceeds 2.0e-09",
      (False, True, False)),
 ]
 

@@ -45,14 +45,14 @@ def run_child(args, stdin=""):
     (None, "", None),
     (["decompose", "--json"], IDENTITY16, 0),
     (["decompose"], "2 " * 16, 3),
-    (["decompose", "--ortho-tol", "0"], ROUNDED16, 1),
+    (["decompose", "--ortho-tol", "0"], ROUNDED16, 0),
     (["classify"], IDENTITY16, 0),
     (["verify", "--json"], IDENTITY16, 0),
     (["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2", 3),
-    (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 1),
+    (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 0),
     (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0),
-], ids=["import", "decompose", "decompose-rejected", "decompose-distance-rejected",
-        "classify", "verify", "verify-rejected", "verify-distance-rejected", "compose"])
+], ids=["import", "decompose", "decompose-rejected", "decompose-exact-budget",
+        "classify", "verify", "verify-rejected", "verify-exact-budget", "compose"])
 def test_numpy_is_not_imported(args, stdin, code):
     report, _ = run_child(args, stdin)
     assert report == {"code": code, "numpy": [], "stdlib": []}
@@ -71,16 +71,21 @@ def test_exported_names_exist():
     """Each name in __all__ resolves, and the names removed with the
     rank-1 side path, the per-check bounds and the names no caller outside
     the tests used, the norm-deviation gate's error and quat's copies of
-    the kernel's DEGENERACY_TOL and UNIT_TOL, are exported no more, from
-    the package or from the module that held them; Tolerances has no
-    iso_tol, whose bound is ortho_tol itself."""
+    the kernel's DEGENERACY_TOL and UNIT_TOL, and the distance gate's
+    error, are exported no more, from the package or from the module that
+    held them; Tolerances has no iso_tol, whose bound is ortho_tol itself,
+    and no dist_tol, since validation's bound is decompose's."""
     for name in isoclinic.__all__:
         getattr(isoclinic, name)
     removed = {"rank1_factor", "NotRankOneError", "check_unit", "ORTHO_TOL", "DET_TOL",
                "minor_2x2", "canonical_pair", "quat_norm", "quat_conjugate", "IDENTITY",
-               "COMPOSITION_TABLE", "NormDeviationError", "DEGENERACY_TOL", "UNIT_TOL"}
+               "COMPOSITION_TABLE", "NormDeviationError", "DEGENERACY_TOL", "UNIT_TOL",
+               "ReconstructionError"}
     assert not removed & set(isoclinic.__all__)
     for module in (isoclinic, associate, quat, rotation4):
         assert not [name for name in removed if hasattr(module, name)], module.__name__
-    assert not hasattr(errors, "NormDeviationError") and not hasattr(_kernel, "NormDeviationError")
+    for name in ("NormDeviationError", "ReconstructionError"):
+        assert not hasattr(errors, name) and not hasattr(_kernel, name)
+    assert len(isoclinic.__all__) == 37
     assert not hasattr(isoclinic.Tolerances(), "iso_tol")
+    assert not hasattr(isoclinic.Tolerances(), "dist_tol")

@@ -14,14 +14,17 @@ from isoclinic import (
     DegenerateNormError,
     IsoclinicError,
     NotOrthogonalError,
+    NotProperRotationError,
     NotUnitQuaternionError,
     RotationClass,
     RotationKind,
     Tolerances,
     _kernel,
+    left_matrix,
     random_rotation,
+    right_matrix,
 )
-from isoclinic._kernel import SIGN_TOL, TABLE, UNIT_TOL
+from isoclinic._kernel import SHORTCUT_SLACK, SIGN_TOL, TABLE, UNIT_TOL
 from oracles import associate_reference, bilinear_composition, exact_det, random_improper
 
 EPS = np.finfo(float).eps
@@ -71,15 +74,15 @@ scaled = st.builds(lambda seed, scale: scale * random_rotation(seed), seeds,
 def test_associate_distance_is_the_frobenius_distance(A):
     """The distance read off M, 2 ||M - outer(L, R)||_F, is ||A - Q||_F for
     the rotation Q the read-off's factors generate, built by the oracle's
-    bilinear formula: from the loop reference for a rejected matrix too,
-    and from decompose when the distance bound is lifted, since every such
-    matrix has a readable norm."""
+    bilinear formula: from the loop reference and from the read-off that
+    decompose runs, for a matrix of determinant -1 or a scaled one too,
+    since every such matrix has a readable norm."""
     a = A.ravel().tolist()
     bound = 8 * EPS * max(1.0, float(np.linalg.norm(A)))
     L, R, distance, _ = nearest_loop(associate_loop(a))
     assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
     assert _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < math.inf
-    L, R, distance, _ = _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
+    L, R, distance = read_off(a)
     assert abs(distance - np.linalg.norm(A - bilinear_composition(L, R))) <= bound
 
 
@@ -158,6 +161,13 @@ def canonical(L, R):
     r0, r1, r2, r3 = R{_kernel._SIGN}
     return [l0, l1, l2, l3], [r0, r1, r2, r3]
 """, "canonical")
+# the associate matrix and the read-off, compiled on their own from the
+# fragments spliced into decompose: the factors, before the sign rule, and
+# the distance of any matrix whose associate norm is readable, unchecked
+read_off = compiled(f"""
+def read_off(a):{_kernel._ASSOCIATE}{_kernel._READ_OFF}
+    return [l0, l1, l2, l3], [r0, r1, r2, r3], d
+""", "read_off")
 
 
 def canonical_loop(L, R):
@@ -170,13 +180,14 @@ def canonical_loop(L, R):
 
 
 def decompose_loop(a, tolerances):
+    """The one rule stated without the shortcut: validation decides every
+    matrix, and the read-off's domain rejects only what validation accepts."""
+    _kernel.validate(a, tolerances)
     m = associate_loop(a)
     norm = math.hypot(*m)
     if not _kernel.DEGENERACY_TOL < norm < math.inf:
         raise _kernel.DegenerateNormError(norm, _kernel.DEGENERACY_TOL)
     L, R, distance, _ = nearest_loop(m)
-    if not distance <= tolerances.dist_tol:
-        raise _kernel.ReconstructionError(distance, tolerances.dist_tol)
     return (*canonical_loop(L, R), distance, abs(norm - 1.0))
 
 
@@ -280,14 +291,14 @@ NEGATIVE_FIRST = [-1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0,
 def test_generated_kernel_matches_the_loop_reference(a, tolerances):
     """associate and decompose give the loop reference's floats
     bit for bit, signs of zero included, or raise its error type with its
-    measured value and bound; two_sided does the same on the factors."""
+    measured value and bound; two_sided does the same on the factors read
+    off any matrix of readable norm."""
     assert outcome(_kernel.associate, a) == outcome(associate_loop, a)
     result = outcome(_kernel.decompose, a, tolerances)
     assert result == outcome(decompose_loop, a, tolerances)
-    try:
-        L, R, *_ = _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
-    except IsoclinicError:
+    if not _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < math.inf:
         return
+    L, R, _ = read_off(a)
     assert outcome(_kernel.two_sided, L, R) == outcome(two_sided_loop, L, R)
 
 
@@ -320,32 +331,48 @@ readable_bases = st.one_of(
 @settings(deadline=None, max_examples=600)
 @given(readable_bases, st.integers(-149, 300))
 def test_every_readable_norm_reads_off_unit_factors(base, k):
-    """With the distance bound lifted, decompose returns factors of unit
-    norm to 4 eps for any M whose norm is finite and above DEGENERACY_TOL,
-    and rejects the rest, only those, with DegenerateNormError: the read-off
-    needs no norm floor. Each of the three norms it divides by is at least
-    norm(M)/8."""
+    """The read-off decompose runs returns factors of unit norm to 4 eps
+    for any M whose norm is finite and above DEGENERACY_TOL, the matrix
+    orthogonal or not, of any determinant: it needs no norm floor. Each of
+    the three norms it divides by is at least norm(M)/8. Under ortho_tol =
+    inf decompose rejects any other matrix, with validation's error or
+    DegenerateNormError."""
     a = [x * 10.0 ** k for x in base]
     norm = math.hypot(*_kernel.associate(a))
-    readable = _kernel.DEGENERACY_TOL < norm < math.inf
-    try:
-        L, R, *_ = _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
-    except DegenerateNormError:
-        assert not readable
+    if not _kernel.DEGENERACY_TOL < norm < math.inf:
+        with pytest.raises((NotOrthogonalError, NotProperRotationError, DegenerateNormError)):
+            _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
         return
-    assert readable
+    L, R, _ = read_off(a)
     assert abs(math.hypot(*L) - 1.0) <= 4 * EPS and abs(math.hypot(*R) - 1.0) <= 4 * EPS
     assert min(nearest_loop(associate_loop(a))[3]) >= norm / 8
 
 
-# each single-operator mutant of decompose's two checks: a comparison
-# loosened or tightened, or a check's `not` dropped
-CHECK_MUTANTS = [
-    ("DEGENERACY_TOL < norm", "DEGENERACY_TOL <= norm"),
+# each single-operator mutant of the read-off's domain check in decompose
+# that can change an outcome. DEGENERACY_TOL < norm tightened to <= cannot:
+# an M of norm at most 1e-150 comes from entries below 1e-149, whose
+# determinant underflows to 0, so validation, which runs first, rejects it
+# under every budget.
+DOMAIN_MUTANTS = [
     ("norm < inf", "norm <= inf"),
     ("if not DEGENERACY_TOL", "if DEGENERACY_TOL"),
-    ("d <= dist", "d < dist"),
-    ("if not d <= dist", "if d <= dist"),
+]
+# each single-operator mutant of the shortcut that loosens it, and the zero
+# slack and a slack of one eps, each accepting some matrix validation rejects
+SHORTCUT = "if not (d <= 0.5 and 2.0 * d + d * d + SHORTCUT_SLACK <= tolerances.ortho_tol):"
+SHORTCUT_MUTANTS = [
+    (" and 2.0", " or 2.0"),
+    ("if not (d", "if (d"),
+    ("+ SHORTCUT_SLACK", "- SHORTCUT_SLACK"),
+    ("2.0 * d", "1.0 * d"),
+    ("SHORTCUT_SLACK <=", "0.0 <="),
+    ("SHORTCUT_SLACK <=", "2.0 ** -52 <="),
+]
+# the mutants that tighten it, outcome-equivalent: whatever the shortcut
+# lets through runs validation, which decides as the shortcut would
+TIGHTENING_MUTANTS = [
+    ("d <= 0.5", "d < 0.5"),
+    ("SHORTCUT_SLACK <= tolerances", "SHORTCUT_SLACK < tolerances"),
 ]
 
 
@@ -358,6 +385,11 @@ VALIDATE_MUTANTS = [
 ]
 
 
+def decision(result):
+    """An outcome's rejection, or "accepted" for a returned value."""
+    return result if isinstance(result[0], str) else "accepted"
+
+
 def outcome_of_any(function, *args):
     """outcome(), with any other exception reported by its type."""
     try:
@@ -366,37 +398,98 @@ def outcome_of_any(function, *args):
         return type(exc).__name__
 
 
-def assert_mutants_killed(source, name, mutants, pool):
-    """Each mutant of source, one replacement of (old, new) each, gives an
-    outcome other than source's on some input of pool."""
+def mutants_outcomes(source, name, mutants, pool):
+    """The outcomes on pool of source, checked against the module's own
+    function, and of each mutant of it, one replacement of (old, new) each."""
     def outcomes(text):
-        return [outcome_of_any(compiled(text, name), *args) for args in pool]
+        function = compiled(text, name)
+        return [outcome_of_any(function, *args) for args in pool]
 
     expected = outcomes(source)
     assert expected == [outcome(getattr(_kernel, name), *args) for args in pool]
     for old, new in mutants:
         assert source.count(old) == 1, old
-        assert outcomes(source.replace(old, new)) != expected, new
+    return expected, [outcomes(source.replace(old, new)) for old, new in mutants]
+
+
+def assert_mutants_killed(source, name, mutants, pool):
+    """Each mutant of source gives an outcome other than source's on some
+    input of pool."""
+    expected, mutated = mutants_outcomes(source, name, mutants, pool)
+    for (_, new), outcomes in zip(mutants, mutated):
+        assert outcomes != expected, new
 
 
 def test_every_mutant_of_the_checks_is_killed():
-    """The generated decompose makes two checks, the norm's domain before
-    the read-off and the distance after it, and every mutant of either
-    fails on a pool of inputs at their bounds: an M whose norm is exactly
-    DEGENERACY_TOL, one whose norm overflows, the zero matrix, and a
-    rotation whose distance is exactly dist_tol."""
+    """The generated decompose checks the norm's domain before the read-off,
+    after validation when it is missed, and every mutant of that check that
+    can change an outcome fails on a pool: the identity, the zero matrix
+    and an M whose norm overflows, under the default budget and under
+    ortho_tol = inf, which validates a matrix whose Gram deviation and
+    determinant overflow to inf."""
     source = _kernel._SOURCES["decompose"]
-    assert "ZeroQuaternionError" not in source and "0.5" not in source
-    assert source.count("raise ") == 2
-    floor = [_kernel.DEGENERACY_TOL * (k % 5 == 0) for k in range(16)]
-    assert math.hypot(*_kernel.associate(floor)) == _kernel.DEGENERACY_TOL
-    assert math.hypot(*_kernel.associate([1e308] * 16)) == math.inf
-    haar = random_rotation(3).ravel().tolist()
-    d = _kernel.decompose(haar, Tolerances())[2]
-    assert Tolerances(ortho_tol=d / 2).dist_tol == d
-    pool = [(floor, Tolerances()), ([1e308] * 16, Tolerances()), ([0.0] * 16, Tolerances()),
-            (haar, Tolerances(ortho_tol=d / 2))]
-    assert_mutants_killed(source, "decompose", CHECK_MUTANTS, pool)
+    assert "ZeroQuaternionError" not in source and source.count("raise ") == 1
+    huge = [1.4e308 * x for x in (1, -1, 0, 0, 1, 1, 0, 0, 0, 0, 1, -1, 0, 0, 1, 1)]
+    assert math.hypot(*_kernel.associate(huge)) == math.inf
+    assert _kernel.validate(huge, Tolerances(ortho_tol=math.inf)) == (math.inf, math.inf)
+    pool = [(a, tolerances) for a in (IDENTITY16, [0.0] * 16, huge)
+            for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf))]
+    assert_mutants_killed(source, "decompose", DOMAIN_MUTANTS, pool)
+
+
+def stretched(rng, epsilon):
+    """Q diag(1 + epsilon, 1, 1, 1) for a Haar rotation Q, row-major: its
+    Gram deviation is 2 epsilon + epsilon^2 and its distance from SO(4)
+    epsilon, so the shortcut's bound 2d + d^2 is tight."""
+    A = random_rotation(rng)
+    A[:, 0] *= 1.0 + epsilon
+    return A.ravel().tolist()
+
+
+def test_every_mutant_of_the_shortcut_is_killed():
+    """Every mutant that loosens the shortcut, and a slack of zero or of
+    one eps, accepts some stretched rotation that validation rejects under
+    a budget one or two ulps below its Gram deviation; the tightening
+    mutants decide every case as decompose does. decompose itself decides
+    each case, at the deviation and below it, as validate does."""
+    source = _kernel._SOURCES["decompose"]
+    assert source.count(SHORTCUT) == 1 and SHORTCUT_SLACK == 2.0 ** -46
+    rng = np.random.default_rng(25)
+    pool = []
+    for epsilon in 10.0 ** rng.uniform(-16, math.log10(0.45), 400):
+        a = stretched(rng, epsilon)
+        deviation = _kernel.gram_deviation(a)
+        below = math.nextafter(deviation, 0.0)
+        for bound in (deviation, below, math.nextafter(below, 0.0)):
+            pool.append((a, Tolerances(ortho_tol=bound)))
+    for old, _ in SHORTCUT_MUTANTS + TIGHTENING_MUTANTS:
+        assert SHORTCUT.count(old) == 1, old
+    lines = [(SHORTCUT, SHORTCUT.replace(old, new))
+             for old, new in SHORTCUT_MUTANTS + TIGHTENING_MUTANTS]
+    expected, mutated = mutants_outcomes(source, "decompose", lines, pool)
+    assert list(map(decision, expected)) == [decision(outcome(_kernel.validate, *args))
+                                             for args in pool]
+    for (_, new), outcomes in zip(lines, mutated[:len(SHORTCUT_MUTANTS)]):
+        assert outcomes != expected, new
+    assert mutated[len(SHORTCUT_MUTANTS):] == [expected] * len(TIGHTENING_MUTANTS)
+
+
+def test_decompose_runs_no_validation_on_rotations(monkeypatch):
+    """The shortcut decides every rotation under the default budget: on
+    2000 Haar rotations and one of each special kind, decompose calls
+    validate not once; a reflection calls it once."""
+    calls = []
+    decompose = _kernel.decompose
+    monkeypatch.setattr(_kernel, "validate", lambda *args: calls.append(args))
+    rng = np.random.default_rng(26)
+    q = [0.5, -0.5, 0.5, 0.5]
+    rotations = [random_rotation(rng) for _ in range(2000)]
+    rotations += [np.eye(4), -np.eye(4), left_matrix(q), right_matrix(q)]
+    for A in rotations:
+        decompose(A.ravel().tolist(), Tolerances())
+    assert calls == []
+    decompose(IDENTITY16[:15] + [-1.0], Tolerances())
+    assert len(calls) == 1
 
 
 def test_every_mutant_of_validate_is_killed():
@@ -481,18 +574,18 @@ IDENTITY16 = [float(k % 5 == 0) for k in range(16)]
 
 @pytest.mark.parametrize("position", range(16))
 def test_nan_entry_fails_every_matrix_check(position):
-    """A NaN entry fails the orthogonality check, and the associate norm that
-    decomposition reads off under any distance bound, an infinite one too,
-    with the NaN it measured; on the identity and on a Haar rotation."""
+    """A NaN entry fails the orthogonality check of validate and of
+    decompose, whose associate norm it makes NaN, under any budget, an
+    infinite one too, with the NaN it measured; on the identity and on a
+    Haar rotation."""
     for base in (IDENTITY16, random_rotation(position).ravel().tolist()):
         a = base[:position] + [math.nan] + base[position + 1:]
-        with pytest.raises(NotOrthogonalError) as info:
-            _kernel.validate(a, Tolerances())
-        assert math.isnan(info.value.measured)
+        assert math.isnan(math.hypot(*_kernel.associate(a)))
         for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf)):
-            with pytest.raises(DegenerateNormError) as info:
-                _kernel.decompose(a, tolerances)
-            assert math.isnan(info.value.measured)
+            for check in (_kernel.validate, _kernel.decompose):
+                with pytest.raises(NotOrthogonalError) as info:
+                    check(a, tolerances)
+                assert math.isnan(info.value.measured)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

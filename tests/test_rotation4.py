@@ -11,7 +11,6 @@ from isoclinic import (
     associate_norm,
     classify,
     classify_pair,
-    DegenerateNormError,
     IsoclinicError,
     MalformedInputError,
     NotOrthogonalError,
@@ -263,8 +262,8 @@ def forms(x):
 def test_finite_check_reads_the_entry_sum():
     """Coercion scans the entries one by one only when their sum is not
     finite. Finite entries whose sum overflows still reach the checks and
-    are rejected there, decompose's by the associate norm that overflows
-    with them; +inf beside -inf, whose sum is NaN, is malformed;
+    are rejected there, decompose's as validation's, by the Gram deviation
+    that overflows with them; +inf beside -inf, whose sum is NaN, is malformed;
     for every form the coercion takes. An int past the float range is
     malformed, not an untyped OverflowError."""
     big = np.full((4, 4), 1e308)
@@ -273,10 +272,8 @@ def test_finite_check_reads_the_entry_sum():
     assert math.isinf(sum(big.ravel().tolist())) and math.isinf(sum(big_q))
     # float32 cannot hold 1e308; ints can
     for A in forms(big) + [[[10 ** 308] * 4] * 4]:
-        with pytest.raises(NotOrthogonalError):
-            validate_rotation(A)
-        for entry in (decompose, classify):
-            with pytest.raises(DegenerateNormError) as info:
+        for entry in (validate_rotation, decompose, classify):
+            with pytest.raises(NotOrthogonalError) as info:
                 entry(A)
             assert info.value.measured == math.inf
     for q in forms(big_q) + [[10 ** 308] * 4]:
