@@ -25,8 +25,6 @@ from .associate import (
     max_abs_minor,
 )
 from .errors import (
-    DecompositionError,
-    DegenerateNormError,
     InvarianceError,
     IsoclinicError,
     MalformedInputError,
@@ -59,8 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOLERANCES",
-    "DecompositionError",
-    "DegenerateNormError",
     "InvarianceError",
     "InvarianceReport",
     "IsoclinicDecomposition",

@@ -27,7 +27,6 @@ from math import acos, hypot, inf
 from typing import NamedTuple
 
 from .errors import (
-    DegenerateNormError,
     NotOrthogonalError,
     NotProperRotationError,
     NotUnitQuaternionError,
@@ -63,10 +62,12 @@ class Tolerances(_Bounds):
     """The one noise budget, ortho_tol.
 
     ortho_tol   bound on max |A^T A - I|, the one bound of validation, whose
-                properness test is det A > 0 under any budget; decompose
-                accepts what validation accepts; a factor within it of +/-1
-                is trivial (every factor is under ortho_tol = inf), and the
-                factor angles may drift by it under a frame change
+                properness test is det A > 0 under any budget; a deviation
+                that overflows to inf fails every budget, inf included;
+                decompose accepts what validation accepts; a factor within
+                it of +/-1 is trivial (every factor is under ortho_tol =
+                inf), and the factor angles may drift by it under a frame
+                change
     Tolerances(a, b) raises TypeError. A NaN or negative bound raises
     ValueError: NaN would pass every check, a negative one fail an exact one.
     """
@@ -199,10 +200,11 @@ def validate(a, tolerances):
     tolerances.ortho_tol and det A > 0; NotOrthogonalError or
     NotProperRotationError otherwise. The budget bounds the Gram deviation
     alone: an orthogonal matrix has determinant +/-1, so properness is the
-    determinant's sign, under every budget."""
+    determinant's sign, under every budget. A deviation that overflows to
+    inf fails every budget, ortho_tol = inf included."""
     bound = tolerances.ortho_tol
     deviation = gram_deviation(a)
-    if not deviation <= bound:
+    if not deviation <= bound or deviation == inf:
         raise NotOrthogonalError(deviation, bound)
     det = determinant(a)
     if not det > 0.0:
@@ -376,14 +378,19 @@ def decompose(a, tolerances):
     Returns (L, R, distance d, |norm(M) - 1|) for what validate accepts and
     raises what it raises otherwise: d <= 1/2 with 2d + d^2 + SHORTCUT_SLACK
     within ortho_tol proves that validate accepts, and only a matrix that
-    misses it runs validate. Outside the read-off's domain, a finite norm(M)
-    above DEGENERACY_TOL, validate runs first, so DegenerateNormError
-    rejects only what it accepts, under ortho_tol = inf.
+    misses it runs validate. Outside the read-off's domain, a finite
+    norm(M) above DEGENERACY_TOL, validate rejects A under every budget, so
+    the read-off never divides by a zero or overflowed norm.
     """{_ASSOCIATE}
     norm = hypot({_M})
+    # norm(M) = ||A||_F / 2. At most DEGENERACY_TOL, every entry is below
+    # about 4e-150, so each product of four entries in the determinant
+    # underflows to 0 and det A > 0 fails. Overflowed, some column's squared
+    # norm overflows, and the Gram deviation reads inf. An inf or NaN entry
+    # makes that deviation inf or NaN. Each fails validation, so validate
+    # raises here.
     if not DEGENERACY_TOL < norm < inf:
-        validate(a, tolerances)
-        raise DegenerateNormError(norm, DEGENERACY_TOL){_READ_OFF}
+        validate(a, tolerances){_READ_OFF}
     if not (d <= 0.5 and 2.0 * d + d * d + SHORTCUT_SLACK <= tolerances.ortho_tol):
         validate(a, tolerances){_SIGN}
     return [{_L}], [{_R}], d, abs(norm - 1.0)

@@ -7,7 +7,9 @@ the outer product column(L) * row(R): a rank-1 matrix of unit Frobenius
 norm whose rows and columns are scalar multiples of the two factors.
 ``decompose`` reads off the factors and, in the same pass, one number:
 the Frobenius distance from A to the rotation they generate. It accepts
-exactly what ``validate_rotation`` accepts, with that distance as shortcut.
+exactly what ``validate_rotation`` accepts, with that distance as shortcut,
+and validation rejects every matrix with no pair to read off: one whose M
+has a norm at most DEGENERACY_TOL, an overflowed norm or a non-finite entry.
 
 The factor pair is unique only up to a joint sign flip: (L, R) and
 (-L, -R) produce the same rotation. ``decompose`` returns the
@@ -88,8 +90,10 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     validate_rotation accepts under the same tolerances and otherwise raises
     what that raises: d <= 1/2 with 2d + d^2 within ortho_tol, to a rounding
     slack, proves that validation passes, and only a matrix d does not
-    certify runs it. DegenerateNormError, carrying the norm of M, rejects a
-    validated matrix with no pair to read off, only under ortho_tol = inf.
+    certify runs it. A matrix with no pair to read off, whose M has a norm
+    at most DEGENERACY_TOL or an overflowed one, fails validation under
+    every budget: its determinant underflows to 0 or its Gram deviation
+    overflows to inf.
     """
     import numpy as np
     L, R, distance, norm_deviation = _kernel.decompose(_mat4(A)[1], tolerances)

@@ -2,9 +2,10 @@
 
 Subcommands: decompose, compose, generate, verify, classify. The three
 checking commands, decompose, verify and classify, run one pipeline
-(validate, decompose, classify) and differ only in what they print; a
-rejection is reported, and exits, the same from each. Matrices come from
-a file path or stdin, and one leading byte-order mark (U+FEFF) is dropped.
+(decompose, which accepts exactly what validation accepts, then classify)
+and differ only in what they print; a rejection is reported, and exits,
+the same from each. Matrices come from a file path or stdin, and one
+leading byte-order mark (U+FEFF) is dropped.
 Input whose first nonblank character is '{' is JSON (RFC 8259): an object
 whose "matrix" is 4 arrays of 4 JSON numbers, row by row; a boolean,
 string, null, object or other array in a number's place is a parse
@@ -17,9 +18,9 @@ Under --json each result is one line of strict JSON (JSON Lines): a
 report, or for compose and generate a {"matrix": ...} record per matrix,
 the form decompose reads.
 
-Exit codes: 0 success, 1 decomposition failure, 2 parse or usage error,
-3 validation failure (non-rotation input or zero quaternion), 141 (128 +
-SIGPIPE, as a shell reports it) when stdout is closed before the output.
+Exit codes: 0 success, 2 parse or usage error, 3 validation failure
+(non-rotation input or zero quaternion), 141 (128 + SIGPIPE, as a shell
+reports it) when stdout is closed before the output.
 """
 
 from __future__ import annotations
@@ -33,18 +34,10 @@ import sys
 
 from . import _kernel
 from ._kernel import DEFAULT_TOLERANCES, Tolerances
-from .errors import (
-    DecompositionError,
-    IsoclinicError,
-    NotUnitQuaternionError,
-    ParseError,
-    ValidationError,
-    ZeroQuaternionError,
-)
+from .errors import IsoclinicError, NotUnitQuaternionError, ParseError, ValidationError
 from .rotation4 import random_rotation
 
 EXIT_OK = 0
-EXIT_DECOMPOSITION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BROKEN_PIPE = 141
@@ -59,11 +52,7 @@ def _matrix_line(entries) -> str:
 
 
 def _exit_code(exc: IsoclinicError) -> int:
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, (ValidationError, ZeroQuaternionError)):
-        return EXIT_VALIDATION
-    return EXIT_DECOMPOSITION
+    return EXIT_PARSE if isinstance(exc, ParseError) else EXIT_VALIDATION
 
 
 # built once per process: json.dumps(allow_nan=False) builds a new encoder per call
@@ -176,9 +165,10 @@ def _emit_matrix(entries, as_json: bool) -> None:
 
 
 def _factor_input(args):
-    """Read, validate, decompose and classify the input matrix; returns
-    (max |A^T A - I|, det A), (L, R, distance, norm deviation) and the
-    RotationClass, or raises the rejection of the first check that fails."""
+    """Read, decompose and classify the input matrix; returns its 16
+    entries, (L, R, distance, norm deviation) and the RotationClass, or
+    raises the rejection of the first check that fails. decompose accepts
+    exactly what validation accepts and raises what it raises."""
     try:
         if args.input == "-":
             text = sys.stdin.read()
@@ -188,9 +178,8 @@ def _factor_input(args):
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {args.input}: {exc}") from exc
     entries = parse_matrix(text)
-    validation = _kernel.validate(entries, args.tolerances)
     result = _kernel.decompose(entries, args.tolerances)
-    return validation, result, _kernel.classify(result[0], result[1], args.tolerances)
+    return entries, result, _kernel.classify(result[0], result[1], args.tolerances)
 
 
 def cmd_decompose(args) -> int:
@@ -251,11 +240,12 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     # _factor_input returns only when every check passed; a rejection goes
     # to main, which reports it as it reports decompose's
-    (ortho_deviation, det), (_, _, distance, norm_deviation), _ = _factor_input(args)
+    entries, (_, _, distance, norm_deviation), _ = _factor_input(args)
     tolerances = args.tolerances
     checks = {
-        "orthogonality": {"measured": ortho_deviation, "tol": tolerances.ortho_tol, "pass": True},
-        "determinant": {"measured": det, "tol": 0.0, "pass": True},
+        "orthogonality": {"measured": _kernel.gram_deviation(entries),
+                          "tol": tolerances.ortho_tol, "pass": True},
+        "determinant": {"measured": _kernel.determinant(entries), "tol": 0.0, "pass": True},
     }
     if args.json:
         print(_dumps({"status": "ok", "checks": checks,
@@ -408,7 +398,7 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
-    except (ValidationError, DecompositionError) as exc:
+    except ValidationError as exc:
         return _rejection(args, exc)
     except IsoclinicError as exc:
         print(f"error: {exc}", file=sys.stderr)

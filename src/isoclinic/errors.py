@@ -59,15 +59,6 @@ class NotProperRotationError(_Measured, ValidationError):
     template = "matrix is not a proper rotation: det = {measured:.15g} is not positive"
 
 
-class DecompositionError(IsoclinicError):
-    """The isoclinic factorization failed: no factor pair can be read off."""
-
-
-class DegenerateNormError(_Measured, DecompositionError):
-    template = ("associate matrix norm {measured:.6g} is outside ({tol:g}, inf): "
-                "no factor pair can be read off")
-
-
 class InvarianceError(IsoclinicError):
     """A property that should survive a change of frame did not. A drift of
     the factor angles carries `measured` and `tol`; a change of kind does not."""

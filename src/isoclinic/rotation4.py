@@ -36,11 +36,12 @@ def validate_rotation(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndar
 
     The one bound tolerances.ortho_tol applies to max |A^T A - I|. An
     orthogonal matrix has determinant +/-1, so properness is its sign,
-    tested under every budget. Returns A as an ndarray on success. Raises
-    NotOrthogonalError carrying the max-abs deviation of A^T A from I, or
-    NotProperRotationError carrying the determinant and tol 0.0. A matrix
-    that fails is rejected, never repaired; callers wanting a nearby
-    rotation must build one themselves.
+    tested under every budget, and a deviation that overflows to inf fails
+    every budget, ortho_tol = inf included. Returns A as an ndarray on
+    success. Raises NotOrthogonalError carrying the max-abs deviation of
+    A^T A from I, or NotProperRotationError carrying the determinant and
+    tol 0.0. A matrix that fails is rejected, never repaired; callers
+    wanting a nearby rotation must build one themselves.
     """
     A, entries = _mat4(A)
     _kernel.validate(entries, tolerances)

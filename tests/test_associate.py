@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from isoclinic import (
-    DegenerateNormError,
     IsoclinicError,
     NotOrthogonalError,
     NotProperRotationError,
@@ -320,20 +319,21 @@ def test_zero_matrix_is_degenerate_under_open_tolerances():
             assert (info.value.measured, info.value.tol) == (0.0, 0.0)
 
 
-def test_only_an_infinite_budget_reaches_the_degenerate_norm():
-    """1.4e308 times a rotation of 2x2 blocks has Gram deviation inf and
-    determinant +inf, so ortho_tol = inf validates it; its associate norm
-    overflows, and decompose raises DegenerateNormError carrying inf. Any
-    finite budget rejects it as validation does."""
+def test_an_overflowed_gram_deviation_fails_every_budget():
+    """1.4e308 times a rotation of 2x2 blocks, whose associate norm
+    overflows, and 1e308 I, whose associate norm is 1e308, have Gram
+    deviation inf and determinant +inf. Every budget rejects both, an
+    infinite one too, as validation does: NotOrthogonalError carrying inf."""
     block = np.array([[1.0, -1.0], [1.0, 1.0]])
-    A = 1.4e308 * np.kron(np.eye(2), block)
-    validate_rotation(A, Tolerances(ortho_tol=math.inf))
-    with pytest.raises(DegenerateNormError) as info:
-        decompose(A, Tolerances(ortho_tol=math.inf))
-    assert (info.value.measured, info.value.tol) == (math.inf, _kernel.DEGENERACY_TOL)
-    for ortho_tol in (1e-9, 1e300):
-        assert verdict(decompose, A, Tolerances(ortho_tol)) == (
-            NotOrthogonalError, float.hex(math.inf), float.hex(ortho_tol))
+    huge = 1.4e308 * np.kron(np.eye(2), block)
+    assert associate_norm(associate_matrix(huge)) == math.inf
+    assert associate_norm(associate_matrix(1e308 * np.eye(4))) == 1e308
+    for A in (huge, 1e308 * np.eye(4)):
+        assert _kernel.determinant(A.ravel().tolist()) == math.inf
+        for ortho_tol in (1e-9, 1e300, math.inf):
+            expected = (NotOrthogonalError, float.hex(math.inf), float.hex(ortho_tol))
+            for function in (validate_rotation, decompose, classify):
+                assert verdict(function, A, Tolerances(ortho_tol)) == expected
 
 
 def near_rotation(seed, exponent, improper):
@@ -529,9 +529,9 @@ def test_decompose_decides_by_the_norm_domain_and_the_distance(A, tolerances):
     read off, by the oracle's composition; at most 1/2, with 2d + d^2 +
     SHORTCUT_SLACK within ortho_tol, it certifies that validation accepts.
     Whatever the distance, decompose accepts what validation accepts,
-    reporting it, and raises what validation raises otherwise. A norm
-    outside the domain raises DegenerateNormError, carrying the norm and
-    its bound, only for a matrix that validates, which takes ortho_tol = inf."""
+    reporting it, and raises what validation raises otherwise. Validation
+    rejects every matrix whose norm lies outside the domain, under every
+    budget, ortho_tol = inf included."""
     norm = associate_norm(associate_matrix(A))
     readable = _kernel.DEGENERACY_TOL < norm < math.inf
     expected = verdict(validate_rotation, A, tolerances)
@@ -542,11 +542,10 @@ def test_decompose_decides_by_the_norm_domain_and_the_distance(A, tolerances):
         if distance <= 0.5 and (2 * distance + distance * distance + _kernel.SHORTCUT_SLACK
                                 <= tolerances.ortho_tol):
             assert expected is None
+    if not readable:
+        assert expected is not None
     try:
         result = decompose(A, tolerances)
-    except DegenerateNormError as exc:
-        assert not readable and expected is None and tolerances.ortho_tol == math.inf
-        assert (exc.measured, exc.tol) == (norm, _kernel.DEGENERACY_TOL)
     except IsoclinicError:
         assert verdict(decompose, A, tolerances) == expected is not None
     else:

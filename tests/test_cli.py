@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isoclinic
-from isoclinic import (DEFAULT_TOLERANCES, DecompositionError, IsoclinicError, ParseError,
+from isoclinic import (DEFAULT_TOLERANCES, IsoclinicError, ParseError,
                        Tolerances, ValidationError, _kernel, cli, random_rotation,
                        random_unit_quaternion, right_matrix)
 from isoclinic.cli import _dumps, build_parser, main, parse_matrix
@@ -293,7 +293,7 @@ def test_verify_minor_failure_exit_code():
     """Under --ortho-tol 0 a matrix off SO(4) by rounding alone passes the
     orthogonality and determinant checks, so every checking command
     accepts it, as the library does: decompose and verify report the same
-    distance, 8.6e-17. The distance gate rejected it with exit 1."""
+    distance, 8.6e-17."""
     for command in ("verify", "decompose", "classify"):
         code, out, err = run_on([command, "--json", "--ortho-tol", "0"], ROUNDED16)
         assert (code, json.loads(out)["status"], err) == (0, "ok", "")
@@ -303,6 +303,31 @@ def test_verify_minor_failure_exit_code():
     A = np.array(parse_matrix(ROUNDED16)).reshape(4, 4)
     assert isoclinic.decompose(A, Tolerances(0.0)).distance == residuals[0]["distance"]
     assert 0.0 < residuals[0]["distance"] < 1e-16
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify", "verify"])
+@pytest.mark.parametrize("text, flags, calls", [
+    (IDENTITY16, [], 0),
+    (ROUNDED16, ["--ortho-tol", "0"], 1),
+], ids=["identity", "rounded, budget 0"])
+def test_each_checking_command_validates_at_most_once(text, flags, calls, command, monkeypatch):
+    """A checking command validates only through decompose, which accepts
+    exactly what validation accepts: the identity, which the distance
+    certifies under the default budget, runs validation not once, and
+    ROUNDED16 under --ortho-tol 0, which the distance cannot certify, once.
+    verify reads its two measurements off the entries. The count is taken
+    by a wrapper over the kernel's validate, the global decompose calls."""
+    counted = []
+    validate = _kernel.validate
+
+    def counting(*args):
+        counted.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(_kernel, "validate", counting)
+    code, out, err = run_on([command, "--json", *flags], text)
+    assert (code, json.loads(out)["status"], err) == (0, "ok", "")
+    assert len(counted) == calls
 
 
 # the inputs of the agreement property: a Haar rotation, a reflection
@@ -488,8 +513,9 @@ def test_json_reports_are_strict(monkeypatch):
     reports write those as null, and the message keeps the number. An
     infinite bound is a valid one, and every report lists it as null,
     whether the input is accepted (the identity) or rejected (sixteen 1e308
-    entries, whose determinant is NaN). That rejection's "tol" is 0.0, the
-    determinant's bound under every budget, and its "measured" is null."""
+    entries). A Gram deviation that overflows to inf fails every budget, an
+    infinite one too, so that rejection's "measured" and "tol" are both
+    null."""
     for command in ("decompose", "verify"):
         code, out, _ = run_cli([command, "--json"], "1e308 " * 16, monkeypatch)
         assert code == 3
@@ -504,11 +530,9 @@ def test_json_reports_are_strict(monkeypatch):
             assert report["status"] == status
             assert report["tolerances"] == {"ortho_tol": None}
             if status == "rejected":
-                # an infinite ortho_tol passes the Gram deviation inf, and
-                # the NaN determinant is not positive
                 error = report["error"]
-                assert error["type"] == "NotProperRotationError"
-                assert error["measured"] is None and error["tol"] == 0.0
+                assert error["type"] == "NotOrthogonalError"
+                assert error["measured"] is None and error["tol"] is None
 
 
 def _finite_or_none(value):
@@ -562,7 +586,7 @@ def _one_parse_main(argv):
     args = build_parser().parse_args(cli._attach_vector_values(list(argv)))
     try:
         return args.func(args)
-    except (ValidationError, DecompositionError) as exc:
+    except ValidationError as exc:
         return cli._rejection(args, exc)
     except IsoclinicError as exc:
         print(f"error: {exc}", file=sys.stderr)

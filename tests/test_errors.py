@@ -1,14 +1,11 @@
 """The rejection record: every measured rejection carries its value and bound."""
 
 import copy
-import math
 import pickle
 
 import pytest
 
 from isoclinic import (
-    DecompositionError,
-    DegenerateNormError,
     IsoclinicError,
     NotOrthogonalError,
     NotProperRotationError,
@@ -19,22 +16,19 @@ from isoclinic import (
 from isoclinic._kernel import DEGENERACY_TOL, UNIT_TOL
 
 # class, measured value and bound as the kernel passes them, the message
-# those produce, and which of (ValidationError, DecompositionError,
-# ValueError) the class derives from
+# those produce, and which of (ValidationError, ValueError) the class
+# derives from
 RECORDS = [
     (ZeroQuaternionError, 1e-200, DEGENERACY_TOL,
-     "cannot normalize quaternion with norm 1.000e-200", (False, False, False)),
+     "cannot normalize quaternion with norm 1.000e-200", (False, False)),
     (NotUnitQuaternionError, 0.3125, UNIT_TOL,
      "not a unit quaternion: |q|^2 deviates from 1 by 3.125e-01 (tolerance 1.0e-12)",
-     (True, False, True)),
+     (True, True)),
     (NotOrthogonalError, 3.0, 1e-9,
-     "matrix is not orthogonal: max |A^T A - I| = 3 exceeds 1.0e-09", (True, False, False)),
+     "matrix is not orthogonal: max |A^T A - I| = 3 exceeds 1.0e-09", (True, False)),
     (NotProperRotationError, -0.999999123, 0.0,
      "matrix is not a proper rotation: det = -0.999999123 is not positive",
-     (True, False, False)),
-    (DegenerateNormError, 1e-200, DEGENERACY_TOL,
-     "associate matrix norm 1e-200 is outside (1e-150, inf): no factor pair can be read off",
-     (False, True, False)),
+     (True, False)),
 ]
 
 
@@ -45,17 +39,8 @@ def test_rejection_record(cls, measured, tol, message, ancestry):
     assert str(exc) == message
     assert exc.measured == measured
     assert exc.tol == tol
-    bases = (ValidationError, DecompositionError, ValueError)
+    bases = (ValidationError, ValueError)
     assert tuple(isinstance(exc, base) for base in bases) == ancestry
-
-
-@pytest.mark.parametrize("norm", [0.0, math.inf, math.nan])
-def test_degenerate_norm_message_reads_for_any_norm(norm):
-    """decompose raises DegenerateNormError for a norm at most
-    DEGENERACY_TOL, infinite or NaN; the message states the interval the
-    norm missed, which reads true for each."""
-    assert str(DegenerateNormError(norm, DEGENERACY_TOL)) == (
-        f"associate matrix norm {norm:g} is outside (1e-150, inf): no factor pair can be read off")
 
 
 def _subclasses(cls):

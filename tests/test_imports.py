@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import isoclinic
-from isoclinic import _kernel, associate, errors, quat, rotation4
+from isoclinic import _kernel, associate, cli, errors, quat, rotation4
 from test_cli import IDENTITY16, ROUNDED16, child_env
 
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code,
@@ -71,21 +71,24 @@ def test_exported_names_exist():
     """Each name in __all__ resolves, and the names removed with the
     rank-1 side path, the per-check bounds and the names no caller outside
     the tests used, the norm-deviation gate's error and quat's copies of
-    the kernel's DEGENERACY_TOL and UNIT_TOL, and the distance gate's
-    error, are exported no more, from the package or from the module that
-    held them; Tolerances has no iso_tol, whose bound is ortho_tol itself,
-    and no dist_tol, since validation's bound is decompose's."""
+    the kernel's DEGENERACY_TOL and UNIT_TOL, the distance gate's error,
+    and the read-off domain's errors and exit code, are exported no more,
+    from the package or from the module that held them; Tolerances has no
+    iso_tol, whose bound is ortho_tol itself, and no dist_tol, since
+    validation's bound is decompose's."""
     for name in isoclinic.__all__:
         getattr(isoclinic, name)
     removed = {"rank1_factor", "NotRankOneError", "check_unit", "ORTHO_TOL", "DET_TOL",
                "minor_2x2", "canonical_pair", "quat_norm", "quat_conjugate", "IDENTITY",
                "COMPOSITION_TABLE", "NormDeviationError", "DEGENERACY_TOL", "UNIT_TOL",
-               "ReconstructionError"}
+               "ReconstructionError", "DecompositionError", "DegenerateNormError",
+               "EXIT_DECOMPOSITION"}
     assert not removed & set(isoclinic.__all__)
-    for module in (isoclinic, associate, quat, rotation4):
+    for module in (isoclinic, associate, quat, rotation4, cli):
         assert not [name for name in removed if hasattr(module, name)], module.__name__
-    for name in ("NormDeviationError", "ReconstructionError"):
-        assert not hasattr(errors, name) and not hasattr(_kernel, name)
-    assert len(isoclinic.__all__) == 37
+    for name in removed:
+        if name.endswith("Error"):
+            assert not hasattr(errors, name) and not hasattr(_kernel, name), name
+    assert len(isoclinic.__all__) == 35
     assert not hasattr(isoclinic.Tolerances(), "iso_tol")
     assert not hasattr(isoclinic.Tolerances(), "dist_tol")

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoclinic import (
-    DegenerateNormError,
     IsoclinicError,
     NotOrthogonalError,
     NotProperRotationError,
@@ -29,6 +28,7 @@ from oracles import associate_reference, bilinear_composition, exact_det, random
 
 EPS = np.finfo(float).eps
 seeds = st.integers(0, 2**32 - 1)
+IDENTITY16 = [float(k % 5 == 0) for k in range(16)]
 
 
 def matrix(seed, family, exponent):
@@ -181,12 +181,10 @@ def canonical_loop(L, R):
 
 def decompose_loop(a, tolerances):
     """The one rule stated without the shortcut: validation decides every
-    matrix, and the read-off's domain rejects only what validation accepts."""
+    matrix, and rejects every one outside the read-off's domain."""
     _kernel.validate(a, tolerances)
     m = associate_loop(a)
     norm = math.hypot(*m)
-    if not _kernel.DEGENERACY_TOL < norm < math.inf:
-        raise _kernel.DegenerateNormError(norm, _kernel.DEGENERACY_TOL)
     L, R, distance, _ = nearest_loop(m)
     return (*canonical_loop(L, R), distance, abs(norm - 1.0))
 
@@ -335,12 +333,11 @@ def test_every_readable_norm_reads_off_unit_factors(base, k):
     for any M whose norm is finite and above DEGENERACY_TOL, the matrix
     orthogonal or not, of any determinant: it needs no norm floor. Each of
     the three norms it divides by is at least norm(M)/8. Under ortho_tol =
-    inf decompose rejects any other matrix, with validation's error or
-    DegenerateNormError."""
+    inf decompose rejects any other matrix, with validation's error."""
     a = [x * 10.0 ** k for x in base]
     norm = math.hypot(*_kernel.associate(a))
     if not _kernel.DEGENERACY_TOL < norm < math.inf:
-        with pytest.raises((NotOrthogonalError, NotProperRotationError, DegenerateNormError)):
+        with pytest.raises((NotOrthogonalError, NotProperRotationError)):
             _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
         return
     L, R, _ = read_off(a)
@@ -348,14 +345,59 @@ def test_every_readable_norm_reads_off_unit_factors(base, k):
     assert min(nearest_loop(associate_loop(a))[3]) >= norm / 8
 
 
-# each single-operator mutant of the read-off's domain check in decompose
-# that can change an outcome. DEGENERACY_TOL < norm tightened to <= cannot:
-# an M of norm at most 1e-150 comes from entries below 1e-149, whose
-# determinant underflows to 0, so validation, which runs first, rejects it
-# under every budget.
-DOMAIN_MUTANTS = [
+# a Haar rotation with one entry +inf: its Gram deviation is inf and its
+# determinant +inf, so a bound on the deviation alone passes it under
+# ortho_tol = inf, and its associate norm overflows
+HAAR_WITH_INF = random_rotation(0).ravel().tolist()
+HAAR_WITH_INF[2] = math.inf
+
+
+@settings(deadline=None, max_examples=600)
+@given(bit_inputs, st.sampled_from([0.0, 1e-9, 5.0, 1e300, math.inf]))
+@example([0.0] * 16, math.inf)
+@example([1e-200 * x for x in IDENTITY16], math.inf)
+@example([1.4e308 * x for x in (1, -1, 0, 0, 1, 1, 0, 0, 0, 0, 1, -1, 0, 0, 1, 1)], math.inf)
+@example([1e308 * x for x in IDENTITY16], math.inf)
+@example([1e308] * 16, math.inf)
+@example(HAAR_WITH_INF, math.inf)
+def test_validation_rejects_outside_the_read_off_domain(a, ortho_tol):
+    """Whenever the associate norm lies outside (DEGENERACY_TOL, inf),
+    validate rejects A under every budget, an infinite one included, and
+    decompose raises the same error with the same measured value and
+    bound: it never returns, and never divides by a zero norm. At most
+    DEGENERACY_TOL, the determinant underflows to 0; overflowed, some
+    column's squared norm overflows and the Gram deviation reads inf; an
+    inf or NaN entry makes it inf or NaN."""
+    if _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < math.inf:
+        return
+    tolerances = Tolerances(ortho_tol=ortho_tol)
+    expected = outcome(_kernel.validate, a, tolerances)
+    assert decision(expected) != "accepted"
+    assert outcome(_kernel.decompose, a, tolerances) == expected
+
+
+# each mutant of decompose's guard of the read-off's domain, the guard
+# deleted included, and a floor of 0.0, which passes a subnormal M to the
+# read-off
+GUARD = "    if not DEGENERACY_TOL < norm < inf:\n        validate(a, tolerances)\n"
+GUARD_MUTANTS = [
     ("norm < inf", "norm <= inf"),
     ("if not DEGENERACY_TOL", "if DEGENERACY_TOL"),
+    (GUARD, ""),
+    ("DEGENERACY_TOL <", "0.0 <"),
+]
+# outcome-equivalent: an M of norm exactly DEGENERACY_TOL reads off at a
+# distance of about 2, past the shortcut, so validation decides it whichever
+# side of the guard it falls on
+EQUIVALENT_GUARD_MUTANTS = [
+    ("DEGENERACY_TOL <", "DEGENERACY_TOL <="),
+]
+# each mutant of validate's clause that an overflowed Gram deviation fails
+# every budget
+OVERFLOW_MUTANTS = [
+    ("deviation == inf", "deviation != inf"),
+    (" or deviation", " and deviation"),
+    (" or deviation == inf", ""),
 ]
 # each single-operator mutant of the shortcut that loosens it, and the zero
 # slack and a slack of one eps, each accepting some matrix validation rejects
@@ -421,20 +463,33 @@ def assert_mutants_killed(source, name, mutants, pool):
 
 
 def test_every_mutant_of_the_checks_is_killed():
-    """The generated decompose checks the norm's domain before the read-off,
-    after validation when it is missed, and every mutant of that check that
-    can change an outcome fails on a pool: the identity, the zero matrix
-    and an M whose norm overflows, under the default budget and under
-    ortho_tol = inf, which validates a matrix whose Gram deviation and
-    determinant overflow to inf."""
+    """The generated decompose raises nothing itself: outside the read-off's
+    domain it runs validate, which rejects there under every budget, since
+    an overflowed Gram deviation fails even ortho_tol = inf. Every mutant
+    of that guard, and of validate's overflow clause as decompose runs it,
+    fails on a pool: the identity, the zero matrix, an M whose norm
+    overflows, 1e308 I, whose M has norm 1e308 and whose Gram deviation and
+    determinant overflow to inf, and a subnormal matrix whose read-off
+    divides by zero, under the default budget and under ortho_tol = inf.
+    The equivalent mutant decides every case as decompose does."""
     source = _kernel._SOURCES["decompose"]
-    assert "ZeroQuaternionError" not in source and source.count("raise ") == 1
+    assert "ZeroQuaternionError" not in source and source.count("raise ") == 0
     huge = [1.4e308 * x for x in (1, -1, 0, 0, 1, 1, 0, 0, 0, 0, 1, -1, 0, 0, 1, 1)]
+    big = [1e308 * x for x in IDENTITY16]
+    subnormal = [1.5e-323] * 3 + [0.0] * 13
     assert math.hypot(*_kernel.associate(huge)) == math.inf
-    assert _kernel.validate(huge, Tolerances(ortho_tol=math.inf)) == (math.inf, math.inf)
-    pool = [(a, tolerances) for a in (IDENTITY16, [0.0] * 16, huge)
+    assert math.hypot(*_kernel.associate(big)) == 1e308
+    assert 0.0 < math.hypot(*_kernel.associate(subnormal)) < 1e-322
+    for a in (huge, big):
+        assert (_kernel.gram_deviation(a), _kernel.determinant(a)) == (math.inf, math.inf)
+    pool = [(a, tolerances) for a in (IDENTITY16, [0.0] * 16, huge, big, subnormal)
             for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf))]
-    assert_mutants_killed(source, "decompose", DOMAIN_MUTANTS, pool)
+    assert_mutants_killed(source, "decompose", GUARD_MUTANTS, pool)
+    expected, mutated = mutants_outcomes(source, "decompose", EQUIVALENT_GUARD_MUTANTS, pool)
+    assert mutated == [expected] * len(EQUIVALENT_GUARD_MUTANTS)
+    # validate's source compiled ahead of decompose's, whose calls read it
+    assert_mutants_killed(inspect.getsource(_kernel.validate) + source, "decompose",
+                          OVERFLOW_MUTANTS, pool)
 
 
 def stretched(rng, epsilon):
@@ -567,9 +622,6 @@ def test_generated_sign_rule_and_classification_match_the_loop_reference(L, R, t
     assert outcome(_kernel.check_unit, L) == outcome(check_unit_loop, L)
     assert outcome(_kernel.angle, R) == outcome(angle_loop, R)
     assert outcome(_kernel.classify, L, R, tolerances) == outcome(classify_loop, L, R, tolerances)
-
-
-IDENTITY16 = [float(k % 5 == 0) for k in range(16)]
 
 
 @pytest.mark.parametrize("position", range(16))
