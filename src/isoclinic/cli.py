@@ -18,6 +18,14 @@ Under --json each result is one line of strict JSON (JSON Lines): a
 report, or for compose and generate a {"matrix": ...} record per matrix,
 the form decompose reads.
 
+Each command's grammar, its function and its flags, is written once, in
+the table _COMMANDS. main parses argv straight from that table when it is
+a command name followed by that command's flags, spelled in full, and
+their values, at most one input and no '--'; anything else, such as help,
+a usage error or an abbreviated flag, goes to an argparse parser built
+from the same table. argparse is imported only then, so a request that
+parses straight from the table never loads it.
+
 Exit codes: 0 success, 2 parse or usage error, 3 validation failure
 (non-rotation input or zero quaternion), 141 (128 + SIGPIPE, as a shell
 reports it) when stdout is closed before the output.
@@ -25,12 +33,12 @@ reports it) when stdout is closed before the output.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import _kernel
 from ._kernel import DEFAULT_TOLERANCES, Tolerances
@@ -275,36 +283,139 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message: str) -> Exception:
+    """The error that makes argparse print message as a usage error. Only
+    a rejected value builds one, and argparse then reports it, so argparse
+    is imported here and not with the module."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _int_from(low: int):
-    """argparse type of an integer flag whose values start at low."""
+    """Converter of an integer flag whose values start at low."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+            raise _usage_error(f"not an integer: {text!r}") from exc
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise _usage_error(f"must be >= {low}, got {value}")
         return value
     return parse
 
 
 def _tolerances(text: str) -> Tolerances:
-    """argparse type of --ortho-tol: the Tolerances it sets. Its ValueError
-    on a NaN or negative budget becomes a usage error naming the flag."""
+    """Converter of --ortho-tol: the Tolerances it sets. Its ValueError on
+    a NaN or negative budget becomes a usage error naming the field."""
     value = float(text)
     try:
         return Tolerances(value)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _usage_error(str(exc)) from None
 
 
 _tolerances.__name__ = "float"  # argparse's message on a non-number: "invalid float value"
 
+_INPUT_HELP = "matrix file path, or - for stdin (default)"
+_VECTOR_HELP = "four numbers 'w x y z' (commas or spaces)"
+# a flag is (spelling, dest, converter, default, metavar, help): a converter
+# of None makes a switch that stores True, a default of None a required
+# flag, and a metavar of None argparse's own, the dest in capitals
+_JSON = ("--json", "json", None, False, None,
+         "write each result as one line of JSON instead of plain text")
+_ORTHO_TOL = ("--ortho-tol", "tolerances", _tolerances, DEFAULT_TOLERANCES, "ORTHO_TOL",
+              "the one noise budget: orthogonality and trivial-factor tolerance; under "
+              "any budget the determinant must be positive")
+
+# The grammar of every command, written once: main parses argv straight
+# from it, and build_parser builds argparse's tree from it. Each command
+# has its function, its help, whether it takes the input positional, and
+# its flags in the order help lists them.
+_COMMANDS = {
+    "decompose": (cmd_decompose, "factor a rotation matrix into its unit-quaternion pair",
+                  True, (_ORTHO_TOL, _JSON)),
+    "compose": (cmd_compose, "build the rotation matrix acting as P -> left * P * right",
+                False, (_JSON, ("--left", "left", str, None, None, _VECTOR_HELP),
+                        ("--right", "right", str, None, None, _VECTOR_HELP))),
+    "generate": (cmd_generate, "emit seeded uniform random rotation matrices",
+                 False, (_JSON, ("--seed", "seed", _int_from(0), None, None, "generator seed"),
+                         ("--count", "count", _int_from(1), 1, None,
+                          "number of matrices (default 1)"))),
+    "verify": (cmd_verify, "report the orthogonality and determinant checks and the distance",
+               True, (_ORTHO_TOL, _JSON)),
+    "classify": (cmd_classify, "name the rotation kind and its two factor angles",
+                 True, (_ORTHO_TOL, _JSON)),
+}
+
+
+def _grammar(func, _help, takes_input, flags):
+    """What the direct parse reads of a command: the values it starts from
+    (each flag's default, a required flag's None, the function, and "-"
+    for the input), and each flag's dest and converter by its spelling."""
+    start = {"func": func, **{dest: default for _, dest, _, default, *_ in flags}}
+    if takes_input:
+        start["input"] = "-"
+    return start, {spelling: (dest, convert) for spelling, dest, convert, *_ in flags}
+
+
+_GRAMMARS = {name: _grammar(*command) for name, command in _COMMANDS.items()}
+
+
+def _direct_parse(argv):
+    """The namespace argparse gives argv, read straight off _COMMANDS, or
+    None, leaving argv to argparse, unless argv is a command name followed
+    by that command's own flags spelled in full, each value after '=' or
+    as the next token, not starting with '-', at most one input where the
+    command takes one, every required flag, and values the converters
+    accept."""
+    grammar = _GRAMMARS.get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    start, flags = grammar
+    values = dict(start)
+    positional_taken = "input" not in values  # a command without input takes none
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            # argparse reads "" and "-" as positionals too
+            if positional_taken:
+                return None
+            values["input"] = token
+            positional_taken = True
+            continue
+        spelling, equals, value = token.partition("=")
+        flag = flags.get(spelling)
+        if flag is None:
+            return None
+        dest, convert = flag
+        if convert is None:
+            if equals:
+                return None
+            values[dest] = True
+            continue
+        if not equals:
+            # a missing value reads as "-", which starts with '-'
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+        try:
+            values[dest] = convert(value)
+        except Exception:
+            # a converter rejects a value with ValueError or, through
+            # _usage_error, argparse's own error type, which is not imported
+            # here; either way argparse parses argv again and reports it
+            return None
+    if None in values.values():
+        return None
+    return SimpleNamespace(**values)
+
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process: parsing leaves
-    it unchanged, and building it costs more than a whole request."""
+def build_parser():
+    """argparse's tree of every command, built from _COMMANDS once per
+    process: parsing leaves it unchanged. It parses what the direct parse
+    leaves, and prints help and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="isoclinic",
         description="Split 4x4 rotation matrices into left- and right-isoclinic "
@@ -313,54 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     # name -> parser of each command, which main parses the rest of argv with
     parser.commands = subparsers.choices
-
-    matrix_input = argparse.ArgumentParser(add_help=False)
-    matrix_input.add_argument("input", nargs="?", default="-",
-                              help="matrix file path, or - for stdin (default)")
-
-    tolerance_flags = argparse.ArgumentParser(add_help=False)
-    tolerance_flags.add_argument("--ortho-tol", type=_tolerances, dest="tolerances",
-                                 metavar="ORTHO_TOL", default=DEFAULT_TOLERANCES,
-                                 help="the one noise budget: orthogonality and "
-                                      "trivial-factor tolerance; under any budget the "
-                                      "determinant must be positive")
-
-    json_flag = argparse.ArgumentParser(add_help=False)
-    json_flag.add_argument("--json", action="store_true",
-                           help="write each result as one line of JSON instead of plain text")
-
-    p = subparsers.add_parser(
-        "decompose", parents=[matrix_input, tolerance_flags, json_flag],
-        help="factor a rotation matrix into its unit-quaternion pair")
-    p.set_defaults(func=cmd_decompose)
-
-    p = subparsers.add_parser(
-        "compose", parents=[json_flag],
-        help="build the rotation matrix acting as P -> left * P * right")
-    p.add_argument("--left", required=True,
-                   help="four numbers 'w x y z' (commas or spaces)")
-    p.add_argument("--right", required=True,
-                   help="four numbers 'w x y z' (commas or spaces)")
-    p.set_defaults(func=cmd_compose)
-
-    p = subparsers.add_parser(
-        "generate", parents=[json_flag],
-        help="emit seeded uniform random rotation matrices")
-    p.add_argument("--seed", type=_int_from(0), required=True, help="generator seed")
-    p.add_argument("--count", type=_int_from(1), default=1,
-                   help="number of matrices (default 1)")
-    p.set_defaults(func=cmd_generate)
-
-    p = subparsers.add_parser(
-        "verify", parents=[matrix_input, tolerance_flags, json_flag],
-        help="report the orthogonality and determinant checks and the distance")
-    p.set_defaults(func=cmd_verify)
-
-    p = subparsers.add_parser(
-        "classify", parents=[matrix_input, tolerance_flags, json_flag],
-        help="name the rotation kind and its two factor angles")
-    p.set_defaults(func=cmd_classify)
-
+    for name, (func, help_text, takes_input, flags) in _COMMANDS.items():
+        command = subparsers.add_parser(name, help=help_text)
+        if takes_input:
+            command.add_argument("input", nargs="?", default="-", help=_INPUT_HELP)
+        for spelling, dest, convert, default, metavar, flag_help in flags:
+            if convert is None:
+                command.add_argument(spelling, dest=dest, action="store_true", help=flag_help)
+            else:
+                command.add_argument(spelling, dest=dest, type=convert, default=default,
+                                     metavar=metavar, required=default is None,
+                                     help=flag_help)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -385,17 +460,19 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _attach_vector_values(list(argv))
-    parser = build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        # no command first (none at all, -h, an option, an unknown name):
-        # the whole tree parses, and reports, as argparse does
-        args = parser.parse_args(argv)
-    else:
-        # the command's parser takes the rest, as the tree would hand it on
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = _direct_parse(argv)
+    if args is None:
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            # no command first (none at all, -h, an option, an unknown name):
+            # the whole tree parses, and reports, as argparse does
+            args = parser.parse_args(argv)
+        else:
+            # the command's parser takes the rest, as the tree would hand it on
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -54,6 +54,14 @@ class NotUnitQuaternionError(_Measured, ValidationError, ValueError):
 class NotOrthogonalError(_Measured, ValidationError):
     template = "matrix is not orthogonal: max |A^T A - I| = {measured:.6g} exceeds {tol:.1e}"
 
+    def __init__(self, measured, tol):
+        if measured == float("inf"):
+            # the deviation of finite entries is inf only by overflow, and
+            # validation rejects that under every budget, inf itself too
+            self.template = ("matrix is not orthogonal: max |A^T A - I| = inf, "
+                             "an overflow that no budget admits")
+        super().__init__(measured, tol)
+
 
 class NotProperRotationError(_Measured, ValidationError):
     template = "matrix is not a proper rotation: det = {measured:.15g} is not positive"

@@ -444,9 +444,8 @@ def test_tolerance_flags_match_tolerances():
 
 
 def test_parser_is_built_once(monkeypatch):
-    """One parser tree serves every main() call of a process, the command's
-    own parser parsing its flags, and a flag given to one call does not
-    carry over to the next."""
+    """build_parser builds one tree per process, and a flag given to one
+    main() call does not carry over to the next."""
     assert build_parser() is build_parser()
     code, out, _ = run_cli(["decompose", "--ortho-tol", "1e-6", "--json"], IDENTITY16,
                            monkeypatch)
@@ -491,7 +490,9 @@ def test_distance_bound_is_not_a_flag(monkeypatch, capsys):
 # rejects as decompose does, so on each input but I and -I its row equals
 # decompose's; the rejection reports carry the bound the input missed. compose
 # on the identity pair, a negative scalar left factor, a non-unit factor and
-# a zero one: stdin, exit code, stdout and stderr, each recorded verbatim
+# a zero one; decompose --json --ortho-tol inf on 1e308 I, whose Gram
+# deviation overflows: stdin, exit code, stdout and stderr, each recorded
+# verbatim
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
@@ -614,6 +615,10 @@ DISPATCH_ARGV = [
     ["decompose", "--", "-"], ["decompose", "--json", "--"], ["--", "decompose"],
     ["decompose", "-h"], ["compose", "--help"], ["-h"], ["--help"],
     ["--left", "1,0,0,0", "compose"], ["frobnicate"], ["Decompose"], [],
+    ["decompose", "--json", "--ortho-tol", "1", "--json", "--ortho-tol", "1e-6"],
+    ["verify", "--ortho-tol=-0e0", "--json"], ["classify", "-5"], ["decompose", ""],
+    ["generate", "--seed", "+3", "--count", "1_0"],
+    ["compose", "--left", "1 0 0 0", "--right", "0 1 0 0", "--left", "0,0,1,0"],
 ]
 
 
@@ -633,6 +638,71 @@ def test_dispatch_matches_one_parse(argv, monkeypatch):
         return code, out.getvalue(), err.getvalue()
 
     assert outcome(main) == outcome(_one_parse_main)
+
+
+COMMAND_NAMES = ["decompose", "compose", "generate", "verify", "classify"]
+FLAGS = ["--json", "--ortho-tol", "--left", "--right", "--seed", "--count"]
+# values, and tokens that argparse reads as no value or as an option
+VALUES = ["-1", "-0", "-0e0", "-1e-9", "-inf", "nan", "abc", "+3", "1_0", "-", "--", "-h", "",
+          "0", "1e-6", "inf", "2", "1,0,0,0", "0 1 0 0", "a.txt", "dir/m.json"]
+# each flag spelled in full and abbreviated, and each flag's '=' form
+_tokens = (st.sampled_from(COMMAND_NAMES + FLAGS + [flag[:4] for flag in FLAGS] + VALUES)
+           | st.builds("{}={}".format, st.sampled_from(FLAGS + ["--js", "--ortho"]),
+                       st.sampled_from(VALUES)))
+
+
+def _argparse_namespace(argv):
+    """vars() of the namespace the command's own parser gives argv[1:], or
+    what it reported instead: its unparsed extras or its usage error."""
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err):
+            args, extras = build_parser().commands[argv[0]].parse_known_args(argv[1:])
+    except SystemExit as exc:
+        return f"SystemExit({exc.code}): {err.getvalue()}"
+    return vars(args) if not extras else f"extras {extras}"
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.sampled_from(COMMAND_NAMES) | _tokens, st.lists(_tokens, max_size=7))
+@example("decompose", ["--ortho-tol=-0e0", "--json", "--json", "-"])
+@example("compose", ["--left", "-1,0,0,0", "--right=1 0 0 0", "--left=", "--json"])
+@example("generate", ["--count", "1_0", "--seed", "+3", "--count", "2"])
+@example("verify", ["", "--ortho-tol", "inf"])
+def test_direct_parse_matches_argparse(command, rest):
+    """Wherever main parses argv straight from the command table, as given
+    or with --left and --right values attached as main attaches them, the
+    namespace is the one the command's argparse parser gives with no
+    extras: the same function object, an equal Tolerances."""
+    for argv in ([command, *rest], cli._attach_vector_values([command, *rest])):
+        direct = cli._direct_parse(argv)
+        if direct is not None:
+            assert vars(direct) == _argparse_namespace(argv), argv
+
+
+DIRECT_CASES = [
+    (["decompose", "--json"], True), (["verify", "m.txt", "--ortho-tol", "1e-6"], True),
+    (["classify", "--ortho-tol=-0e0", "-"], True),
+    (["compose", "--left=-1,0,0,0", "--right=0,1,0,0"], True),
+    (["generate", "--seed", "3", "--count", "2", "--json"], True),
+    (["decompose", "-h"], False), (["decompose", "--js"], False),
+    (["decompose", "--", "-"], False), (["decompose", "a", "b"], False),
+    (["decompose", "--ortho-tol", "-1"], False), (["decompose", "--ortho-tol", "abc"], False),
+    (["decompose", "--json=1"], False), (["decompose", "--ortho-tol"], False),
+    (["compose", "--left=1,0,0,0"], False), (["generate", "--seed", "0", "x"], False),
+    (["--json", "decompose"], False), ([], False),
+]
+
+
+@pytest.mark.parametrize("argv, direct", DIRECT_CASES,
+                         ids=[" ".join(argv) or "no argv" for argv, _ in DIRECT_CASES])
+def test_direct_parse_takes_the_exact_spellings(argv, direct):
+    """A command followed by its own flags spelled in full, their values
+    and at most one input is parsed straight from the table; help, an
+    abbreviation, '--', a second input, a value starting with '-' or one
+    the converter rejects, a switch given a value, a missing value or
+    required flag, and argv that names no command first go to argparse."""
+    assert (cli._direct_parse(argv) is not None) is direct
 
 
 def test_classify_outputs(monkeypatch):

@@ -1,6 +1,7 @@
 """The rejection record: every measured rejection carries its value and bound."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -41,6 +42,18 @@ def test_rejection_record(cls, measured, tol, message, ancestry):
     assert exc.tol == tol
     bases = (ValidationError, ValueError)
     assert tuple(isinstance(exc, base) for base in bases) == ancestry
+
+
+@pytest.mark.parametrize("tol", [1e-9, math.inf], ids=["default", "inf"])
+def test_an_overflowed_gram_deviation_is_named_an_overflow(tol):
+    """A Gram deviation of inf comes only from an overflow, which fails
+    every budget; its message says so rather than "inf exceeds inf", and
+    the record keeps both numbers, through a pickle too."""
+    exc = NotOrthogonalError(math.inf, tol)
+    assert str(exc) == ("matrix is not orthogonal: max |A^T A - I| = inf, "
+                        "an overflow that no budget admits")
+    assert (exc.measured, exc.tol) == (math.inf, tol)
+    assert str(pickle.loads(pickle.dumps(exc))) == str(exc)
 
 
 def _subclasses(cls):

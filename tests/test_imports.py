@@ -1,7 +1,8 @@
 """Importing the package, and every CLI command except generate, runs
 without numpy, since nothing they do builds an array, and without
-dataclasses or inspect, whose imports cost more than a request. Every
-name the package exports resolves."""
+dataclasses or inspect, whose imports cost more than a request. A command
+whose flags are spelled in full runs without argparse, which only help and
+usage errors load. Every name the package exports resolves."""
 
 import json
 import subprocess
@@ -14,7 +15,7 @@ from isoclinic import _kernel, associate, cli, errors, quat, rotation4
 from test_cli import IDENTITY16, ROUNDED16, child_env
 
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code,
-# the numpy modules and which of dataclasses and inspect are loaded by then
+# the numpy modules and which of argparse, dataclasses and inspect are loaded by then
 # as one JSON line on stderr
 CHILD = """
 import json, runpy, sys
@@ -29,7 +30,7 @@ if args is not None:
 else:
     import isoclinic
 loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("numpy."))
-stdlib = sorted({"dataclasses", "inspect"} & set(sys.modules))
+stdlib = sorted({"argparse", "dataclasses", "inspect"} & set(sys.modules))
 print(json.dumps({"code": code, "numpy": loaded, "stdlib": stdlib}), file=sys.stderr)
 """
 
@@ -38,30 +39,41 @@ def run_child(args, stdin=""):
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(args)], input=stdin,
                           capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stderr.splitlines()[-1]), proc.stdout
+    return json.loads(proc.stderr.splitlines()[-1]), proc.stdout, proc.stderr
 
 
-@pytest.mark.parametrize("args, stdin, code", [
-    (None, "", None),
-    (["decompose", "--json"], IDENTITY16, 0),
-    (["decompose"], "2 " * 16, 3),
-    (["decompose", "--ortho-tol", "0"], ROUNDED16, 0),
-    (["classify"], IDENTITY16, 0),
-    (["verify", "--json"], IDENTITY16, 0),
-    (["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2", 3),
-    (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 0),
-    (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0),
+@pytest.mark.parametrize("args, stdin, code, printed", [
+    (None, "", None, None),
+    (["decompose", "--json"], IDENTITY16, 0, None),
+    (["decompose"], "2 " * 16, 3, None),
+    (["decompose", "--ortho-tol", "0"], ROUNDED16, 0, None),
+    (["classify"], IDENTITY16, 0, None),
+    (["verify", "--json"], IDENTITY16, 0, None),
+    (["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2", 3, None),
+    (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 0, None),
+    (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0, None),
+    (["decompose", "--help"], "", 0, ("stdout", "show this help message and exit")),
+    (["decompose", "--ortho-tol", "abc"], IDENTITY16, 2,
+     ("stderr", "error: argument --ortho-tol: invalid float value: 'abc'")),
 ], ids=["import", "decompose", "decompose-rejected", "decompose-exact-budget",
-        "classify", "verify", "verify-rejected", "verify-exact-budget", "compose"])
-def test_numpy_is_not_imported(args, stdin, code):
-    report, _ = run_child(args, stdin)
-    assert report == {"code": code, "numpy": [], "stdlib": []}
+        "classify", "verify", "verify-rejected", "verify-exact-budget", "compose",
+        "decompose-help", "decompose-usage-error"])
+def test_numpy_is_not_imported(args, stdin, code, printed):
+    """No case loads numpy. Only help and a usage error load argparse, and
+    it prints them: the usage and help on stdout, the usage and the error
+    on stderr."""
+    report, out, err = run_child(args, stdin)
+    assert report == {"code": code, "numpy": [], "stdlib": ["argparse"] if printed else []}
+    if printed:
+        stream, text = printed
+        written = out if stream == "stdout" else err
+        assert written.startswith("usage: isoclinic decompose") and text in written
 
 
 def test_generate_imports_numpy():
     """The check above sees numpy when it is loaded: generate builds arrays,
     and numpy imports inspect."""
-    report, out = run_child(["generate", "--seed", "3"])
+    report, out, _ = run_child(["generate", "--seed", "3"])
     assert report["code"] == 0 and "numpy" in report["numpy"]
     assert "inspect" in report["stdlib"]
     assert len(out.split()) == 16

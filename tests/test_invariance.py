@@ -266,3 +266,23 @@ def test_non_unit_frame_factor_is_rejected():
     with pytest.raises(NotUnitQuaternionError) as info:
         conjugate_factorwise(random_rotation(43), scaled)
     assert info.value.measured == pytest.approx(3.0, abs=1e-14)
+
+
+@pytest.mark.xfail(strict=True, raises=InvarianceError,
+                   reason="the trivial-factor test measures the vector part by its largest "
+                          "component, which a frame change can grow by up to sqrt(3)")
+def test_a_near_identity_keeps_its_kind_under_a_frame_change():
+    """An exact rotation's kind does not depend on the frame. A = left
+    multiplication by L = normalize(1, c, c, c), c = 0.9e-9, is the
+    identity under the default budget, each component of L's vector part
+    being within it. The frame S_L * P, whose S_L turns (1, 1, 1) onto the
+    x-axis, conjugates L into (1, sqrt(3) c, 0, 0), whose vector part is
+    the same length but has a component past the budget, and the
+    transformed rotation reads as left-isoclinic."""
+    A = left_matrix(normalize([1.0, 0.9e-9, 0.9e-9, 0.9e-9]))
+    assert classify(A).kind is RotationKind.IDENTITY
+    axis = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)  # (1, 1, 1) x (1, 0, 0), normalized
+    half = np.arccos(1.0 / np.sqrt(3.0)) / 2.0
+    S = van_elfrinkhof([np.cos(half), *(np.sin(half) * axis)], IDENTITY)
+    report = check_isocliny_preserved(A, make_frame(S))
+    assert report.transformed.kind is RotationKind.IDENTITY
