@@ -18,13 +18,15 @@ Under --json each result is one line of strict JSON (JSON Lines): a
 report, or for compose and generate a {"matrix": ...} record per matrix,
 the form decompose reads.
 
-Each command's grammar, its function and its flags, is written once, in
-the table _COMMANDS. main parses argv straight from that table when it is
-a command name followed by that command's flags, spelled in full, and
-their values, at most one input and no '--'; anything else, such as help,
-a usage error or an abbreviated flag, goes to an argparse parser built
-from the same table. argparse is imported only then, so a request that
-parses straight from the table never loads it.
+Each command's grammar is written once, in the table _COMMANDS, and
+parse_args reads every argv off it: the command, then its flags, in full
+or by a '--' prefix of one flag alone, at most one input, and '--', after
+which every token is an input. A value follows its flag after '=' or as
+the next token, unless that is a flag of the command or help; any other
+token starting with '-' and holding no space, such as -5, is an unknown
+flag. -h or --help prints help from the table on stdout and exits 0; a
+usage error prints "usage: isoclinic <command> ..." and "isoclinic
+<command>: error: ..." on stderr and exits 2.
 
 Exit codes: 0 success, 2 parse or usage error, 3 validation failure
 (non-rotation input or zero quaternion), 141 (128 + SIGPIPE, as a shell
@@ -33,7 +35,6 @@ reports it) when stdout is closed before the output.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -283,196 +284,194 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _usage_error(message: str) -> Exception:
-    """The error that makes argparse print message as a usage error. Only
-    a rejected value builds one, and argparse then reports it, so argparse
-    is imported here and not with the module."""
-    import argparse
-    return argparse.ArgumentTypeError(message)
-
-
 def _int_from(low: int):
     """Converter of an integer flag whose values start at low."""
     def parse(text: str) -> int:
         try:
             value = int(text)
-        except ValueError as exc:
-            raise _usage_error(f"not an integer: {text!r}") from exc
+        except ValueError:
+            raise ValueError(f"not an integer: {text!r}") from None
         if value < low:
-            raise _usage_error(f"must be >= {low}, got {value}")
+            raise ValueError(f"must be >= {low}, got {value}")
         return value
     return parse
 
 
 def _tolerances(text: str) -> Tolerances:
-    """Converter of --ortho-tol: the Tolerances it sets. Its ValueError on
-    a NaN or negative budget becomes a usage error naming the field."""
-    value = float(text)
+    """Converter of --ortho-tol: the Tolerances it sets, whose ValueError
+    names the field of a NaN or negative budget."""
     try:
-        return Tolerances(value)
-    except ValueError as exc:
-        raise _usage_error(str(exc)) from None
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"invalid float value: {text!r}") from None
+    return Tolerances(value)
 
 
-_tolerances.__name__ = "float"  # argparse's message on a non-number: "invalid float value"
-
+_ABOUT = ("Split 4x4 rotation matrices into left- and right-isoclinic factors, and "
+          "verify the identities that make that possible.")
 _INPUT_HELP = "matrix file path, or - for stdin (default)"
 _VECTOR_HELP = "four numbers 'w x y z' (commas or spaces)"
-# a flag is (spelling, dest, converter, default, metavar, help): a converter
-# of None makes a switch that stores True, a default of None a required
-# flag, and a metavar of None argparse's own, the dest in capitals
-_JSON = ("--json", "json", None, False, None,
-         "write each result as one line of JSON instead of plain text")
-_ORTHO_TOL = ("--ortho-tol", "tolerances", _tolerances, DEFAULT_TOLERANCES, "ORTHO_TOL",
-              "the one noise budget: orthogonality and trivial-factor tolerance; under "
-              "any budget the determinant must be positive")
+# a flag maps its spelling to (dest, converter, default, help): a converter
+# of None makes a switch that stores True, a default of None a required flag
+_JSON = {"--json": ("json", None, False,
+                    "write each result as one line of JSON instead of plain text")}
+_ORTHO_TOL = {"--ortho-tol": ("tolerances", _tolerances, DEFAULT_TOLERANCES,
+                              "the one noise budget: orthogonality and trivial-factor "
+                              "tolerance; under any budget the determinant must be positive")}
 
-# The grammar of every command, written once: main parses argv straight
-# from it, and build_parser builds argparse's tree from it. Each command
-# has its function, its help, whether it takes the input positional, and
-# its flags in the order help lists them.
+# The grammar of every command, written once: parse_args reads argv from
+# it, and help and usage errors are printed from it. Each command has its
+# function, its help, whether it takes the input positional, and its flags
+# by spelling, in the order help lists them.
 _COMMANDS = {
     "decompose": (cmd_decompose, "factor a rotation matrix into its unit-quaternion pair",
-                  True, (_ORTHO_TOL, _JSON)),
+                  True, {**_ORTHO_TOL, **_JSON}),
     "compose": (cmd_compose, "build the rotation matrix acting as P -> left * P * right",
-                False, (_JSON, ("--left", "left", str, None, None, _VECTOR_HELP),
-                        ("--right", "right", str, None, None, _VECTOR_HELP))),
+                False, {**_JSON, "--left": ("left", str, None, _VECTOR_HELP),
+                        "--right": ("right", str, None, _VECTOR_HELP)}),
     "generate": (cmd_generate, "emit seeded uniform random rotation matrices",
-                 False, (_JSON, ("--seed", "seed", _int_from(0), None, None, "generator seed"),
-                         ("--count", "count", _int_from(1), 1, None,
-                          "number of matrices (default 1)"))),
+                 False, {**_JSON, "--seed": ("seed", _int_from(0), None, "generator seed"),
+                         "--count": ("count", _int_from(1), 1,
+                                     "number of matrices (default 1)")}),
     "verify": (cmd_verify, "report the orthogonality and determinant checks and the distance",
-               True, (_ORTHO_TOL, _JSON)),
+               True, {**_ORTHO_TOL, **_JSON}),
     "classify": (cmd_classify, "name the rotation kind and its two factor angles",
-                 True, (_ORTHO_TOL, _JSON)),
+                 True, {**_ORTHO_TOL, **_JSON}),
 }
 
-
-def _grammar(func, _help, takes_input, flags):
-    """What the direct parse reads of a command: the values it starts from
-    (each flag's default, a required flag's None, the function, and "-"
-    for the input), and each flag's dest and converter by its spelling."""
-    start = {"func": func, **{dest: default for _, dest, _, default, *_ in flags}}
-    if takes_input:
-        start["input"] = "-"
-    return start, {spelling: (dest, convert) for spelling, dest, convert, *_ in flags}
+# each command's start values, built once: func, input "-", each flag's default
+_STARTS = {name: {"func": func, **({"input": "-"} if takes_input else {}),
+                  **{dest: default for dest, _, default, _ in flags.values()}}
+           for name, (func, _, takes_input, flags) in _COMMANDS.items()}
+_HELP = ("-h", "--help")
 
 
-_GRAMMARS = {name: _grammar(*command) for name, command in _COMMANDS.items()}
-
-
-def _direct_parse(argv):
-    """The namespace argparse gives argv, read straight off _COMMANDS, or
-    None, leaving argv to argparse, unless argv is a command name followed
-    by that command's own flags spelled in full, each value after '=' or
-    as the next token, not starting with '-', at most one input where the
-    command takes one, every required flag, and values the converters
-    accept."""
-    grammar = _GRAMMARS.get(argv[0]) if argv else None
-    if grammar is None:
-        return None
-    start, flags = grammar
-    values = dict(start)
-    positional_taken = "input" not in values  # a command without input takes none
+def parse_args(argv):
+    """The namespace of argv, read off _COMMANDS by the grammar the module
+    docstring states. Help is printed and exits 0, a usage error exits 2."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        # flags before a command are unknown, help aside, as argparse read them
+        for lead, token in enumerate([*argv, ""]):
+            if token[:1] != "-" or token in ("-", "--") or " " in token:
+                break
+            _flag_named(None, token, {})
+        if argv[lead:] and argv[lead] in _COMMANDS:
+            parse_args(argv[lead:])
+            _fail(None, f"unrecognized arguments: {' '.join(argv[:lead])}")
+        _fail(None, f"argument command: invalid choice: {argv[lead]!r} (choose from "
+                    f"{', '.join(_COMMANDS)})" if argv[lead:] else
+                    "the following arguments are required: command")
+    name, flags = argv[0], command[3]
+    values = _STARTS[name].copy()
+    takes_input = "input" in values
+    options = True  # until '--', after which every token is an input
+    extras = ()
     tokens = iter(argv[1:])
     for token in tokens:
-        if token[:1] != "-" or token == "-":
-            # argparse reads "" and "-" as positionals too
-            if positional_taken:
-                return None
-            values["input"] = token
-            positional_taken = True
-            continue
-        spelling, equals, value = token.partition("=")
-        flag = flags.get(spelling)
+        spelling, equals = token, ""
+        flag = flags.get(token) if options else None
+        if flag is None and options and token[:1] == "-" and token != "-":
+            if token == "--":
+                options = False
+                continue
+            _, equals, value = token.partition("=")
+            spelling = _flag_named(name, token, flags)
+            if spelling is None and " " not in token:  # argparse read "-a b" as an input
+                extras += (token,)
+                continue
+            flag = flags.get(spelling)
         if flag is None:
-            return None
-        dest, convert = flag
+            if takes_input:
+                values["input"], takes_input = token, False
+            else:
+                extras += (token,)
+            continue
+        dest, convert, _, _ = flag
         if convert is None:
             if equals:
-                return None
+                _fail(name, f"argument {spelling}: ignored explicit argument {value!r}")
             values[dest] = True
             continue
         if not equals:
-            # a missing value reads as "-", which starts with '-'
-            value = next(tokens, "-")
-            if value[:1] == "-":
-                return None
+            value = next(tokens, None)
+            if value is None or value in _HELP or value.partition("=")[0] in flags:
+                _fail(name, f"argument {spelling}: expected one argument")
         try:
             values[dest] = convert(value)
-        except Exception:
-            # a converter rejects a value with ValueError or, through
-            # _usage_error, argparse's own error type, which is not imported
-            # here; either way argparse parses argv again and reports it
-            return None
-    if None in values.values():
-        return None
+        except ValueError as exc:
+            _fail(name, f"argument {spelling}: {exc}")
+    if extras or None in values.values():
+        missing = [spelling for spelling, (dest, *_) in flags.items() if values[dest] is None]
+        _fail(name, f"the following arguments are required: {', '.join(missing)}" if missing
+              else f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**values)
 
 
-@functools.cache
-def build_parser():
-    """argparse's tree of every command, built from _COMMANDS once per
-    process: parsing leaves it unchanged. It parses what the direct parse
-    leaves, and prints help and usage errors."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="isoclinic",
-        description="Split 4x4 rotation matrices into left- and right-isoclinic "
-                    "factors, and verify the identities that make that possible.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    # name -> parser of each command, which main parses the rest of argv with
-    parser.commands = subparsers.choices
-    for name, (func, help_text, takes_input, flags) in _COMMANDS.items():
-        command = subparsers.add_parser(name, help=help_text)
-        if takes_input:
-            command.add_argument("input", nargs="?", default="-", help=_INPUT_HELP)
-        for spelling, dest, convert, default, metavar, flag_help in flags:
-            if convert is None:
-                command.add_argument(spelling, dest=dest, action="store_true", help=flag_help)
-            else:
-                command.add_argument(spelling, dest=dest, type=convert, default=default,
-                                     metavar=metavar, required=default is None,
-                                     help=flag_help)
-        command.set_defaults(func=func)
-    return parser
+def _flag_named(name, token, flags):
+    """The flag of flags, or help, that token names before any '=' in full or by a
+    '--' prefix, or None; help exits 0, a prefix of two is a usage error of name."""
+    spelling, equals, value = token.partition("=")
+    named = [full for full in (*flags, *_HELP) if full == spelling
+             or len(spelling) > 2 and spelling[:2] == "--" and full.startswith(spelling)]
+    if len(named) > 1:
+        _fail(name, f"ambiguous option: {spelling} could match {', '.join(named)}")
+    if named and named[0] in _HELP:
+        if equals:
+            _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
+        print(_help(name))
+        raise SystemExit(EXIT_OK)
+    return named[0] if named else None
 
 
-def _attach_vector_values(argv):
-    """Rewrite '--left V' as '--left=V' so values like '-1,0,0,0' are never
-    mistaken for option names."""
-    joined = []
-    skip = False
-    for position, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in ("--left", "--right") and position + 1 < len(argv):
-            joined.append(f"{token}={argv[position + 1]}")
-            skip = True
-        else:
-            joined.append(token)
-    return joined
+def _fail(name, message):
+    """Print message as a usage error of command name (None: the program); exit 2."""
+    print(_usage(name), f"isoclinic{f' {name}' if name else ''}: error: {message}",
+          sep="\n", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
+def _term(spelling, convert):
+    """A flag as usage and help show it: --json, or --ortho-tol ORTHO_TOL."""
+    return spelling if convert is None else f"{spelling} {spelling[2:].upper().replace('-', '_')}"
+
+
+def _usage(name):
+    """The usage line of the command name, or of the program when None."""
+    if name is None:
+        return f"usage: isoclinic [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, _, takes_input, flags = _COMMANDS[name]
+    words = [f"usage: isoclinic {name} [-h]"]
+    for spelling, (_, convert, default, _) in flags.items():
+        term = _term(spelling, convert)
+        words.append(term if default is None else f"[{term}]")
+    return " ".join(words + ["[input]"] * takes_input)
+
+
+def _help(name):
+    """The help of the command name, or of the program when None: its
+    usage line, what it does, then each argument with its help."""
+    import textwrap  # help alone wraps text, so only help loads it
+    if name is None:
+        about, takes_input, flags = _ABOUT, False, {}
+        commands = [(command, entry[1]) for command, entry in _COMMANDS.items()]
+    else:
+        (_, about, takes_input, flags), commands = _COMMANDS[name], []
+    groups = {"commands": commands, "positional arguments": [("input", _INPUT_HELP)] * takes_input,
+              "options": [("-h, --help", "show this help message and exit")]
+              + [(_term(spelling, convert), text)
+                 for spelling, (_, convert, _, text) in flags.items()]}
+    lines = [_usage(name), "", *textwrap.wrap(about, 79)]
+    for title, rows in groups.items():
+        lines += ["", f"{title}:"] * bool(rows)
+        for term, text in rows:
+            lines += textwrap.wrap(text, 79, initial_indent=f"  {term:<21} ",
+                                   subsequent_indent=" " * 24)
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _attach_vector_values(list(argv))
-    args = _direct_parse(argv)
-    if args is None:
-        parser = build_parser()
-        command = parser.commands.get(argv[0]) if argv else None
-        if command is None:
-            # no command first (none at all, -h, an option, an unknown name):
-            # the whole tree parses, and reports, as argparse does
-            args = parser.parse_args(argv)
-        else:
-            # the command's parser takes the rest, as the tree would hand it on
-            args, extras = command.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ValidationError as exc:

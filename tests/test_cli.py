@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import isoclinic
 from isoclinic import (DEFAULT_TOLERANCES, IsoclinicError, ParseError,
                        Tolerances, ValidationError, _kernel, cli, random_rotation,
                        random_unit_quaternion, right_matrix)
-from isoclinic.cli import _dumps, build_parser, main, parse_matrix
+from isoclinic.cli import _dumps, main, parse_args, parse_matrix
 
 IDENTITY16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1"
 REFLECTION16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 -1"
@@ -436,23 +437,25 @@ def test_tolerance_flags_match_tolerances():
     default object when the flag is absent."""
     assert Tolerances._fields == ("ortho_tol",)
     for command in ("decompose", "classify", "verify"):
-        args = vars(build_parser().parse_args([command]))
-        assert set(args) - {"command", "func", "input", "json"} == {"tolerances"}
+        args = vars(parse_args([command]))
+        assert set(args) - {"func", "input", "json"} == {"tolerances"}
         assert args["tolerances"] is DEFAULT_TOLERANCES
-        args = build_parser().parse_args([command, "--ortho-tol", "1e-6"])
+        args = parse_args([command, "--ortho-tol", "1e-6"])
         assert type(args.tolerances) is Tolerances and args.tolerances == Tolerances(1e-6)
 
 
 def test_parser_is_built_once(monkeypatch):
-    """build_parser builds one tree per process, and a flag given to one
+    """parse_args starts each command from values built once per process,
+    which a parse copies and leaves unchanged, so a flag given to one
     main() call does not carry over to the next."""
-    assert build_parser() is build_parser()
+    starts = {name: dict(start) for name, start in cli._STARTS.items()}
     code, out, _ = run_cli(["decompose", "--ortho-tol", "1e-6", "--json"], IDENTITY16,
                            monkeypatch)
     assert code == 0 and json.loads(out)["tolerances"]["ortho_tol"] == 1e-6
     code, out, _ = run_cli(["decompose", "--json"], IDENTITY16, monkeypatch)
     assert code == 0
     assert json.loads(out)["tolerances"] == {"ortho_tol": 1e-9}
+    assert cli._STARTS == starts
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])
@@ -581,10 +584,147 @@ def test_dumps_writes_non_finite_floats_as_null(value):
     assert json.loads(text, parse_constant=_reject_constant) == _finite_or_none(value)
 
 
-def _one_parse_main(argv):
-    """main as it ran with one parse by the whole parser tree, the reference
-    that main's dispatch to the command's own parser must match."""
-    args = build_parser().parse_args(cli._attach_vector_values(list(argv)))
+def _attach_vector_values(argv):
+    """argv with '--left V' and '--right V' rewritten as '--left=V' and
+    '--right=V', whatever V is, as the CLI rewrote argv for argparse."""
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in ("--left", "--right") else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
+
+
+def _oracle_parser():
+    """The argparse tree of every command that the CLI built from
+    cli._COMMANDS before parse_args read argv off the table itself: the
+    reference it is checked against."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="isoclinic")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (func, help_text, takes_input, flags) in cli._COMMANDS.items():
+        command = subparsers.add_parser(name, help=help_text)
+        if takes_input:
+            command.add_argument("input", nargs="?", default="-")
+        for spelling, (dest, convert, default, _) in flags.items():
+            if convert is None:
+                command.add_argument(spelling, dest=dest, action="store_true")
+            else:
+                command.add_argument(spelling, dest=dest, type=convert, default=default,
+                                     required=default is None)
+        command.set_defaults(func=func)
+    return parser
+
+
+ORACLE = _oracle_parser()
+
+
+def _exited(parse, argv):
+    """vars() of the namespace parse gives argv, or the code it exits with:
+    0 after help, 2 after a usage error; what it prints is dropped."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def _oracle(argv):
+    """What the argparse oracle gives argv after the vector-value rewrite:
+    the namespace without the command's name, or the exit code."""
+    parsed = _exited(ORACLE.parse_args, _attach_vector_values(argv))
+    return parsed if type(parsed) is int else {k: v for k, v in parsed.items() if k != "command"}
+
+
+# argparse's pattern of a negative number, a token it reads as a value or
+# an input, never as a flag, when no flag looks like one
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _positional(token):
+    """Whether argparse reads token as no flag of a command: '-', a token
+    not starting with '-' or one with a space."""
+    return token[:1] != "-" or token == "-" or " " in token
+
+
+def _listed_difference(argv):
+    """Whether argv holds a token that parse_args reads by one of its own
+    rules where the oracle reads it otherwise:
+    - after a value flag, without '=', a token that starts with '-' and is
+      neither '-', a negative number, a flag of the command nor help is
+      the value, where argparse reads it as a flag and reports the value
+      missing (--ortho-tol -inf is a negative budget, --ortho-tol -0e0 a
+      budget of 0);
+    - the oracle's rewrite glues the token after --left or --right,
+      spelled in full, onto it as the value in every command; parse_args
+      reads a flag of the command or help there as such (compose --left
+      --right 1,0,0,0 is a missing value), and in a command without these
+      flags it reads that token on its own;
+    - a negative number, such as -5, where no value is due is an unknown
+      flag, where argparse reads it as the input or the command;
+    - '--' ends the flags wherever it stands; argparse reports it as
+      unrecognized where no input is left to take it: in compose and
+      generate, or after the input and a flag; before the command it is a
+      usage error, as it is to argparse before 3.13.13, which reads
+      '-- decompose' as decompose;
+    - a '--' after '=', or glued on by the rewrite, is the value, which
+      argparse before 3.13 dropped, keeping [] as the value."""
+    if any(token.partition("=")[1:] == ("=", "--") for token in _attach_vector_values(argv)):
+        return True
+    lead = 0
+    while argv[lead:] and not _positional(argv[lead]) and argv[lead] != "--":
+        if _NEGATIVE.match(argv[lead]) or argv[lead] in ("--left", "--right"):
+            return True
+        lead += 1
+    if argv[lead:lead + 1] == ["--"]:
+        return True
+    if not argv[lead:] or argv[lead] not in cli._COMMANDS:
+        return False
+    _, _, input_left, flags = cli._COMMANDS[argv[lead]]
+
+    def is_flag(token):
+        return token in ("-h", "--help") or token.partition("=")[0] in flags
+
+    tokens = iter(argv[lead + 1:])
+    read = False  # an input read in this run of tokens, which the next flag ends
+    for token in tokens:
+        if token == "--":
+            rest = list(tokens)
+            return not input_left or any(token in ("--left", "--right") for token in rest[:-1])
+        if _positional(token):
+            read = read or input_left
+            continue
+        input_left, read = input_left and not read, False
+        named = [spelling for spelling in flags if spelling == token
+                 or len(token) > 2 and token[:2] == "--" and spelling.startswith(token)]
+        if token in ("--left", "--right"):
+            if token not in flags or is_flag(next(tokens, "-")):
+                return True
+        elif len(named) == 1 and flags[named[0]][1] is not None:
+            value = next(tokens, "-")
+            if value[:1] == "-" and value != "-" and not _NEGATIVE.match(value) \
+                    and not is_flag(value):
+                return True
+        elif _NEGATIVE.match(token):
+            return True
+    return False
+
+
+def _outcome(run, argv, monkeypatch):
+    """(exit code, stdout, stderr) of run(argv) on the identity, SystemExit
+    as its code, and whether it was a SystemExit."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(IDENTITY16))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return run(list(argv)), out.getvalue(), err.getvalue(), False
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), True
+
+
+def _oracle_main(argv):
+    """main as it ran on the oracle's namespace."""
+    args = ORACLE.parse_args(_attach_vector_values(argv))
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -624,20 +764,23 @@ DISPATCH_ARGV = [
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
 def test_dispatch_matches_one_parse(argv, monkeypatch):
-    """main parses argv after the command with that command's parser; exit
-    code (SystemExit included), stdout and stderr are what one parse by
-    the whole tree gives."""
-    def outcome(run):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(IDENTITY16))
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = run(list(argv))
-            except SystemExit as exc:
-                code = f"SystemExit({exc.code})"
-        return code, out.getvalue(), err.getvalue()
-
-    assert outcome(main) == outcome(_one_parse_main)
+    """main exits with the code main exited with on the oracle's one parse
+    by the whole argparse tree, SystemExit included, and prints the same
+    stdout, and the same stderr where no usage error ends the run. Help,
+    laid out differently, is on stdout both times; on a listed difference
+    (see _listed_difference) main exits 2."""
+    code, out, err, usage = _outcome(main, argv, monkeypatch)
+    if _listed_difference(argv):
+        assert (code, out, usage) == (2, "", True), err
+        return
+    expected = _outcome(_oracle_main, argv, monkeypatch)
+    assert (code, usage) == (expected[0], expected[3])
+    if code == 0 and usage:
+        assert out.startswith("usage: isoclinic") and expected[1].startswith("usage: isoclinic")
+    else:
+        assert out == expected[1]
+    if not usage:
+        assert err == expected[2]
 
 
 COMMAND_NAMES = ["decompose", "compose", "generate", "verify", "classify"]
@@ -651,58 +794,88 @@ _tokens = (st.sampled_from(COMMAND_NAMES + FLAGS + [flag[:4] for flag in FLAGS] 
                        st.sampled_from(VALUES)))
 
 
-def _argparse_namespace(argv):
-    """vars() of the namespace the command's own parser gives argv[1:], or
-    what it reported instead: its unparsed extras or its usage error."""
-    err = io.StringIO()
-    try:
-        with redirect_stderr(err):
-            args, extras = build_parser().commands[argv[0]].parse_known_args(argv[1:])
-    except SystemExit as exc:
-        return f"SystemExit({exc.code}): {err.getvalue()}"
-    return vars(args) if not extras else f"extras {extras}"
-
-
 @settings(deadline=None, max_examples=1000)
 @given(st.sampled_from(COMMAND_NAMES) | _tokens, st.lists(_tokens, max_size=7))
 @example("decompose", ["--ortho-tol=-0e0", "--json", "--json", "-"])
 @example("compose", ["--left", "-1,0,0,0", "--right=1 0 0 0", "--left=", "--json"])
 @example("generate", ["--count", "1_0", "--seed", "+3", "--count", "2"])
 @example("verify", ["", "--ortho-tol", "inf"])
+@example("compose", ["--left", "--right", "1,0,0,0"])
+@example("decompose", ["a", "b", "-h"])
+@example("decompose", ["--", "--json"])
+@example("verify", ["--count=0 1 0 0"])
 def test_direct_parse_matches_argparse(command, rest):
-    """Wherever main parses argv straight from the command table, as given
-    or with --left and --right values attached as main attaches them, the
-    namespace is the one the command's argparse parser gives with no
-    extras: the same function object, an equal Tolerances."""
-    for argv in ([command, *rest], cli._attach_vector_values([command, *rest])):
-        direct = cli._direct_parse(argv)
-        if direct is not None:
-            assert vars(direct) == _argparse_namespace(argv), argv
+    """parse_args gives the namespace the argparse oracle gives, the same
+    function object and an equal Tolerances, wherever the oracle accepts
+    argv, and exits as it exits, 0 after help and 2 after a usage error,
+    everywhere else, apart from the listed differences (_listed_difference),
+    on which parse_args exits 2 or reads the value by its own rule."""
+    argv = [command, *rest]
+    parsed, expected = _exited(cli.parse_args, argv), _oracle(argv)
+    if parsed != expected:
+        assert _listed_difference(argv), (argv, parsed, expected)
 
 
+# argv, then what parse_args reads: values of the namespace, 0 for help, or
+# the last line a usage error prints
 DIRECT_CASES = [
-    (["decompose", "--json"], True), (["verify", "m.txt", "--ortho-tol", "1e-6"], True),
-    (["classify", "--ortho-tol=-0e0", "-"], True),
-    (["compose", "--left=-1,0,0,0", "--right=0,1,0,0"], True),
-    (["generate", "--seed", "3", "--count", "2", "--json"], True),
-    (["decompose", "-h"], False), (["decompose", "--js"], False),
-    (["decompose", "--", "-"], False), (["decompose", "a", "b"], False),
-    (["decompose", "--ortho-tol", "-1"], False), (["decompose", "--ortho-tol", "abc"], False),
-    (["decompose", "--json=1"], False), (["decompose", "--ortho-tol"], False),
-    (["compose", "--left=1,0,0,0"], False), (["generate", "--seed", "0", "x"], False),
-    (["--json", "decompose"], False), ([], False),
+    (["decompose", "--json"], {"json": True, "input": "-", "tolerances": DEFAULT_TOLERANCES}),
+    (["verify", "m.txt", "--ortho-tol", "1e-6"],
+     {"input": "m.txt", "tolerances": Tolerances(1e-6)}),
+    (["classify", "--ortho-tol=-0e0", "-"], {"tolerances": Tolerances(0.0)}),
+    (["compose", "--left=-1,0,0,0", "--right=0,1,0,0"], {"left": "-1,0,0,0", "right": "0,1,0,0"}),
+    (["generate", "--seed", "3", "--count", "2", "--json"], {"seed": 3, "count": 2, "json": True}),
+    (["decompose", "-h"], 0), (["decompose", "--js"], {"json": True}),
+    (["decompose", "--", "-"], {"input": "-"}),
+    (["decompose", "--", "--json"], {"input": "--json", "json": False}),
+    (["verify", "--count=0 1 0 0"], {"input": "--count=0 1 0 0"}),
+    (["decompose", "a", "b"], "unrecognized arguments: b"),
+    (["decompose", "--ortho-tol", "-1"],
+     "argument --ortho-tol: ortho_tol must be a non-negative number, got -1.0"),
+    (["decompose", "--ortho-tol", "abc"], "argument --ortho-tol: invalid float value: 'abc'"),
+    (["decompose", "--json=1"], "argument --json: ignored explicit argument '1'"),
+    (["decompose", "--ortho-tol"], "argument --ortho-tol: expected one argument"),
+    (["compose", "--left=1,0,0,0"], "the following arguments are required: --right"),
+    (["generate", "--seed", "0", "x"], "unrecognized arguments: x"),
+    (["--json", "decompose"], "unrecognized arguments: --json"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                     "(choose from decompose, compose, generate, verify, classify)"),
+    ([], "the following arguments are required: command"),
+    (["compose", "--left", "--right", "1,0,0,0"], "argument --left: expected one argument"),
+    (["compose", "--right", "1,0,0,0", "--left"], "argument --left: expected one argument"),
+    (["decompose", "--ortho-tol", "-inf"],
+     "argument --ortho-tol: ortho_tol must be a non-negative number, got -inf"),
+    (["decompose", "--ortho-tol", "-0e0"], {"tolerances": Tolerances(0.0)}),
+    (["classify", "-5"], "unrecognized arguments: -5"),
+    (["decompose", "--orth=1e-6", "--he"], 0),
 ]
 
 
-@pytest.mark.parametrize("argv, direct", DIRECT_CASES,
+@pytest.mark.parametrize("argv, outcome", DIRECT_CASES,
                          ids=[" ".join(argv) or "no argv" for argv, _ in DIRECT_CASES])
-def test_direct_parse_takes_the_exact_spellings(argv, direct):
-    """A command followed by its own flags spelled in full, their values
-    and at most one input is parsed straight from the table; help, an
-    abbreviation, '--', a second input, a value starting with '-' or one
-    the converter rejects, a switch given a value, a missing value or
-    required flag, and argv that names no command first go to argparse."""
-    assert (cli._direct_parse(argv) is not None) is direct
+def test_direct_parse_takes_the_exact_spellings(argv, outcome, capsys):
+    """parse_args reads a command's flags spelled in full or by a '--'
+    prefix, values after '=' or as the next token, '--', after which every
+    token is an input, and at most one input, which may be a token with a
+    space that names no flag; help exits 0; a second input, a value the
+    converter rejects, a switch given a value, a missing value or required
+    flag, a negative number where no value is due, and argv that names no
+    command first are usage errors: exit 2, the usage line, then the
+    message."""
+    if isinstance(outcome, dict):
+        parsed = vars(cli.parse_args(argv))
+        assert {key: parsed[key] for key in outcome} == outcome
+        return
+    with pytest.raises(SystemExit) as exited:
+        cli.parse_args(argv)
+    captured = capsys.readouterr()
+    if outcome == 0:
+        assert exited.value.code == 0 and captured.out.startswith("usage: isoclinic ")
+        return
+    prog = f"isoclinic {argv[0]}" if argv and argv[0] in cli._COMMANDS else "isoclinic"
+    usage, message = captured.err.splitlines()
+    assert exited.value.code == 2 and captured.out == ""
+    assert usage.startswith(f"usage: {prog} [-h] ") and message == f"{prog}: error: {outcome}"
 
 
 def test_classify_outputs(monkeypatch):
@@ -789,8 +962,8 @@ def test_generated_record_pipes_into_decompose():
 
 
 def test_generate_rejects_a_negative_seed():
-    """--seed -1 is a usage error, as --count 0 is: exit 2 and an argparse
-    message naming the flag, not numpy's traceback."""
+    """--seed -1 is a usage error, as --count 0 is: exit 2 and a message
+    naming the flag, not numpy's traceback."""
     proc = subprocess.run([*ENTRYPOINT, "generate", "--seed", "-1"], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""

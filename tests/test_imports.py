@@ -1,8 +1,8 @@
 """Importing the package, and every CLI command except generate, runs
 without numpy, since nothing they do builds an array, and without
-dataclasses or inspect, whose imports cost more than a request. A command
-whose flags are spelled in full runs without argparse, which only help and
-usage errors load. Every name the package exports resolves."""
+dataclasses or inspect, whose imports cost more than a request. No CLI
+run loads argparse, help and usage errors included: the CLI reads argv
+off its own command table. Every name the package exports resolves."""
 
 import json
 import subprocess
@@ -59,11 +59,11 @@ def run_child(args, stdin=""):
         "classify", "verify", "verify-rejected", "verify-exact-budget", "compose",
         "decompose-help", "decompose-usage-error"])
 def test_numpy_is_not_imported(args, stdin, code, printed):
-    """No case loads numpy. Only help and a usage error load argparse, and
-    it prints them: the usage and help on stdout, the usage and the error
-    on stderr."""
+    """No case loads numpy, argparse, dataclasses or inspect, help and a
+    usage error included: the usage and help on stdout, the usage and the
+    error on stderr."""
     report, out, err = run_child(args, stdin)
-    assert report == {"code": code, "numpy": [], "stdlib": ["argparse"] if printed else []}
+    assert report == {"code": code, "numpy": [], "stdlib": []}
     if printed:
         stream, text = printed
         written = out if stream == "stdout" else err

@@ -566,6 +566,56 @@ def test_every_mutant_of_validate_is_killed():
     assert_mutants_killed(source, "validate", VALIDATE_MUTANTS, pool)
 
 
+# each single-operator mutant of the unit check: the test inverted, the
+# sphere moved, the abs dropped, and each square taken as its component
+UNIT_MUTANTS = [
+    ("if not e", "if e"),
+    ("- 1.0)", "+ 1.0)"),
+    ("abs(", "("),
+    *[(f"q{i} * q{i}", f"q{i}") for i in range(4)],
+]
+# outcome-equivalent: no sum of squares near 1 lies at exactly 1 +/- UNIT_TOL,
+# since s - 1 is exact there, a multiple of 2^-53, and UNIT_TOL is not one
+EQUIVALENT_UNIT_MUTANTS = [
+    ("e <= UNIT_TOL", "e < UNIT_TOL"),
+]
+
+
+def on_sum(target):
+    """(w, 0.5, 0.5, 0.5) whose squares, summed as the unit check sums them,
+    make target."""
+    w = math.sqrt(target - 0.75)
+    for _ in range(64):
+        total = w * w + 0.25 + 0.25 + 0.25
+        if total == target:
+            return [w, 0.5, 0.5, 0.5]
+        w = math.nextafter(w, math.inf if total < target else 0.0)
+    raise AssertionError(target)
+
+
+def test_every_mutant_of_the_unit_check_is_killed():
+    """check_unit accepts q when |q.q - 1| <= UNIT_TOL, and every mutant of
+    that check fails on a pool at its bound: on each side of 1, the two
+    sums of squares whose deviations bracket UNIT_TOL, which no float sum
+    meets exactly, and the sums one ulp further out to either side, each
+    with no zero component. The equivalent mutant decides every case as
+    check_unit does."""
+    source = _kernel._SOURCES["check_unit"]
+    assert source.count("raise ") == 1 and not (UNIT_TOL / 2.0 ** -53).is_integer()
+    pool, accepted = [], []
+    for sign, ulp in ((1.0, 2.0 ** -52), (-1.0, 2.0 ** -53)):
+        inside = math.floor(UNIT_TOL / ulp) * ulp
+        for step in (-1, 0, 1, 2):
+            q = on_sum(1.0 + sign * (inside + step * ulp))
+            pool.append((q,))
+            accepted.append(step <= 0)
+    assert [decision(outcome(_kernel.check_unit, *args)) == "accepted"
+            for args in pool] == accepted
+    assert_mutants_killed(source, "check_unit", UNIT_MUTANTS, pool)
+    expected, mutated = mutants_outcomes(source, "check_unit", EQUIVALENT_UNIT_MUTANTS, pool)
+    assert mutated == [expected] * len(EQUIVALENT_UNIT_MUTANTS)
+
+
 def test_generated_functions_are_compiled_from_the_table():
     """The generated functions come from the source generated at import
     under one filename; any other name the module lacks stays an
