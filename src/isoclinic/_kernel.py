@@ -69,7 +69,8 @@ class Tolerances(_Bounds):
                 inf), and the factor angles may drift by it under a frame
                 change
     Tolerances(a, b) raises TypeError. A NaN or negative bound raises
-    ValueError: NaN would pass every check, a negative one fail an exact one.
+    ValueError: NaN would reject every matrix, the identity included, and
+    call every factor nontrivial; a negative one would fail an exact one.
     """
 
     __slots__ = ()

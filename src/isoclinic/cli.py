@@ -19,14 +19,14 @@ report, or for compose and generate a {"matrix": ...} record per matrix,
 the form decompose reads.
 
 Each command's grammar is written once, in the table _COMMANDS, and
-parse_args reads every argv off it: the command, then its flags, in full
-or by a '--' prefix of one flag alone, at most one input, and '--', after
-which every token is an input. A value follows its flag after '=' or as
-the next token, unless that is a flag of the command or help; any other
-token starting with '-' and holding no space, such as -5, is an unknown
-flag. -h or --help prints help from the table on stdout and exits 0; a
-usage error prints "usage: isoclinic <command> ..." and "isoclinic
-<command>: error: ..." on stderr and exits 2.
+parse_args reads every argv off it in one pass: the command first, then
+its flags, each spelled in full, at most one input, and '--', after which
+every token is an input. A value follows its flag after '=' or as the next
+token, unless that is a flag of the command or help; any other token
+starting with '-', such as -5, is an unknown flag. -h or --help prints help
+from the table on stdout and exits 0; a usage error prints "usage:
+isoclinic <command> ..." and "isoclinic <command>: error: ..." on stderr
+and exits 2.
 
 Exit codes: 0 success, 2 parse or usage error, 3 validation failure
 (non-rotation input or zero quaternion), 141 (128 + SIGPIPE, as a shell
@@ -347,20 +347,13 @@ _HELP = ("-h", "--help")
 
 
 def parse_args(argv):
-    """The namespace of argv, read off _COMMANDS by the grammar the module
-    docstring states. Help is printed and exits 0, a usage error exits 2."""
+    """The namespace of argv, read off _COMMANDS in one pass as the module
+    docstring states; help is printed and exits 0, a usage error exits 2."""
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
-        # flags before a command are unknown, help aside, as argparse read them
-        for lead, token in enumerate([*argv, ""]):
-            if token[:1] != "-" or token in ("-", "--") or " " in token:
-                break
-            _flag_named(None, token, {})
-        if argv[lead:] and argv[lead] in _COMMANDS:
-            parse_args(argv[lead:])
-            _fail(None, f"unrecognized arguments: {' '.join(argv[:lead])}")
-        _fail(None, f"argument command: invalid choice: {argv[lead]!r} (choose from "
-                    f"{', '.join(_COMMANDS)})" if argv[lead:] else
+        _help_asked(None, argv[0] if argv else "")
+        _fail(None, f"argument command: invalid choice: {argv[0]!r} (choose from "
+                    f"{', '.join(_COMMANDS)})" if argv else
                     "the following arguments are required: command")
     name, flags = argv[0], command[3]
     values = _STARTS[name].copy()
@@ -369,23 +362,18 @@ def parse_args(argv):
     extras = ()
     tokens = iter(argv[1:])
     for token in tokens:
-        spelling, equals = token, ""
-        flag = flags.get(token) if options else None
-        if flag is None and options and token[:1] == "-" and token != "-":
-            if token == "--":
-                options = False
-                continue
-            _, equals, value = token.partition("=")
-            spelling = _flag_named(name, token, flags)
-            if spelling is None and " " not in token:  # argparse read "-a b" as an input
-                extras += (token,)
-                continue
-            flag = flags.get(spelling)
+        spelling, equals, value = token.partition("=")
+        flag = flags.get(spelling) if options else None
         if flag is None:
-            if takes_input:
+            if options and token[:1] == "-" and token != "-":
+                if token == "--":
+                    options = False
+                    continue
+                _help_asked(name, token)  # else an unknown flag
+            elif takes_input:
                 values["input"], takes_input = token, False
-            else:
-                extras += (token,)
+                continue
+            extras += (token,)
             continue
         dest, convert, _, _ = flag
         if convert is None:
@@ -408,20 +396,14 @@ def parse_args(argv):
     return SimpleNamespace(**values)
 
 
-def _flag_named(name, token, flags):
-    """The flag of flags, or help, that token names before any '=' in full or by a
-    '--' prefix, or None; help exits 0, a prefix of two is a usage error of name."""
+def _help_asked(name, token):
+    """Print the help of name (None: the program) and exit 0 if token is -h or --help."""
     spelling, equals, value = token.partition("=")
-    named = [full for full in (*flags, *_HELP) if full == spelling
-             or len(spelling) > 2 and spelling[:2] == "--" and full.startswith(spelling)]
-    if len(named) > 1:
-        _fail(name, f"ambiguous option: {spelling} could match {', '.join(named)}")
-    if named and named[0] in _HELP:
+    if spelling in _HELP:
         if equals:
             _fail(name, f"argument -h/--help: ignored explicit argument {value!r}")
         print(_help(name))
         raise SystemExit(EXIT_OK)
-    return named[0] if named else None
 
 
 def _fail(name, message):

@@ -128,15 +128,23 @@ def test_decomposition_unpacks_and_compares_by_identity():
 @pytest.mark.parametrize("bound", [math.nan, -1.0, -math.inf])
 @pytest.mark.parametrize("field", ["ortho_tol"])
 def test_tolerances_reject_nan_and_negative_bounds(field, bound):
-    """A NaN bound would pass every check and a negative one fail exact
-    input; both raise ValueError naming the field, from the constructor
-    and from _replace. Zero and infinity are bounds."""
+    """A NaN or negative bound would reject every matrix, the identity
+    included, and call every factor nontrivial; either raises ValueError
+    naming the field, from the constructor and from _replace. Zero and
+    infinity are bounds."""
     with pytest.raises(ValueError, match=f"^{field} must be a non-negative number"):
         Tolerances(**{field: bound})
     with pytest.raises(ValueError, match=f"^{field} must be a non-negative number"):
         Tolerances()._replace(**{field: bound})
     edges = Tolerances(**{field: 0.0}), Tolerances(**{field: math.inf})
     assert [getattr(t, field) for t in edges] == [0.0, math.inf]
+    unchecked = tuple.__new__(Tolerances, (bound,))  # past the constructor's check
+    identity = np.eye(4).ravel().tolist()
+    for check in (_kernel.validate, _kernel.decompose):
+        with pytest.raises(NotOrthogonalError, match=r"= 0 exceeds"):
+            check(identity, unchecked)
+    one = [1.0, 0.0, 0.0, 0.0]
+    assert _kernel.classify(one, one, unchecked).kind is RotationKind.GENERAL
 
 
 def test_distance_bound_cannot_be_set():

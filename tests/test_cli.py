@@ -461,9 +461,9 @@ def test_parser_is_built_once(monkeypatch):
 @pytest.mark.parametrize("value", ["nan", "-1"])
 @pytest.mark.parametrize("flag", ["--ortho-tol"])
 def test_nan_or_negative_tolerance_is_a_usage_error(flag, value, monkeypatch, capsys):
-    """A NaN bound passed every check (2I was accepted under --ortho-tol
-    nan) and a negative one failed exact input (the identity was rejected
-    under --ortho-tol -1); either is a usage error naming the field."""
+    """A NaN bound would reject every matrix, the identity included, and a
+    negative one exact input (the identity under --ortho-tol -1); either is
+    a usage error naming the field."""
     for command in ("decompose", "classify", "verify"):
         monkeypatch.setattr(sys, "stdin", io.StringIO("2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2"))
         with pytest.raises(SystemExit) as exited:
@@ -597,13 +597,14 @@ def _attach_vector_values(argv):
 
 def _oracle_parser():
     """The argparse tree of every command that the CLI built from
-    cli._COMMANDS before parse_args read argv off the table itself: the
+    cli._COMMANDS before parse_args read argv off the table itself, with
+    abbreviations off, as the CLI reads each flag spelled in full only: the
     reference it is checked against."""
     import argparse
-    parser = argparse.ArgumentParser(prog="isoclinic")
+    parser = argparse.ArgumentParser(prog="isoclinic", allow_abbrev=False)
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, takes_input, flags) in cli._COMMANDS.items():
-        command = subparsers.add_parser(name, help=help_text)
+        command = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         if takes_input:
             command.add_argument("input", nargs="?", default="-")
         for spelling, (dest, convert, default, _) in flags.items():
@@ -642,9 +643,9 @@ _NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 def _positional(token):
-    """Whether argparse reads token as no flag of a command: '-', a token
-    not starting with '-' or one with a space."""
-    return token[:1] != "-" or token == "-" or " " in token
+    """Whether parse_args reads token as no flag of a command: '-' or a
+    token not starting with '-'."""
+    return token[:1] != "-" or token == "-"
 
 
 def _listed_difference(argv):
@@ -664,28 +665,28 @@ def _listed_difference(argv):
       flag, where argparse reads it as the input or the command;
     - '--' ends the flags wherever it stands; argparse reports it as
       unrecognized where no input is left to take it: in compose and
-      generate, or after the input and a flag; before the command it is a
-      usage error, as it is to argparse before 3.13.13, which reads
-      '-- decompose' as decompose;
+      generate, or after the input and a flag;
     - a '--' after '=', or glued on by the rewrite, is the value, which
-      argparse before 3.13 dropped, keeping [] as the value."""
+      argparse before 3.13 dropped, keeping [] as the value;
+    - the first token is the command or help, so one that starts with '-'
+      and is neither -h nor --help is an invalid command, where argparse
+      reads a flag there as unknown ('--json decompose'), runs help after
+      it and, from 3.13.13, reads '-- decompose' as decompose;
+    - a token that starts with '-' and holds a space, before '--' and
+      where no value is due, is an unknown flag, where argparse reads it as
+      the input ('decompose "-a b"')."""
     if any(token.partition("=")[1:] == ("=", "--") for token in _attach_vector_values(argv)):
         return True
-    lead = 0
-    while argv[lead:] and not _positional(argv[lead]) and argv[lead] != "--":
-        if _NEGATIVE.match(argv[lead]) or argv[lead] in ("--left", "--right"):
-            return True
-        lead += 1
-    if argv[lead:lead + 1] == ["--"]:
+    if argv[:1] and argv[0][:1] == "-" and argv[0] not in ("-h", "--help"):
         return True
-    if not argv[lead:] or argv[lead] not in cli._COMMANDS:
+    if not argv or argv[0] not in cli._COMMANDS:
         return False
-    _, _, input_left, flags = cli._COMMANDS[argv[lead]]
+    _, _, input_left, flags = cli._COMMANDS[argv[0]]
 
     def is_flag(token):
         return token in ("-h", "--help") or token.partition("=")[0] in flags
 
-    tokens = iter(argv[lead + 1:])
+    tokens = iter(argv[1:])
     read = False  # an input read in this run of tokens, which the next flag ends
     for token in tokens:
         if token == "--":
@@ -694,13 +695,13 @@ def _listed_difference(argv):
         if _positional(token):
             read = read or input_left
             continue
+        if " " in token and token.partition("=")[0] not in (*flags, "-h", "--help"):
+            return True
         input_left, read = input_left and not read, False
-        named = [spelling for spelling in flags if spelling == token
-                 or len(token) > 2 and token[:2] == "--" and spelling.startswith(token)]
         if token in ("--left", "--right"):
             if token not in flags or is_flag(next(tokens, "-")):
                 return True
-        elif len(named) == 1 and flags[named[0]][1] is not None:
+        elif token in flags and flags[token][1] is not None:
             value = next(tokens, "-")
             if value[:1] == "-" and value != "-" and not _NEGATIVE.match(value) \
                     and not is_flag(value):
@@ -734,7 +735,7 @@ def _oracle_main(argv):
         return cli._exit_code(exc)
 
 
-# each command with its flags, the flag spellings argparse accepts, usage
+# each command with its flags, flags spelled in full and abbreviated, usage
 # errors found by the command's parser and by the top-level one, and argv
 # lists that name no command first
 DISPATCH_ARGV = [
@@ -825,10 +826,10 @@ DIRECT_CASES = [
     (["classify", "--ortho-tol=-0e0", "-"], {"tolerances": Tolerances(0.0)}),
     (["compose", "--left=-1,0,0,0", "--right=0,1,0,0"], {"left": "-1,0,0,0", "right": "0,1,0,0"}),
     (["generate", "--seed", "3", "--count", "2", "--json"], {"seed": 3, "count": 2, "json": True}),
-    (["decompose", "-h"], 0), (["decompose", "--js"], {"json": True}),
+    (["decompose", "-h"], 0), (["decompose", "--js"], "unrecognized arguments: --js"),
     (["decompose", "--", "-"], {"input": "-"}),
     (["decompose", "--", "--json"], {"input": "--json", "json": False}),
-    (["verify", "--count=0 1 0 0"], {"input": "--count=0 1 0 0"}),
+    (["verify", "--count=0 1 0 0"], "unrecognized arguments: --count=0 1 0 0"),
     (["decompose", "a", "b"], "unrecognized arguments: b"),
     (["decompose", "--ortho-tol", "-1"],
      "argument --ortho-tol: ortho_tol must be a non-negative number, got -1.0"),
@@ -837,7 +838,8 @@ DIRECT_CASES = [
     (["decompose", "--ortho-tol"], "argument --ortho-tol: expected one argument"),
     (["compose", "--left=1,0,0,0"], "the following arguments are required: --right"),
     (["generate", "--seed", "0", "x"], "unrecognized arguments: x"),
-    (["--json", "decompose"], "unrecognized arguments: --json"),
+    (["--json", "decompose"], "argument command: invalid choice: '--json' "
+                              "(choose from decompose, compose, generate, verify, classify)"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
                      "(choose from decompose, compose, generate, verify, classify)"),
     ([], "the following arguments are required: command"),
@@ -847,21 +849,24 @@ DIRECT_CASES = [
      "argument --ortho-tol: ortho_tol must be a non-negative number, got -inf"),
     (["decompose", "--ortho-tol", "-0e0"], {"tolerances": Tolerances(0.0)}),
     (["classify", "-5"], "unrecognized arguments: -5"),
-    (["decompose", "--orth=1e-6", "--he"], 0),
+    (["decompose", "--orth=1e-6", "--he"], "unrecognized arguments: --orth=1e-6 --he"),
+    (["decompose", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    (["decompose", "--", "-a b"], {"input": "-a b"}),
 ]
 
 
 @pytest.mark.parametrize("argv, outcome", DIRECT_CASES,
                          ids=[" ".join(argv) or "no argv" for argv, _ in DIRECT_CASES])
 def test_direct_parse_takes_the_exact_spellings(argv, outcome, capsys):
-    """parse_args reads a command's flags spelled in full or by a '--'
-    prefix, values after '=' or as the next token, '--', after which every
-    token is an input, and at most one input, which may be a token with a
-    space that names no flag; help exits 0; a second input, a value the
-    converter rejects, a switch given a value, a missing value or required
-    flag, a negative number where no value is due, and argv that names no
-    command first are usage errors: exit 2, the usage line, then the
-    message."""
+    """parse_args reads the command first, then its flags spelled in full,
+    values after '=' or as the next token, '--', after which every token is
+    an input, and at most one input; help exits 0; a second input, a value
+    the converter rejects, a switch or help given a value, a missing value
+    or required flag, an abbreviated flag, a token starting with '-' where
+    no value is due (a negative number or one holding a space included) and
+    argv that names no command first are usage errors: exit 2, the usage
+    line, then the message."""
     if isinstance(outcome, dict):
         parsed = vars(cli.parse_args(argv))
         assert {key: parsed[key] for key in outcome} == outcome

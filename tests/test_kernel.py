@@ -2,6 +2,7 @@
 reference its generated straight-line code replaces."""
 
 import inspect
+import itertools
 import math
 from fractions import Fraction
 
@@ -155,12 +156,13 @@ def compiled(text, name):
 
 
 # the sign rule, compiled on its own from the fragment spliced into decompose
-canonical = compiled(f"""
+CANONICAL = f"""
 def canonical(L, R):
     l0, l1, l2, l3 = L
     r0, r1, r2, r3 = R{_kernel._SIGN}
     return [l0, l1, l2, l3], [r0, r1, r2, r3]
-""", "canonical")
+"""
+canonical = compiled(CANONICAL, "canonical")
 # the associate matrix and the read-off, compiled on their own from the
 # fragments spliced into decompose: the factors, before the sign rule, and
 # the distance of any matrix whose associate norm is readable, unchecked
@@ -614,6 +616,47 @@ def test_every_mutant_of_the_unit_check_is_killed():
     assert_mutants_killed(source, "check_unit", UNIT_MUTANTS, pool)
     expected, mutated = mutants_outcomes(source, "check_unit", EQUIVALENT_UNIT_MUTANTS, pool)
     assert mutated == [expected] * len(EQUIVALENT_UNIT_MUTANTS)
+
+
+# each single-operator mutant of the sign rule: a strict comparison made
+# loose, the sign of SIGN_TOL flipped, an 'or' and an 'and' swapped, a 'not'
+# dropped, and one component's negation dropped
+SIGN_MUTANTS = [
+    *[(f"l{k} < -SIGN_TOL", f"l{k} <= -SIGN_TOL") for k in range(4)],
+    *[(f"l{k} > SIGN_TOL", f"l{k} >= SIGN_TOL") for k in range(3)],
+    *[(f"l{k} < -SIGN_TOL", f"l{k} < SIGN_TOL") for k in range(4)],
+    *[(f"l{k} > SIGN_TOL", f"l{k} > -SIGN_TOL") for k in range(3)],
+    *[(f"SIGN_TOL or not l{k}", f"SIGN_TOL and not l{k}") for k in range(3)],
+    *[(f"SIGN_TOL and (l{k}", f"SIGN_TOL or (l{k}") for k in range(1, 4)],
+    *[(f"not l{k}", f"l{k}") for k in range(3)],
+    *[(f"-{side}{k}", f"{side}{k}") for side in "lr" for k in range(4)],
+]
+
+
+def test_every_mutant_of_the_sign_rule_is_killed():
+    """The sign rule negates both factors when the first component of L
+    above SIGN_TOL in magnitude is negative, as canonical_loop does, and
+    every mutant of it fails on a pool of every L whose components are 0.0,
+    -0.0, +/-SIGN_TOL or a float next to one of these, with R holding
+    signed zeros, so that a dropped negation shows. No mutant is
+    equivalent: each comparison is met with equality by some component of
+    the pool, and each clause decides some L alone."""
+    edges = [0.0, -0.0, SIGN_TOL, -SIGN_TOL]
+    components = edges + sorted({math.nextafter(x, to) for x in edges
+                                 for to in (-math.inf, math.inf)})
+    assert len(components) == 10
+    R = [0.0, -0.0, SIGN_TOL, -0.0]
+    pool = [(list(L), R) for L in itertools.product(components, repeat=4)]
+
+    def outcomes(function):
+        # repr spells each float exactly, the sign of zero included
+        return [repr(function(L, R)) for L, R in pool]
+
+    expected = outcomes(canonical)
+    assert expected == outcomes(canonical_loop)
+    for old, new in SIGN_MUTANTS:
+        assert CANONICAL.count(old) == 1, old
+        assert outcomes(compiled(CANONICAL.replace(old, new), "canonical")) != expected, new
 
 
 def test_generated_functions_are_compiled_from_the_table():
