@@ -28,12 +28,21 @@ def _coerce(x, shape, noun, parts):
     A sum of finite floats is finite unless it overflows, and an inf or NaN
     entry makes it inf or NaN, so the entries are scanned one by one only
     when their sum is not finite.
+
+    Complex input is malformed, even with a zero imaginary part, since the
+    cast to float would drop that part with no more than a warning. A
+    float64 array is used as it is; any other input is read for its dtype
+    before the cast.
     """
     import numpy as np
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedInputError(f"{noun} is not an array of reals: {exc}") from exc
+    if not (type(x) is np.ndarray and x.dtype == float):
+        try:
+            dtype = np.asarray(x).dtype
+            if dtype.kind == "c":
+                raise TypeError(f"its dtype is {dtype}")
+            x = np.asarray(x, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInputError(f"{noun} is not an array of reals: {exc}") from exc
     if x.shape != shape:
         raise MalformedInputError(f"{noun} must have shape {shape}, got {x.shape}")
     values = x.ravel().tolist()

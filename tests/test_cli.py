@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -32,7 +33,8 @@ ROUNDED16 = " ".join(map(repr, _kernel.two_sided([1 / 3, 0.0, 2 / 3, 2 / 3],
 
 
 def run_cli(args, stdin_text="", monkeypatch=None):
-    """Drive main() in process; returns (exit_code, stdout, stderr)."""
+    """Drive main() in process; returns (exit_code, stdout, stderr). Usage
+    errors and help exit through SystemExit, whose code is the exit code."""
     if monkeypatch is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     out, err = io.StringIO(), io.StringIO()
@@ -40,6 +42,8 @@ def run_cli(args, stdin_text="", monkeypatch=None):
     sys.stdout, sys.stderr = out, err
     try:
         code = main(args)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         sys.stdout, sys.stderr = old_out, old_err
     return code, out.getvalue(), err.getvalue()
@@ -494,16 +498,25 @@ def test_distance_bound_is_not_a_flag(monkeypatch, capsys):
 # decompose's; the rejection reports carry the bound the input missed. compose
 # on the identity pair, a negative scalar left factor, a non-unit factor and
 # a zero one; decompose --json --ortho-tol inf on 1e308 I, whose Gram
-# deviation overflows: stdin, exit code, stdout and stderr, each recorded
-# verbatim
+# deviation overflows. Then decompose --json on 0.45 I under --ortho-tol
+# 0.96, at distance 1.1, which validation decides; on the zero matrix and
+# diag(1, 1, 1, 0) under 1 and diag(1, 1, 1, -1) under 2, each improper
+# whatever the budget; and on 1.4e308 times a rotation of 2x2 blocks under
+# inf, whose Gram deviation overflows; verify --json on (I + tH)^(1/2), H
+# the Sylvester-Hadamard matrix, at t = 1e-2, under its own Gram deviation,
+# both written as reprs; the usage errors of an unknown command, an
+# unparsable budget, a flag where a value is due, an abbreviated flag and a
+# flag before the command; and the program's and decompose's help. Each
+# row holds stdin, exit code, stdout and stderr, recorded verbatim. This
+# table is the one record of what the CLI prints; a new case is a new row.
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+GOLDEN_IDS = [f"{' '.join(case['args'])}, {case['input']}" for case in GOLDEN]
 
 
-@pytest.mark.parametrize("case", GOLDEN,
-                         ids=[f"{' '.join(case['args'])}, {case['input']}" for case in GOLDEN])
+@pytest.mark.parametrize("case", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_output(case, monkeypatch):
-    """The checking commands print what they printed when the table was
-    recorded, byte for byte, and exit with the same code."""
+    """The CLI prints what it printed when the table was recorded, byte for
+    byte, and exits with the same code."""
     assert run_cli(case["args"], case["stdin"], monkeypatch) == (
         case["exit"], case["stdout"], case["stderr"])
 
@@ -926,19 +939,44 @@ def child_env():
     return env
 
 
+# the installed executable, where `pip install` has put it on PATH
+INSTALLED = [["isoclinic"]] if shutil.which("isoclinic") else []
+EXECUTABLE = ["isoclinic"] if INSTALLED else ENTRYPOINT
+
+
 def run_fresh(command, *args, stdin=None):
-    """stdout of `command args` in a fresh process, which must exit 0."""
+    """(exit code, stdout, stderr) of `command args` in a fresh process."""
     proc = subprocess.run([*command, *args], input=stdin, env=child_env(),
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def stdout_fresh(command, *args, stdin=None):
+    """stdout of `command args` in a fresh process, which must exit 0."""
+    code, out, err = run_fresh(command, *args, stdin=stdin)
+    assert code == 0, err
+    return out
+
+
+def test_golden_output_of_the_executable():
+    """Each golden row, replayed in its own process through the executable,
+    gives the recorded exit code and bytes: the installed `isoclinic` where
+    it is on PATH, else the wrapper setuptools writes for it. The rows share
+    a few threads."""
+    def replay(case):
+        return run_fresh(EXECUTABLE, *case["args"], stdin=case["stdin"])
+
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        outcomes = list(pool.map(replay, GOLDEN))
+    for name, case, outcome in zip(GOLDEN_IDS, GOLDEN, outcomes):
+        assert outcome == (case["exit"], case["stdout"], case["stderr"]), name
 
 
 def assert_round_trip(command):
     """generate, decompose --json and compose, each in a fresh process started
     as `command`, rebuild the generated matrix to within 1e-11."""
     def run(*args, stdin=None):
-        return run_fresh(command, *args, stdin=stdin)
+        return stdout_fresh(command, *args, stdin=stdin)
 
     generated = run("generate", "--seed", "123")
     report = json.loads(run("decompose", "--json", stdin=generated))
@@ -958,21 +996,23 @@ def test_console_script_round_trip():
 
 def test_generated_record_pipes_into_decompose():
     """generate --json writes the record decompose reads: piped between two
-    fresh processes it gives the report that plain generate's line gives."""
-    reports = [run_fresh(ENTRYPOINT, "decompose", "--json",
-                         stdin=run_fresh(ENTRYPOINT, "generate", "--seed", "7", *flag))
-               for flag in (["--json"], [])]
-    assert reports[0] == reports[1]
-    assert reports[0].count("\n") == 1 and json.loads(reports[0])["status"] == "ok"
+    fresh processes, started as the wrapper and as the installed executable
+    where it is on PATH, it gives the report that plain generate's line
+    gives."""
+    for command in [ENTRYPOINT, *INSTALLED]:
+        reports = [stdout_fresh(command, "decompose", "--json",
+                                stdin=stdout_fresh(command, "generate", "--seed", "7", *flag))
+                   for flag in (["--json"], [])]
+        assert reports[0] == reports[1]
+        assert reports[0].count("\n") == 1 and json.loads(reports[0])["status"] == "ok"
 
 
 def test_generate_rejects_a_negative_seed():
     """--seed -1 is a usage error, as --count 0 is: exit 2 and a message
     naming the flag, not numpy's traceback."""
-    proc = subprocess.run([*ENTRYPOINT, "generate", "--seed", "-1"], env=child_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "--seed" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+    code, out, err = run_fresh(ENTRYPOINT, "generate", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed" in err and "Traceback" not in err, err
 
 
 def test_console_script_declared():
@@ -1017,7 +1057,7 @@ def test_undecodable_input_is_a_parse_error(tmp_path):
         assert "cannot read" in stderr and "Traceback" not in stderr, stderr
 
 
-@pytest.mark.skipif(shutil.which("isoclinic") is None,
+@pytest.mark.skipif(not INSTALLED,
                     reason="isoclinic executable not on PATH (pip install -e .)")
 def test_installed_console_script_round_trip():
     assert_round_trip(["isoclinic"])

@@ -111,10 +111,14 @@ def associate_loop(a):
             for i0, w0, i1, w1, i2, w2, i3, w3 in _ASSOCIATE]
 
 
-def two_sided_loop(L, R):
-    o = [left * right for left in L for right in R]
-    return [s0 * o[k0] + s2 * o[k2] + (s1 * o[k1] + s3 * o[k3]) + 0.0
+def with_associate(m):
+    """The matrix whose associate matrix is the row-major m, B vec(M)."""
+    return [s0 * m[k0] + s2 * m[k2] + (s1 * m[k1] + s3 * m[k3]) + 0.0
             for k0, s0, k1, s1, k2, s2, k3, s3 in _COMPOSE]
+
+
+def two_sided_loop(L, R):
+    return with_associate([left * right for left in L for right in R])
 
 
 def unit_loop(q, norms):
@@ -657,6 +661,65 @@ def test_every_mutant_of_the_sign_rule_is_killed():
     for old, new in SIGN_MUTANTS:
         assert CANONICAL.count(old) == 1, old
         assert outcomes(compiled(CANONICAL.replace(old, new), "canonical")) != expected, new
+
+
+def scan_step(k):
+    """The pivot scan's step at m{k}, which keeps the first largest |m|."""
+    return f"\n    x = abs(m{k})\n    if x > b:\n        b, j = x, {k % 4}"
+
+
+# each single-operator mutant of the pivot scan, each anchored on its own
+# step: a strict comparison made loose, an abs dropped, and the running
+# maximum left behind when the column moves
+PIVOT_MUTANTS = [
+    ("\n    b = abs(m0)", "\n    b = m0"),
+    *[(scan_step(k), scan_step(k).replace("x > b", "x >= b")) for k in range(1, 16)],
+    *[(scan_step(k), scan_step(k).replace(f"abs(m{k})", f"m{k}")) for k in range(1, 16)],
+    *[(scan_step(k), scan_step(k).replace("b, j = x,", "j =")) for k in range(1, 15)],
+]
+# outcome-equivalent: nothing reads the running maximum after the last step
+EQUIVALENT_PIVOT_MUTANTS = [
+    (scan_step(15), scan_step(15).replace("b, j = x,", "j =")),
+]
+
+
+def tied_at(k, rng):
+    """A matrix of positive determinant whose M holds -1 at m{k} and +1 at
+    m{k+1}, a column apart, and eighths below 1 in magnitude elsewhere;
+    for k = 15, -1 at m15 and 7/8 at m14 alone."""
+    while True:
+        m = (rng.integers(-6, 7, 16) / 8).tolist()
+        m[k] = -1.0
+        if k < 15:
+            m[k + 1] = 1.0
+        else:
+            m[14] = 7 / 8
+        a = with_associate(m)
+        if _kernel.determinant(a) > 0.0:
+            assert _kernel.associate(a) == m
+            return a
+
+
+def test_every_mutant_of_the_pivot_scan_is_killed():
+    """The read-off starts from the column of the first largest |m|, as
+    nearest_loop does, and every mutant of the scan fails on a pool that
+    ties that largest |m| between two columns at each position, the first
+    of the pair negative, with the tied rotation, the Hadamard reflection
+    and diag(-1, -1, -1, 1) beside it. Under ortho_tol = inf each matrix of
+    positive determinant is split, and M is far from rank 1, so the start
+    column moves the factors; the equivalent mutant decides every case as
+    decompose does."""
+    rng = np.random.default_rng(30)
+    matrices = [tied_at(k, rng) for k in range(16)]
+    matrices += [TIED_ROTATION, TIED_REFLECTION, NEGATIVE_FIRST]
+    pool = [(a, tolerances) for a in matrices
+            for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf))]
+    assert [outcome(decompose_loop, *args) for args in pool] == [
+        outcome(_kernel.decompose, *args) for args in pool]
+    source = _kernel._SOURCES["decompose"]
+    assert_mutants_killed(source, "decompose", PIVOT_MUTANTS, pool)
+    expected, mutated = mutants_outcomes(source, "decompose", EQUIVALENT_PIVOT_MUTANTS, pool)
+    assert mutated == [expected] * len(EQUIVALENT_PIVOT_MUTANTS)
 
 
 def test_generated_functions_are_compiled_from_the_table():

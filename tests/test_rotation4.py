@@ -222,12 +222,16 @@ def test_bad_shapes_rejected():
 
 
 def test_malformed_input_is_typed():
-    """NaN, inf, ragged or non-numeric entries and every wrong shape raise
-    an IsoclinicError, which is still a ValueError, at every public entry
-    point that takes a matrix or a quaternion."""
+    """NaN, inf, ragged, non-numeric or complex entries and every wrong
+    shape raise an IsoclinicError, which is still a ValueError, at every
+    public entry point that takes a matrix or a quaternion. Complex input is
+    malformed even with every imaginary part zero: a cast to float would
+    drop that part with only a ComplexWarning."""
     A = random_rotation(42)
+    complex_eye = [[np.complex128(i == j) for j in range(4)] for i in range(4)]
     malformed = [A[:3], A[:, :3], A.ravel(), np.hstack([A, np.zeros((4, 1))]), A[None], 1.0,
-                 [[1.0, 0.0], [0.0]], [["a"] * 4] * 4]
+                 [[1.0, 0.0], [0.0]], [["a"] * 4] * 4,
+                 np.eye(4) * (1 + 1j), np.eye(4).astype(complex), complex_eye]
     for i, bad in ((3, np.nan), (7, np.inf), (12, -np.inf)):
         nonfinite = A.copy()
         nonfinite.flat[i] = bad
@@ -237,7 +241,8 @@ def test_malformed_input_is_typed():
                            max_abs_minor, classify, make_frame)]
     bad_quaternions = [[1.0, np.nan, 0.0, 0.0], [1.0, -np.inf, 0.0, 0.0], [1.0, 0.0, 0.0],
                        [1.0, 0.0, 0.0, 0.0, 0.0], [IDENTITY], [1.0, [0.0], 0.0, 0.0],
-                       "abcd", 1.0]
+                       "abcd", 1.0, IDENTITY * (1 + 1j), IDENTITY.astype(complex),
+                       complex_eye[0], [1 + 2j, 0.0, 0.0, 0.0]]
     for q in bad_quaternions:
         calls += [(normalize, (q,)), (left_matrix, (q,))]
         calls += [(entry, args) for entry in (classify_pair, quat_mul)
