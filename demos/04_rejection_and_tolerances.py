@@ -53,7 +53,8 @@ for budget in (Tolerances(), Tolerances(ortho_tol=5)):
         print(f"decompose, ortho_tol {budget.ortho_tol:g}:", exc)
 
 # A scaled matrix keeps rank 1 but misses norm 1: 0.9 I lies at distance
-# 0.2 from the identity, and its Gram deviation, 0.19, is past the budget.
+# 0.2 from the identity, and its Gram deviation, ||0.19 I||_F = 0.38, is
+# past the budget.
 try:
     decompose(0.9 * np.eye(4))
 except NotOrthogonalError as exc:
@@ -94,7 +95,8 @@ except NotOrthogonalError as exc:
 
 # The trivial-factor bound is ortho_tol itself, so noise the loose
 # policy accepts does not hide a rotation's kind: a right-isoclinic rotation
-# with noise of 1e-8 keeps its kind, and its left factor reads as +/-1.
+# with noise of 1e-8 keeps its kind, its left factor's vector part shorter
+# than the budget.
 right_isoclinic = right_matrix(random_unit_quaternion(rng)) + 1e-8 * rng.standard_normal((4, 4))
 kind = classify(right_isoclinic, loose)
 print("  noisy right-isoclinic rotation:", kind.kind.value, "left angle", kind.left_angle)

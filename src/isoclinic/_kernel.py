@@ -41,16 +41,17 @@ DEGENERACY_TOL = 1e-150
 # quaternion always has a component of magnitude at least 1/2
 SIGN_TOL = 1e-8
 # Rounding slack of decompose's shortcut. A = Q + E, Q the rotation of the
-# unit factors and ||E||_F = d, gives max |A^T A - I| <= 2d + d^2, and d <= 1/2
-# keeps det A >= 1/16, far above its rounding. In floats (u = 2^-53; n rounded
-# terms sum to within n u times their magnitudes: Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., ch. 3) a computed d <= 1/2 is
-# within 31 u of ||E||_F: 15 u from M's sums of quarters (3 u ||A||_F,
-# doubled), 12 u from the factors' norms (3 u each, doubled), 4 u from the
-# products, differences and hypot. So the exact Gram deviation is within
-# 2d + d^2 + 93 u, the computed one 11 u more (sums of four products, columns
-# of norm <= 1.5), and the test's roundings cost 4 u: 108 u, rounded up to a
-# power of two.
+# unit factors and ||E||_F = d, gives ||A^T A - I||_F = ||Q^T E + E^T Q +
+# E^T E||_F <= 2d + d^2, and d <= 1/2 keeps det A >= 1/16, far above its
+# rounding. In floats (u = 2^-53; n rounded terms sum to within n u times
+# their magnitudes: Higham, Accuracy and Stability of Numerical Algorithms,
+# 2nd ed., ch. 3) a computed d <= 1/2 is within 31 u of ||E||_F: 15 u from
+# M's sums of quarters (3 u ||A||_F, doubled), 12 u from the factors' norms
+# (3 u each, doubled), 4 u from the products, differences and hypot. So the
+# exact Gram deviation is within 2d + d^2 + 93 u, the computed one 29 u more
+# (16 sums of four products, in norm within 4 u ||A||_F^2 <= 4 u (2 + 1/2)^2
+# = 25 u; the -1s and the hypot, below 2, 2 u each), and the test's roundings
+# cost 4 u: 126 u, within a power of two.
 SHORTCUT_SLACK = 2.0 ** -46
 
 
@@ -61,13 +62,13 @@ class _Bounds(NamedTuple):
 class Tolerances(_Bounds):
     """The one noise budget, ortho_tol.
 
-    ortho_tol   bound on max |A^T A - I|, the one bound of validation, whose
+    ortho_tol   bound on ||A^T A - I||_F, the one bound of validation, whose
                 properness test is det A > 0 under any budget; a deviation
                 that overflows to inf fails every budget, inf included;
-                decompose accepts what validation accepts; a factor within
-                it of +/-1 is trivial (every factor is under ortho_tol =
-                inf), and the factor angles may drift by it under a frame
-                change
+                decompose accepts what validation accepts; a factor whose
+                vector part is at most ortho_tol long is trivial (every
+                factor is under inf), and the factor angles may drift by it
+                under a frame change, which moves neither norm
     Tolerances(a, b) raises TypeError. A NaN or negative bound raises
     ValueError: NaN would reject every matrix, the identity included, and
     call every factor nontrivial; a negative one would fail an exact one.
@@ -156,31 +157,23 @@ def unit(q):
 # ---- validation ----------------------------------------------------------------
 
 def gram_deviation(a):
-    """max |A^T A - I|, NaN when an entry is NaN.
-
-    max() keeps its first item against any NaN after it, so the NaN is
-    looked for first: an entry that is NaN makes the diagonal term of its
-    column NaN. A product that overflows makes a diagonal term +inf, never
-    NaN, and max() keeps the +inf against the off-diagonal NaN it can bring.
-    """
+    """||A^T A - I||_F, NaN when an entry is NaN: one hypot of the four
+    diagonal terms and the six off-diagonal ones, each of those twice. A
+    product that overflows makes the diagonal term of a column +inf, and
+    hypot returns inf for an inf term even beside a NaN one."""
     (a00, a01, a02, a03, a10, a11, a12, a13,
      a20, a21, a22, a23, a30, a31, a32, a33) = a
-    d0 = abs(a00 * a00 + a10 * a10 + a20 * a20 + a30 * a30 - 1.0)
-    d1 = abs(a01 * a01 + a11 * a11 + a21 * a21 + a31 * a31 - 1.0)
-    d2 = abs(a02 * a02 + a12 * a12 + a22 * a22 + a32 * a32 - 1.0)
-    d3 = abs(a03 * a03 + a13 * a13 + a23 * a23 + a33 * a33 - 1.0)
-    diagonal = d0 + d1 + d2 + d3
-    if diagonal != diagonal:
-        return diagonal
-    return max(
-        d0, d1, d2, d3,
-        abs(a00 * a01 + a10 * a11 + a20 * a21 + a30 * a31),
-        abs(a00 * a02 + a10 * a12 + a20 * a22 + a30 * a32),
-        abs(a00 * a03 + a10 * a13 + a20 * a23 + a30 * a33),
-        abs(a01 * a02 + a11 * a12 + a21 * a22 + a31 * a32),
-        abs(a01 * a03 + a11 * a13 + a21 * a23 + a31 * a33),
-        abs(a02 * a03 + a12 * a13 + a22 * a23 + a32 * a33),
-    )
+    g01 = a00 * a01 + a10 * a11 + a20 * a21 + a30 * a31
+    g02 = a00 * a02 + a10 * a12 + a20 * a22 + a30 * a32
+    g03 = a00 * a03 + a10 * a13 + a20 * a23 + a30 * a33
+    g12 = a01 * a02 + a11 * a12 + a21 * a22 + a31 * a32
+    g13 = a01 * a03 + a11 * a13 + a21 * a23 + a31 * a33
+    g23 = a02 * a03 + a12 * a13 + a22 * a23 + a32 * a33
+    return hypot(a00 * a00 + a10 * a10 + a20 * a20 + a30 * a30 - 1.0,
+                 a01 * a01 + a11 * a11 + a21 * a21 + a31 * a31 - 1.0,
+                 a02 * a02 + a12 * a12 + a22 * a22 + a32 * a32 - 1.0,
+                 a03 * a03 + a13 * a13 + a23 * a23 + a33 * a33 - 1.0,
+                 g01, g01, g02, g02, g03, g03, g12, g12, g13, g13, g23, g23)
 
 
 def determinant(a):
@@ -197,7 +190,7 @@ def determinant(a):
 
 
 def validate(a, tolerances):
-    """(max |A^T A - I|, det A) when A is orthogonal within
+    """(||A^T A - I||_F, det A) when A is orthogonal within
     tolerances.ortho_tol and det A > 0; NotOrthogonalError or
     NotProperRotationError otherwise. The budget bounds the Gram deviation
     alone: an orthogonal matrix has determinant +/-1, so properness is the
@@ -304,13 +297,10 @@ def _angle(q):
 
 
 def _trivial(q):
-    """Source of the test that the distance (max-abs, best sign) of the locals
-    q0..q3 from the identity quaternion, max(min(|q0 - 1|, |q0 + 1|), |q1|,
-    |q2|, |q3|), is at most the local iso, a non-negative bound: each |x| <= iso
-    written as -iso <= x <= iso. For components that passed the unit check,
-    all finite, it reads as the distance does."""
-    return (f"-iso <= {q}1 <= iso and -iso <= {q}2 <= iso and -iso <= {q}3 <= iso"
-            f" and (-iso <= {q}0 - 1.0 <= iso or -iso <= {q}0 + 1.0 <= iso)")
+    """Source of the test that the vector part of the locals q0..q3 has
+    length at most the local iso, a non-negative bound. Conjugation by a unit
+    quaternion keeps that length, so a change of frame keeps the verdict."""
+    return f"hypot({q}1, {q}2, {q}3) <= iso"
 
 
 def _negative(k=0):
@@ -427,11 +417,11 @@ def angle(q):
 def classify(L, R, tolerances):
     """Classify the rotation generated by the canonical factor pair (L, R).
 
-    A factor within tolerances.ortho_tol of +/-1 is trivial, so
-    under ortho_tol = inf every factor is. Both factors trivial: the
-    identity when the scalar parts agree in sign, the antipodal map
-    otherwise. One trivial factor leaves a purely left- or right-isoclinic
-    rotation; two nontrivial factors make the general case.
+    A factor whose vector part has length at most tolerances.ortho_tol
+    is trivial, so under ortho_tol = inf every factor is. Both factors
+    trivial: the identity when the scalar parts agree in sign, the antipodal
+    map otherwise. One trivial factor leaves a purely left- or
+    right-isoclinic rotation; two nontrivial factors make the general case.
     """
     {_L} = L
     {_R} = R{_unit_check("l")}{_unit_check("r")}

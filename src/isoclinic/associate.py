@@ -103,12 +103,12 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
 def classify_pair(L, R, tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:
     """Classify the rotation generated by a canonical factor pair.
 
-    A factor within tolerances.ortho_tol, the one noise budget, of +/-1 is
-    trivial, so under ortho_tol = inf every factor is. Both
-    factors trivial: the identity when the scalar parts agree in sign, the
-    antipodal map otherwise. One trivial factor leaves a purely left- or
-    right-isoclinic rotation; two nontrivial factors make the general
-    case. Angles are those of the factors as given.
+    A factor whose vector part has length at most tolerances.ortho_tol,
+    the one noise budget, is trivial, so under ortho_tol = inf every factor
+    is. Both factors trivial: the identity when the scalar parts agree in
+    sign, the antipodal map otherwise. One trivial factor leaves a purely
+    left- or right-isoclinic rotation; two nontrivial factors make the
+    general case. Angles are those of the factors as given.
     """
     return _kernel.classify(_floats(L), _floats(R), tolerances)
 

@@ -316,8 +316,8 @@ _VECTOR_HELP = "four numbers 'w x y z' (commas or spaces)"
 _JSON = {"--json": ("json", None, False,
                     "write each result as one line of JSON instead of plain text")}
 _ORTHO_TOL = {"--ortho-tol": ("tolerances", _tolerances, DEFAULT_TOLERANCES,
-                              "the one noise budget: orthogonality and trivial-factor "
-                              "tolerance; under any budget the determinant must be positive")}
+                              "the one noise budget, on ||A^T A - I||_F and on a trivial factor's "
+                              "vector part; under any budget the determinant must be positive")}
 
 # The grammar of every command, written once: parse_args reads argv from
 # it, and help and usage errors are printed from it. Each command has its

@@ -52,13 +52,13 @@ class NotUnitQuaternionError(_Measured, ValidationError, ValueError):
 
 
 class NotOrthogonalError(_Measured, ValidationError):
-    template = "matrix is not orthogonal: max |A^T A - I| = {measured:.6g} exceeds {tol:.1e}"
+    template = "matrix is not orthogonal: ||A^T A - I||_F = {measured:.6g} exceeds {tol:.1e}"
 
     def __init__(self, measured, tol):
         if measured == float("inf"):
             # the deviation of finite entries is inf only by overflow, and
             # validation rejects that under every budget, inf itself too
-            self.template = ("matrix is not orthogonal: max |A^T A - I| = inf, "
+            self.template = ("matrix is not orthogonal: ||A^T A - I||_F = inf, "
                              "an overflow that no budget admits")
         super().__init__(measured, tol)
 

@@ -30,16 +30,17 @@ def _coerce(x, shape, noun, parts):
     when their sum is not finite.
 
     Complex input is malformed, even with a zero imaginary part, since the
-    cast to float would drop that part with no more than a warning. A
-    float64 array is used as it is; any other input is read for its dtype
-    before the cast.
+    cast to float would drop that part with no more than a warning: a
+    complex dtype, or a numpy complex entry of an object array. A float64
+    array is used as it is; any other input is read before the cast.
     """
     import numpy as np
     if not (type(x) is np.ndarray and x.dtype == float):
         try:
-            dtype = np.asarray(x).dtype
-            if dtype.kind == "c":
-                raise TypeError(f"its dtype is {dtype}")
+            array = np.asarray(x)
+            if array.dtype.kind == "c" or array.dtype.kind == "O" and any(
+                    isinstance(entry, np.complexfloating) for entry in array.flat):
+                raise TypeError("an entry is complex")
             x = np.asarray(x, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"{noun} is not an array of reals: {exc}") from exc

@@ -34,14 +34,15 @@ def _mat4(A):
 def validate_rotation(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Check that A is orthogonal within ortho_tol and has det A > 0.
 
-    The one bound tolerances.ortho_tol applies to max |A^T A - I|. An
-    orthogonal matrix has determinant +/-1, so properness is its sign,
-    tested under every budget, and a deviation that overflows to inf fails
-    every budget, ortho_tol = inf included. Returns A as an ndarray on
-    success. Raises NotOrthogonalError carrying the max-abs deviation of
-    A^T A from I, or NotProperRotationError carrying the determinant and
-    tol 0.0. A matrix that fails is rejected, never repaired; callers
-    wanting a nearby rotation must build one themselves.
+    The one bound tolerances.ortho_tol applies to ||A^T A - I||_F, which
+    A -> QA, AQ and S^T A S for rotations Q and S keep. An orthogonal
+    matrix has determinant +/-1, so properness is its sign, tested under
+    every budget, and a deviation that overflows to inf fails every budget,
+    ortho_tol = inf included. Returns A as an ndarray on success. Raises
+    NotOrthogonalError carrying that deviation, or NotProperRotationError
+    carrying the determinant and tol 0.0. A matrix that fails is rejected,
+    never repaired; callers wanting a nearby rotation must build one
+    themselves.
     """
     A, entries = _mat4(A)
     _kernel.validate(entries, tolerances)

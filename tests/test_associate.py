@@ -44,6 +44,7 @@ from oracles import (
 from test_kernel import read_off
 
 seeds = st.integers(0, 2**32 - 1)
+EPS = np.finfo(float).eps
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 
 E00 = np.outer(IDENTITY, IDENTITY)
@@ -252,8 +253,8 @@ def test_decompose_follows_the_group_laws(seed):
 
 
 def gram(A):
-    """max |A^T A - I| by numpy, the oracle of the Gram deviation."""
-    return float(np.abs(A.T @ A - np.eye(4)).max())
+    """||A^T A - I||_F by numpy, the oracle of the Gram deviation."""
+    return float(np.linalg.norm(A.T @ A - np.eye(4)))
 
 
 def test_decompose_rejects_improper():
@@ -296,8 +297,8 @@ def test_decompose_strict_tolerances_reject_noise():
     """Noise of 1e-11 passes the defaults but not a stricter policy. Any
     ortho_tol below the Gram deviation rejects it as validate_rotation
     does, with that deviation, the oracle's; a budget of the deviation
-    itself accepts it, below 2d + d^2, where the shortcut gives way to
-    validation. The distance and the norm deviation are reported, never
+    itself accepts it, below 2d + d^2 + SHORTCUT_SLACK, where the shortcut
+    gives way to validation. The distance and the norm deviation are reported, never
     checked."""
     rng = np.random.default_rng(22)
     A = random_rotation(rng)
@@ -305,7 +306,7 @@ def test_decompose_strict_tolerances_reject_noise():
     result = decompose(noisy)
     deviation = _kernel.gram_deviation(noisy.ravel().tolist())
     assert 0 < 2 * result.norm_deviation < result.distance
-    assert deviation < 2 * result.distance
+    assert deviation < 2 * result.distance + result.distance ** 2 + _kernel.SHORTCUT_SLACK
     for ortho_tol in (5e-15, math.nextafter(deviation, 0.0)):
         with pytest.raises(NotOrthogonalError) as info:
             decompose(noisy, Tolerances(ortho_tol=ortho_tol))
@@ -318,7 +319,7 @@ def test_zero_matrix_is_degenerate_under_open_tolerances():
     """A zero or tiny matrix, whose associate norm is at most
     DEGENERACY_TOL, fails as validation fails it, never as a
     ZeroQuaternionError from normalizing: under a budget of 5 or inf its
-    Gram deviation, 1, passes and its determinant, 0, is not positive."""
+    Gram deviation, 2, passes and its determinant, 0, is not positive."""
     for A in (np.zeros((4, 4)), 1e-200 * np.eye(4)):
         assert associate_norm(associate_matrix(A)) <= _kernel.DEGENERACY_TOL
         for ortho_tol in (5.0, math.inf):
@@ -377,6 +378,25 @@ def test_distance_is_the_distance_to_so4(A):
     assert abs(result.distance - np.linalg.norm(A - procrustes(A))) <= 1e-14
 
 
+@settings(deadline=None, max_examples=300)
+@given(seeds, st.floats(-16, 0))
+def test_the_gram_deviation_brackets_the_distance_to_so4(seed, exponent):
+    """Higham's two-sided inequality (Functions of Matrices, SIAM 2008,
+    ch. 8): for det A > 0, d_opt <= ||A^T A - I||_F <= 2 d_opt + d_opt^2,
+    d_opt the distance from A to the nearest rotation, the SVD oracle's.
+    With A = U P its polar factors, d_opt = ||P - I||_F and A^T A - I =
+    (P - I)(P + I). Each side holds to 16 eps ||A||_F^2, above the rounding
+    of the kernel's sums of products and of the SVD. A rotation plus noise
+    of 10^k, k from -16 to 0, makes the deviation from rounding to about 10."""
+    rng = np.random.default_rng(seed)
+    A = random_rotation(rng) + 10.0 ** exponent * rng.standard_normal((4, 4))
+    assume(np.linalg.det(A) > 0)
+    deviation = _kernel.gram_deviation(A.ravel().tolist())
+    distance = float(np.linalg.norm(A - procrustes(A)))
+    margin = 16 * EPS * float(np.linalg.norm(A)) ** 2
+    assert distance - margin <= deviation <= 2 * distance + distance ** 2 + margin
+
+
 HADAMARD = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
 
 
@@ -392,9 +412,9 @@ def hadamard_root(t):
 @pytest.mark.parametrize("t", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
 def test_validated_hadamard_square_root_decomposes(t):
     """A = (I + tH)^(1/2) has A^T A = I + tH, so it validates under ortho_tol
-    = its Gram deviation, t; it lies at distance about 2t (1 + 5t^2 / 8)
-    from SO(4), where 2d + d^2 is past t, and decompose accepts it as
-    validation does, at that distance."""
+    = its Gram deviation, ||tH||_F = 4t; it lies at distance about
+    2t (1 + 5t^2 / 8) from SO(4), where 2d + d^2 is past 4t, and decompose
+    accepts it as validation does, at that distance."""
     A = hadamard_root(t)
     tolerances = Tolerances(ortho_tol=_kernel.gram_deviation(A.ravel().tolist()))
     validate_rotation(A, tolerances)
@@ -480,7 +500,7 @@ def test_rejection_stage_and_measured(case):
 def test_small_norm_is_decided_by_the_distance():
     """No norm floor stands before validation: 0.4 I, whose associate norm
     is 0.4, decomposes into the identity pair at distance 1.2 once a budget
-    of 5 admits its Gram deviation, 0.84; its determinant, 0.0256, is
+    of 5 admits its Gram deviation, 1.68; its determinant, 0.0256, is
     positive."""
     result = decompose(0.4 * np.eye(4), Tolerances(ortho_tol=5.0))
     assert result.left.tolist() == result.right.tolist() == [1.0, 0.0, 0.0, 0.0]
@@ -617,7 +637,7 @@ def test_a_reflection_is_improper_under_a_budget_of_one():
 
 
 def test_a_scaled_rotation_past_the_budget_is_rejected_by_both():
-    """(1 + 0.8e-6) Q has Gram deviation 1.6e-6 and distance 1.6e-6 from
+    """(1 + 0.8e-6) Q has Gram deviation 3.2e-6 and distance 1.6e-6 from
     SO(4): past a budget of 1e-6, within the old dist_tol of 2e-6.
     validate_rotation and decompose each raise NotOrthogonalError carrying
     the Gram deviation."""

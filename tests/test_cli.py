@@ -228,18 +228,19 @@ def run_rejected(args, stdin_text):
 
 def test_verify_scaled_matrix():
     """2I is rejected by the orthogonality check, the first to fail:
-    max |A^T A - I| = 3."""
+    ||A^T A - I||_F = ||3I||_F = 6."""
     code, error = run_rejected(["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2")
     assert code == 3
-    assert (error["type"], error["measured"], error["tol"]) == ("NotOrthogonalError", 3.0, 1e-9)
+    assert (error["type"], error["measured"], error["tol"]) == ("NotOrthogonalError", 6.0, 1e-9)
 
 
 def test_verify_zero_matrix():
     """The zero matrix is rejected by the orthogonality check, so no factor
-    pair is read off its zero associate matrix."""
+    pair is read off its zero associate matrix: ||A^T A - I||_F = ||I||_F
+    = 2."""
     code, error = run_rejected(["verify"], "0 " * 16)
     assert code == 3
-    assert (error["type"], error["measured"], error["tol"]) == ("NotOrthogonalError", 1.0, 1e-9)
+    assert (error["type"], error["measured"], error["tol"]) == ("NotOrthogonalError", 2.0, 1e-9)
 
 
 def test_verify_reflection_reports_determinant():
@@ -252,40 +253,40 @@ def test_verify_reflection_reports_determinant():
         == ("NotProperRotationError", -1.0, 0.0)
 
 
-# sqrt(1 + 0.9e-9) I: Gram deviation 9.0e-10, within the default budget,
-# and determinant 1.0000000018; diag(1, 1, 1, 0): Gram deviation 1 and
+# sqrt(1 + 0.45e-9) I: Gram deviation 9.0e-10, within the default budget,
+# and determinant 1.0000000009; diag(1, 1, 1, 0): Gram deviation 1 and
 # determinant 0
-SCALED16 = " ".join(repr(math.sqrt(1 + 0.9e-9) * x) for x in EYE16)
+SCALED16 = " ".join(repr(math.sqrt(1 + 0.45e-9) * x) for x in EYE16)
 SINGULAR16 = "1 0 0 0  0 1 0 0  0 0 1 0  0 0 0 0"
 BUDGETS = [0.0, 1e-12, 1e-9, 1e-6, 0.6, 0.96, 1.0, 2.0, 5.0, math.inf]
 
 
 def test_a_determinant_off_one_within_the_budget_is_proper():
-    """The budget bounds the Gram deviation alone: sqrt(1 + 0.9e-9) I is
-    within the default budget, and its determinant, 1 + 1.8e-9, need only
+    """The budget bounds the Gram deviation alone: sqrt(1 + 0.45e-9) I is
+    within the default budget, and its determinant, 1 + 0.9e-9, need only
     be positive. Every checking command accepts it, decompose at distance
-    9.0e-10."""
+    4.5e-10."""
     for command in ("decompose", "verify", "classify"):
         code, out, err = run_on([command, "--json"], SCALED16)
         assert (code, json.loads(out)["status"], err) == (0, "ok", "")
     report = json.loads(run_on(["decompose", "--json"], SCALED16)[1])
-    assert report["residuals"]["distance"] == pytest.approx(9.0e-10, rel=1e-6)
+    assert report["residuals"]["distance"] == pytest.approx(4.5e-10, rel=1e-6)
     report = json.loads(run_on(["verify", "--json"], SCALED16)[1])
-    assert report["checks"]["determinant"] == {"measured": 1.0000000018000001, "tol": 0.0,
+    assert report["checks"]["determinant"] == {"measured": 1.0000000009, "tol": 0.0,
                                                "pass": True}
 
 
 @pytest.mark.parametrize("ortho_tol", BUDGETS)
 def test_non_rotations_are_rejected_under_every_budget(ortho_tol):
     """diag(1, 1, 1, -1), diag(1, 1, 1, 0) and the zero matrix, whose Gram
-    deviations are 0, 1 and 1, are rejected by each checking command, plain
+    deviations are 0, 1 and 2, are rejected by each checking command, plain
     and --json, with exit 3: not orthogonal under a budget below the
     deviation, and otherwise not proper, the determinant not positive. No
-    budget bounds the determinant, so a reflection under a budget of 2 and
-    diag(1, 1, 1, 0) under 1 are rejected too."""
+    budget bounds the determinant, so a reflection under a budget of 2,
+    diag(1, 1, 1, 0) under 1 and the zero matrix under 2 are rejected too."""
     flags = ["--ortho-tol", repr(ortho_tol)]
     for text, deviation, det in ((REFLECTION16, 0.0, -1.0), (SINGULAR16, 1.0, 0.0),
-                                 ("0 " * 16, 1.0, 0.0)):
+                                 ("0 " * 16, 2.0, 0.0)):
         expected = (("NotOrthogonalError", deviation, ortho_tol) if deviation > ortho_tol
                     else ("NotProperRotationError", det, 0.0))
         for command in ("decompose", "verify", "classify"):
@@ -498,13 +499,15 @@ def test_distance_bound_is_not_a_flag(monkeypatch, capsys):
 # decompose's; the rejection reports carry the bound the input missed. compose
 # on the identity pair, a negative scalar left factor, a non-unit factor and
 # a zero one; decompose --json --ortho-tol inf on 1e308 I, whose Gram
-# deviation overflows. Then decompose --json on 0.45 I under --ortho-tol
-# 0.96, at distance 1.1, which validation decides; on the zero matrix and
-# diag(1, 1, 1, 0) under 1 and diag(1, 1, 1, -1) under 2, each improper
+# deviation overflows. Then decompose --json on 0.45 I, whose Gram deviation
+# ||A^T A - I||_F is 1.595, under --ortho-tol 0.96, not orthogonal, and
+# under 1.6, at distance 1.1, which validation decides; on the zero matrix,
+# whose Gram deviation is 2, under 1, not orthogonal, and under 2, improper;
+# on diag(1, 1, 1, 0) under 1 and diag(1, 1, 1, -1) under 2, each improper
 # whatever the budget; and on 1.4e308 times a rotation of 2x2 blocks under
 # inf, whose Gram deviation overflows; verify --json on (I + tH)^(1/2), H
 # the Sylvester-Hadamard matrix, at t = 1e-2, under its own Gram deviation,
-# both written as reprs; the usage errors of an unknown command, an
+# ||tH||_F = 4t, both written as reprs; the usage errors of an unknown command, an
 # unparsable budget, a flag where a value is due, an abbreviated flag and a
 # flag before the command; and the program's and decompose's help. Each
 # row holds stdin, exit code, stdout and stderr, recorded verbatim. This

@@ -25,8 +25,8 @@ RECORDS = [
     (NotUnitQuaternionError, 0.3125, UNIT_TOL,
      "not a unit quaternion: |q|^2 deviates from 1 by 3.125e-01 (tolerance 1.0e-12)",
      (True, True)),
-    (NotOrthogonalError, 3.0, 1e-9,
-     "matrix is not orthogonal: max |A^T A - I| = 3 exceeds 1.0e-09", (True, False)),
+    (NotOrthogonalError, 6.0, 1e-9,
+     "matrix is not orthogonal: ||A^T A - I||_F = 6 exceeds 1.0e-09", (True, False)),
     (NotProperRotationError, -0.999999123, 0.0,
      "matrix is not a proper rotation: det = -0.999999123 is not positive",
      (True, False)),
@@ -50,7 +50,7 @@ def test_an_overflowed_gram_deviation_is_named_an_overflow(tol):
     every budget; its message says so rather than "inf exceeds inf", and
     the record keeps both numbers, through a pickle too."""
     exc = NotOrthogonalError(math.inf, tol)
-    assert str(exc) == ("matrix is not orthogonal: max |A^T A - I| = inf, "
+    assert str(exc) == ("matrix is not orthogonal: ||A^T A - I||_F = inf, "
                         "an overflow that no budget admits")
     assert (exc.measured, exc.tol) == (math.inf, tol)
     assert str(pickle.loads(pickle.dumps(exc))) == str(exc)

@@ -1,9 +1,11 @@
 """The float kernel against numpy, the independent oracles and the loop
 reference its generated straight-line code replaces."""
 
+import hashlib
 import inspect
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -51,13 +53,13 @@ families = st.builds(matrix, seeds, st.sampled_from(["rotation", "det -1", "nois
 @settings(deadline=None, max_examples=300)
 @given(families)
 def test_kernel_checks_match_numpy(A):
-    """The Gram deviation agrees with numpy's to 2 eps. The determinant is
-    within 2 eps of the exact one; numpy's det, sign * exp(sum log|u_ii|)
-    of an LU factorization, is itself up to 2.3 eps off it, so the two
-    floats can differ by 3 eps and are held to 4 eps. The associate matrix
-    agrees with the written-out formula to one ulp of 1."""
+    """The Gram deviation, ||A^T A - I||_F, agrees with numpy's to 2 eps.
+    The determinant is within 2 eps of the exact one; numpy's det, sign *
+    exp(sum log|u_ii|) of an LU factorization, is itself up to 2.3 eps off
+    it, so the two floats can differ by 3 eps and are held to 4 eps. The
+    associate matrix agrees with the written-out formula to one ulp of 1."""
     a = A.ravel().tolist()
-    gram = float(np.abs(A.T @ A - np.eye(4)).max())
+    gram = float(np.linalg.norm(A.T @ A - np.eye(4)))
     assert abs(_kernel.gram_deviation(a) - gram) <= 2 * EPS
     det = _kernel.determinant(a)
     assert abs(Fraction(det) - exact_det(A)) <= 2 * EPS
@@ -207,14 +209,13 @@ def angle_loop(q):
     return math.acos(min(1.0, max(-1.0, check_unit_loop(q)[0])))
 
 
-def trivial_deviation_loop(q):
-    w, x, y, z = q
-    return max(min(abs(w - 1.0), abs(w + 1.0)), abs(x), abs(y), abs(z))
+def vector_length_loop(q):
+    return math.hypot(*q[1:])
 
 
 def classify_loop(L, R, tolerances):
-    left_trivial = trivial_deviation_loop(L) <= tolerances.ortho_tol
-    right_trivial = trivial_deviation_loop(R) <= tolerances.ortho_tol
+    left_trivial = vector_length_loop(L) <= tolerances.ortho_tol
+    right_trivial = vector_length_loop(R) <= tolerances.ortho_tol
     if left_trivial and right_trivial:
         kind = RotationKind.IDENTITY if L[0] * R[0] > 0 else RotationKind.CENTRAL_REVERSION
     elif right_trivial:
@@ -778,6 +779,45 @@ def test_generated_sign_rule_and_classification_match_the_loop_reference(L, R, t
     assert outcome(_kernel.check_unit, L) == outcome(check_unit_loop, L)
     assert outcome(_kernel.angle, R) == outcome(angle_loop, R)
     assert outcome(_kernel.classify, L, R, tolerances) == outcome(classify_loop, L, R, tolerances)
+
+
+def digest_pool(seed, count):
+    """count matrices drawn from random.Random(seed).random(), whose stream
+    Python keeps across versions: each is two_sided of two unit factors
+    with components uniform in [-1, 1) before unit(), and every second one
+    has each entry moved by uniform noise in [-1e-10, 1e-10)."""
+    rng = random.Random(seed)
+
+    def factor():
+        return _kernel.unit([2.0 * rng.random() - 1.0 for _ in range(4)])
+
+    pool = []
+    for k in range(count):
+        a = _kernel.two_sided(factor(), factor())
+        if k % 2:
+            a = [x + 1e-10 * (2.0 * rng.random() - 1.0) for x in a]
+        pool.append(a)
+    return pool
+
+
+# sha256 of every output of decompose and classify on digest_pool(2024, 4000)
+# under Tolerances(1e-9); a change that moves one of these bits changes this
+# line and says why. The same on CPython 3.10 to 3.13.
+KERNEL_DIGEST = "0f3e0563b0a9aeb7ddda7912f59cb18b894f446c11afcd397b4e8e7029d88a51"
+
+
+def test_the_kernel_bits_are_pinned():
+    """decompose and classify give the recorded bits on 4000 matrices, half
+    rotations and half noisy ones, all accepted: each factor, distance, norm
+    deviation and angle by float.hex, and each kind by its value."""
+    tolerances = Tolerances(1e-9)
+    digest = hashlib.sha256()
+    for a in digest_pool(2024, 4000):
+        L, R, distance, norm_deviation = _kernel.decompose(a, tolerances)
+        kind, left_angle, right_angle = _kernel.classify(L, R, tolerances)
+        floats = [*L, *R, distance, norm_deviation, left_angle, right_angle]
+        digest.update((" ".join(map(float.hex, floats)) + f" {kind.value}\n").encode())
+    assert digest.hexdigest() == KERNEL_DIGEST
 
 
 @pytest.mark.parametrize("position", range(16))

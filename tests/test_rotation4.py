@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_validate_rotation():
     assert info.value.measured == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(NotOrthogonalError) as info:
         validate_rotation(2.0 * np.eye(4))
-    assert info.value.measured == pytest.approx(3.0, abs=1e-12)
+    assert info.value.measured == pytest.approx(6.0, abs=1e-12)
 
 
 BUDGETS = [0.0, 1e-12, 1e-9, 1e-6, 0.6, 0.96, 1.0, 2.0, 5.0, math.inf]
@@ -87,10 +88,11 @@ def test_no_budget_accepts_a_matrix_of_non_positive_determinant(seed, family, c,
 @settings(deadline=None, max_examples=200)
 @given(seeds, st.floats(0.0, 0.9), st.sampled_from([1e-12, 1e-9, 1e-6, 0.6, 0.96]))
 def test_a_scaled_rotation_within_the_budget_is_accepted(seed, c, ortho_tol):
-    """sqrt(1 + c ortho_tol) Q for a Haar rotation Q has Gram deviation about
-    c ortho_tol and determinant (1 + c ortho_tol)^2: validate_rotation and
-    decompose both accept it, whatever its determinant's distance from 1."""
-    A = math.sqrt(1.0 + c * ortho_tol) * random_rotation(seed)
+    """sqrt(1 + c ortho_tol / 2) Q for a Haar rotation Q has Gram deviation
+    about c ortho_tol, four diagonal terms of c ortho_tol / 2, and
+    determinant (1 + c ortho_tol / 2)^2: validate_rotation and decompose
+    both accept it, whatever its determinant's distance from 1."""
+    A = math.sqrt(1.0 + c * ortho_tol / 2) * random_rotation(seed)
     tolerances = Tolerances(ortho_tol=ortho_tol)
     validate_rotation(A, tolerances)
     decompose(A, tolerances)
@@ -226,12 +228,19 @@ def test_malformed_input_is_typed():
     shape raise an IsoclinicError, which is still a ValueError, at every
     public entry point that takes a matrix or a quaternion. Complex input is
     malformed even with every imaginary part zero: a cast to float would
-    drop that part with only a ComplexWarning."""
+    drop that part with only a ComplexWarning. That holds for a numpy
+    complex scalar among other numbers too, which numpy keeps in an array of
+    dtype object."""
     A = random_rotation(42)
     complex_eye = [[np.complex128(i == j) for j in range(4)] for i in range(4)]
+    # the identity with a complex 1 + 1j in its corner, beside a Fraction
+    mixed = [np.complex128(1 + 1j), Fraction(0), 0, 0]
+    mixed_eye = [mixed, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     malformed = [A[:3], A[:, :3], A.ravel(), np.hstack([A, np.zeros((4, 1))]), A[None], 1.0,
                  [[1.0, 0.0], [0.0]], [["a"] * 4] * 4,
-                 np.eye(4) * (1 + 1j), np.eye(4).astype(complex), complex_eye]
+                 np.eye(4) * (1 + 1j), np.eye(4).astype(complex), complex_eye,
+                 mixed_eye, np.array(mixed_eye, dtype=object),
+                 np.array([[np.complex64(1)] + [0.0] * 3] + np.eye(4)[1:].tolist(), dtype=object)]
     for i, bad in ((3, np.nan), (7, np.inf), (12, -np.inf)):
         nonfinite = A.copy()
         nonfinite.flat[i] = bad
@@ -242,7 +251,8 @@ def test_malformed_input_is_typed():
     bad_quaternions = [[1.0, np.nan, 0.0, 0.0], [1.0, -np.inf, 0.0, 0.0], [1.0, 0.0, 0.0],
                        [1.0, 0.0, 0.0, 0.0, 0.0], [IDENTITY], [1.0, [0.0], 0.0, 0.0],
                        "abcd", 1.0, IDENTITY * (1 + 1j), IDENTITY.astype(complex),
-                       complex_eye[0], [1 + 2j, 0.0, 0.0, 0.0]]
+                       complex_eye[0], [1 + 2j, 0.0, 0.0, 0.0], mixed,
+                       np.array(mixed, dtype=object)]
     for q in bad_quaternions:
         calls += [(normalize, (q,)), (left_matrix, (q,))]
         calls += [(entry, args) for entry in (classify_pair, quat_mul)
