@@ -507,7 +507,8 @@ def test_distance_bound_is_not_a_flag(monkeypatch, capsys):
 # whatever the budget; and on 1.4e308 times a rotation of 2x2 blocks under
 # inf, whose Gram deviation overflows; verify --json on (I + tH)^(1/2), H
 # the Sylvester-Hadamard matrix, at t = 1e-2, under its own Gram deviation,
-# ||tH||_F = 4t, both written as reprs; the usage errors of an unknown command, an
+# ||tH||_F = 4t, both written as reprs, and under its largest entry t, not
+# orthogonal; the usage errors of an unknown command, an
 # unparsable budget, a flag where a value is due, an abbreviated flag and a
 # flag before the command; and the program's and decompose's help. Each
 # row holds stdin, exit code, stdout and stderr, recorded verbatim. This
