@@ -10,11 +10,10 @@ and ``invariance`` coerces its input once, calls into this module and
 boxes the result; the CLI calls it on the floats it parses, so a command
 that never builds an array never imports numpy.
 
-``associate``, ``decompose``, ``two_sided``, ``check_unit``, ``angle`` and
-``classify`` are not written here: their straight-line source
-(``_SOURCES``) is generated when the module is imported, the first three
-from the composition table ``TABLE`` and the sign rule and the quaternion
-checks from one fragment each, and each is compiled into this namespace
+``associate``, ``decompose`` and ``two_sided`` are not written here: they
+are the composition table ``TABLE`` as straight-line arithmetic, whose
+source (``_SOURCES``) is generated when the module is imported, the sign
+rule spliced into ``decompose``, and each is compiled into this namespace
 the first time it is read.
 """
 
@@ -154,6 +153,28 @@ def unit(q):
     return [w / norm, x / norm, y / norm, z / norm]
 
 
+def check_unit(q):
+    """Raise NotUnitQuaternionError unless q lies on the unit 3-sphere within
+    UNIT_TOL; returns q."""
+    q0, q1, q2, q3 = q
+    e = abs(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3 - 1.0)
+    if not e <= UNIT_TOL:
+        raise NotUnitQuaternionError(e, UNIT_TOL)
+    return q
+
+
+def _arccos(c):
+    """arccos of c clamped to [-1, 1], so roundoff just past the ends cannot
+    produce NaN; the clamp is written as comparisons, a NaN going to -1."""
+    return acos(c if -1.0 <= c <= 1.0 else 1.0 if c > 1.0 else -1.0)
+
+
+def angle(q):
+    """arccos of the scalar part of the unit quaternion q, in [0, pi];
+    NotUnitQuaternionError for q off the unit 3-sphere."""
+    return _arccos(check_unit(q)[0])
+
+
 # ---- validation ----------------------------------------------------------------
 
 def gram_deviation(a):
@@ -229,8 +250,8 @@ class RotationKind(enum.Enum):
     GENERAL = "general"
 
 
-# the kinds as plain globals for the generated classify: on Python 3.11
-# reading a member off the enum class costs a descriptor call
+# the kinds as plain globals for classify: on Python 3.11 reading a member
+# off the enum class costs a descriptor call
 _IDENTITY, _CENTRAL_REVERSION, _LEFT_ISOCLINIC, _RIGHT_ISOCLINIC, _GENERAL = RotationKind
 
 
@@ -242,6 +263,33 @@ class RotationClass(NamedTuple):
     right_angle: float
 
 
+def classify(L, R, tolerances):
+    """Classify the rotation generated by the canonical factor pair (L, R).
+
+    A factor whose vector part has length at most tolerances.ortho_tol
+    is trivial, so under ortho_tol = inf every factor is. Conjugation by a
+    unit quaternion keeps that length, so a change of frame keeps the
+    verdict. Both factors trivial: the identity when the scalar parts agree
+    in sign, the antipodal map otherwise. One trivial factor leaves a purely
+    left- or right-isoclinic rotation; two nontrivial factors make the
+    general case.
+    """
+    l0, l1, l2, l3 = check_unit(L)
+    r0, r1, r2, r3 = check_unit(R)
+    iso = tolerances.ortho_tol
+    left_trivial = hypot(l1, l2, l3) <= iso
+    right_trivial = hypot(r1, r2, r3) <= iso
+    if left_trivial and right_trivial:
+        kind = _IDENTITY if l0 * r0 > 0 else _CENTRAL_REVERSION
+    elif right_trivial:
+        kind = _LEFT_ISOCLINIC
+    elif left_trivial:
+        kind = _RIGHT_ISOCLINIC
+    else:
+        kind = _GENERAL
+    return RotationClass(kind, _arccos(l0), _arccos(r0))
+
+
 # ---- the straight-line kernel, generated at import ---------------------------
 #
 # associate, decompose and two_sided are fixed sequences of float
@@ -250,10 +298,9 @@ class RotationClass(NamedTuple):
 # list is built between the associate matrix and the read-off. Each entry of
 # A is quartered once, and each entry of M sums four of those quarters, since
 # a sum of quarters of four finite floats cannot overflow where a quarter of
-# their sum can. The sign rule and the checks on a quaternion are written out
-# once each, on named locals, and spliced into every function that runs
-# them. The shortcut of decompose and the unit check read
-# `not measured <= bound`, so a NaN measure fails them.
+# their sum can. The sign rule is written out once, on named locals, and
+# spliced into decompose, whose shortcut reads `not measured <= bound`, so a
+# NaN measure fails it.
 
 def _by(side):
     """Each row (side=0) or column (side=1) of B as the (index along the
@@ -278,29 +325,6 @@ def _unit(q):
     return f"""
     n = hypot({names})
     {names} = {q}0 / n, {q}1 / n, {q}2 / n, {q}3 / n"""
-
-
-def _unit_check(q):
-    """Source that raises NotUnitQuaternionError unless the locals q0..q3 lie
-    on the unit 3-sphere within UNIT_TOL."""
-    return f"""
-    e = abs({q}0 * {q}0 + {q}1 * {q}1 + {q}2 * {q}2 + {q}3 * {q}3 - 1.0)
-    if not e <= UNIT_TOL:
-        raise NotUnitQuaternionError(e, UNIT_TOL)"""
-
-
-def _angle(q):
-    """Source of the arccos of the local q0, clamped to [-1, 1] so roundoff
-    just past the ends cannot produce NaN. The clamp is min(1, max(-1, q0))
-    written as comparisons, NaN going to -1 as there."""
-    return f"acos({q}0 if -1.0 <= {q}0 <= 1.0 else 1.0 if {q}0 > 1.0 else -1.0)"
-
-
-def _trivial(q):
-    """Source of the test that the vector part of the locals q0..q3 has
-    length at most the local iso, a non-negative bound. Conjugation by a unit
-    quaternion keeps that length, so a change of frame keeps the verdict."""
-    return f"hypot({q}1, {q}2, {q}3) <= iso"
 
 
 def _negative(k=0):
@@ -398,46 +422,6 @@ def two_sided(L, R):
     + "".join(f"\n    o{4 * p + q} = l{p} * r{q}" for p in range(4) for q in range(4))
     + "\n    return [" + ",\n            ".join(
         f"{_lane(t0, t2)} + ({_lane(t1, t3)}) + 0.0" for t0, t1, t2, t3 in _by(0)) + "]\n",
-    "check_unit": f'''
-def check_unit(q):
-    """Raise NotUnitQuaternionError unless q lies on the unit 3-sphere within
-    UNIT_TOL; returns q."""
-    q0, q1, q2, q3 = q{_unit_check("q")}
-    return q
-''',
-    "angle": f'''
-def angle(q):
-    """arccos of the scalar part of the unit quaternion q, clamped to [-1, 1]
-    so roundoff just past the ends cannot produce NaN; NotUnitQuaternionError
-    for q off the unit 3-sphere."""
-    q0, q1, q2, q3 = q{_unit_check("q")}
-    return {_angle("q")}
-''',
-    "classify": f'''
-def classify(L, R, tolerances):
-    """Classify the rotation generated by the canonical factor pair (L, R).
-
-    A factor whose vector part has length at most tolerances.ortho_tol
-    is trivial, so under ortho_tol = inf every factor is. Both factors
-    trivial: the identity when the scalar parts agree in sign, the antipodal
-    map otherwise. One trivial factor leaves a purely left- or
-    right-isoclinic rotation; two nontrivial factors make the general case.
-    """
-    {_L} = L
-    {_R} = R{_unit_check("l")}{_unit_check("r")}
-    iso = tolerances.ortho_tol
-    left_trivial = {_trivial("l")}
-    right_trivial = {_trivial("r")}
-    if left_trivial and right_trivial:
-        kind = _IDENTITY if l0 * r0 > 0 else _CENTRAL_REVERSION
-    elif right_trivial:
-        kind = _LEFT_ISOCLINIC
-    elif left_trivial:
-        kind = _RIGHT_ISOCLINIC
-    else:
-        kind = _GENERAL
-    return RotationClass(kind, {_angle("l")}, {_angle("r")})
-''',
 }
 
 

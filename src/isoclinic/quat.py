@@ -31,16 +31,18 @@ def _coerce(x, shape, noun, parts):
 
     Complex input is malformed, even with a zero imaginary part, since the
     cast to float would drop that part with no more than a warning: a
-    complex dtype, or a numpy complex entry of an object array. A float64
-    array is used as it is; any other input is read before the cast.
+    complex dtype, or a numpy complex entry of an object array. So is text,
+    which the cast would parse: a str or bytes dtype, or a str or bytes
+    entry of an object array. A float64 array is used as it is; any other
+    input is read before the cast.
     """
     import numpy as np
     if not (type(x) is np.ndarray and x.dtype == float):
         try:
             array = np.asarray(x)
-            if array.dtype.kind == "c" or array.dtype.kind == "O" and any(
-                    isinstance(entry, np.complexfloating) for entry in array.flat):
-                raise TypeError("an entry is complex")
+            if array.dtype.kind in ("c", "U", "S") or array.dtype.kind == "O" and any(
+                    isinstance(entry, (np.complexfloating, str, bytes)) for entry in array.flat):
+                raise TypeError("an entry is complex or text")
             x = np.asarray(x, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"{noun} is not an array of reals: {exc}") from exc

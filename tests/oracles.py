@@ -2,11 +2,12 @@
 
 Nothing here reuses the package's composition table or its factor
 read-off: the associate matrix and the two-sided product are spelled out
-entry by entry, factors are recovered by a generic 16x16 linear solve plus
-an SVD, the nearest rotation is the SVD's special Procrustes projection,
-minors are scanned with plain Python loops, and the sign rule is a loop
-over L with its own anchor, so agreement with the library is evidence
-rather than tautology.
+entry by entry, or built from the Hamilton product in exact rationals,
+factors are recovered by a generic 16x16 linear solve plus an SVD, the
+nearest rotation is the SVD's special Procrustes projection, minors are
+scanned with plain Python loops, and the sign rule is a loop over L with
+its own anchor, so agreement with the library is evidence rather than
+tautology.
 """
 
 from fractions import Fraction
@@ -98,8 +99,9 @@ def brute_max_minor(M):
 
 
 def exact_det(A):
-    """Determinant of A in exact rational arithmetic, by elimination."""
-    rows = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
+    """Determinant of A in exact rational arithmetic, by elimination; the
+    entries are floats, ints or Fractions, each read exactly."""
+    rows = [[Fraction(x) for x in row] for row in A]
     det = Fraction(1)
     for c in range(4):
         pivot = next((r for r in range(c, 4) if rows[r][c] != 0), None)
@@ -113,6 +115,59 @@ def exact_det(A):
             factor = rows[r][c] / rows[c][c]
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
     return det
+
+
+# ---- the abstract's theorem in exact rational arithmetic --------------------
+# Only ints and Fractions below, and no rounding: a 4x4 matrix is a list of
+# four rows, a quaternion a list of four components.
+
+def exact_hamilton(p, q):
+    """Hamilton product p*q, with ij = k, in the arithmetic of its components."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return [a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2]
+
+
+def rational_unit(p):
+    """p*p / |p|^2 for an integer quaternion p != 0: a unit quaternion with
+    rational components, since |p*p| = |p|^2."""
+    norm2 = sum(c * c for c in p)
+    return [Fraction(c, norm2) for c in exact_hamilton(p, p)]
+
+
+BASIS = [[int(k == n) for k in range(4)] for n in range(4)]
+
+
+def exact_composition(L, R):
+    """The matrix of P -> L*P*R: its column m is L*e_m*R."""
+    columns = [exact_hamilton(exact_hamilton(L, e), R) for e in BASIS]
+    return [[column[r] for column in columns] for r in range(4)]
+
+
+def exact_associate(A):
+    """M = B^T vec(A) / 4, B's column 4i + j the matrix of P -> e_i*P*e_j:
+    m_ij is a quarter of the Frobenius product of A with that matrix, whose
+    column m is the basis product e_i*e_m*e_j, a signed basis vector."""
+    def entry(i, j):
+        return sum(A[r][m] * sign for m in range(4)
+                   for r, sign in enumerate(exact_hamilton(exact_hamilton(BASIS[i], BASIS[m]),
+                                                           BASIS[j])) if sign) / 4
+    return [[entry(i, j) for j in range(4)] for i in range(4)]
+
+
+def exact_minors(M):
+    """All 36 2x2 minors of M."""
+    return [M[i][k] * M[j][l] - M[j][k] * M[i][l]
+            for i, j in combinations(range(4), 2) for k, l in combinations(range(4), 2)]
+
+
+def exact_is_rotation(A):
+    """A^T A = I and det A = 1, exactly."""
+    return all(sum(A[r][m] * A[r][n] for r in range(4)) == int(m == n)
+               for m in range(4) for n in range(4)) and exact_det(A) == 1
 
 
 # components of L at most this far from zero do not decide the joint sign

@@ -1,6 +1,8 @@
 import copy
 import math
 import pickle
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,9 +39,14 @@ from oracles import (
     brute_max_minor,
     canonical_reference,
     conjugate_reference,
+    exact_associate,
+    exact_composition,
+    exact_is_rotation,
+    exact_minors,
     pair_deviation,
     procrustes,
     random_improper,
+    rational_unit,
 )
 from test_kernel import read_off
 
@@ -70,6 +77,50 @@ def test_associate_matrix_matches_reference_formula():
     for _ in range(2000):
         A = rng.standard_normal((4, 4))
         assert np.max(np.abs(associate_matrix(A) - associate_reference(A))) <= 1e-15
+
+
+def rational_rotation(rng):
+    """Q(L, R), exactly, for L and R each p*p / |p|^2 with p an integer
+    quaternion, components in [-9, 9], not zero."""
+    def factor():
+        while True:
+            p = [rng.randint(-9, 9) for _ in range(4)]
+            if any(p):
+                return rational_unit(p)
+    return exact_composition(factor(), factor())
+
+
+# the diagonals D that make Q D no rotation, by family; ||M||^2 is the sum
+# of the squares of D over 4, which is 1 for every reflected D and for all
+# but one of the rank-deficient and stretched ones, so their minors alone
+# tell; every minor of a scaled one vanishes, so its norm alone tells
+NON_ROTATIONS = {
+    "scaled": [[2] * 4, [Fraction(1, 2)] * 4, [Fraction(-3, 5)] * 4],
+    "reflected": [[1, 1, 1, -1], [-1, 1, 1, 1]],
+    "rank-deficient": [[2, 0, 0, 0], [Fraction(6, 5), Fraction(8, 5), 0, 0], [1, 1, 1, 0]],
+    "stretched": [[Fraction(7, 5), Fraction(1, 5), 1, 1], [Fraction(1001, 1000), 1, 1, 1]],
+}
+
+
+def test_rotation_iff_rank_one_unit_associate_exactly():
+    """The abstract's theorem with no tolerance: A^T A = I and det A = 1 if
+    and only if all 36 minors of M = B^T vec(A) / 4 vanish and ||M||^2 = 1.
+    Both sides are drawn in exact rationals: 150 rotations Q(L, R), and 150
+    products Q D with D from each non-rotation family in turn."""
+    rng = random.Random(6)
+    pool = [(rational_rotation(rng), None, None) for _ in range(150)]
+    diagonals = [(family, d) for family, ds in NON_ROTATIONS.items() for d in ds]
+    for k in range(150):
+        family, d = diagonals[k % len(diagonals)]
+        Q = rational_rotation(rng)
+        pool.append(([[Q[r][c] * d[c] for c in range(4)] for r in range(4)], family, d))
+    for A, family, d in pool:
+        M = exact_associate(A)
+        rank_one = all(minor == 0 for minor in exact_minors(M))
+        norm2 = sum(x * x for row in M for x in row)
+        assert exact_is_rotation(A) == (family is None) == (rank_one and norm2 == 1)
+        if family is not None:
+            assert rank_one == (family == "scaled") and norm2 == sum(x * x for x in d) / 4
 
 
 def test_recombination_is_linear():

@@ -15,8 +15,9 @@ from isoclinic import _kernel, associate, cli, errors, quat, rotation4
 from test_cli import IDENTITY16, ROUNDED16, child_env
 
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code,
-# the numpy modules and which of argparse, dataclasses and inspect are loaded by then
-# as one JSON line on stderr
+# the numpy modules, which of argparse, dataclasses and inspect are loaded by
+# then and which generated kernel functions are compiled, as one JSON line on
+# stderr
 CHILD = """
 import json, runpy, sys
 args = json.loads(sys.argv[1])
@@ -31,7 +32,10 @@ else:
     import isoclinic
 loaded = sorted(name for name in sys.modules if name == "numpy" or name.startswith("numpy."))
 stdlib = sorted({"argparse", "dataclasses", "inspect"} & set(sys.modules))
-print(json.dumps({"code": code, "numpy": loaded, "stdlib": stdlib}), file=sys.stderr)
+kernel = vars(sys.modules["isoclinic._kernel"])
+compiled = sorted(name for name in kernel["_SOURCES"] if name in kernel)
+print(json.dumps({"code": code, "numpy": loaded, "stdlib": stdlib, "compiled": compiled}),
+      file=sys.stderr)
 """
 
 
@@ -42,28 +46,31 @@ def run_child(args, stdin=""):
     return json.loads(proc.stderr.splitlines()[-1]), proc.stdout, proc.stderr
 
 
-@pytest.mark.parametrize("args, stdin, code, printed", [
-    (None, "", None, None),
-    (["decompose", "--json"], IDENTITY16, 0, None),
-    (["decompose"], "2 " * 16, 3, None),
-    (["decompose", "--ortho-tol", "0"], ROUNDED16, 0, None),
-    (["classify"], IDENTITY16, 0, None),
-    (["verify", "--json"], IDENTITY16, 0, None),
-    (["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2", 3, None),
-    (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 0, None),
-    (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0, None),
-    (["decompose", "--help"], "", 0, ("stdout", "show this help message and exit")),
+@pytest.mark.parametrize("args, stdin, code, printed, compiled", [
+    (None, "", None, None, []),
+    (["decompose", "--json"], IDENTITY16, 0, None, ["decompose"]),
+    (["decompose"], "2 " * 16, 3, None, ["decompose"]),
+    (["decompose", "--ortho-tol", "0"], ROUNDED16, 0, None, ["decompose"]),
+    (["classify"], IDENTITY16, 0, None, ["decompose"]),
+    (["verify", "--json"], IDENTITY16, 0, None, ["decompose"]),
+    (["verify"], "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 2", 3, None, ["decompose"]),
+    (["verify", "--json", "--ortho-tol", "0"], ROUNDED16, 0, None, ["decompose"]),
+    (["compose", "--left", "1 1 0 0", "--right", "0 1 0 0", "--json"], "", 0, None,
+     ["two_sided"]),
+    (["decompose", "--help"], "", 0, ("stdout", "show this help message and exit"), []),
     (["decompose", "--ortho-tol", "abc"], IDENTITY16, 2,
-     ("stderr", "error: argument --ortho-tol: invalid float value: 'abc'")),
+     ("stderr", "error: argument --ortho-tol: invalid float value: 'abc'"), []),
 ], ids=["import", "decompose", "decompose-rejected", "decompose-exact-budget",
         "classify", "verify", "verify-rejected", "verify-exact-budget", "compose",
         "decompose-help", "decompose-usage-error"])
-def test_numpy_is_not_imported(args, stdin, code, printed):
+def test_numpy_is_not_imported(args, stdin, code, printed, compiled):
     """No case loads numpy, argparse, dataclasses or inspect, help and a
     usage error included: the usage and help on stdout, the usage and the
-    error on stderr."""
+    error on stderr. The kernel compiles only the generated functions the
+    command runs: decompose for every command that reads a matrix,
+    two_sided for compose, and none for an import, help or a usage error."""
     report, out, err = run_child(args, stdin)
-    assert report == {"code": code, "numpy": [], "stdlib": []}
+    assert report == {"code": code, "numpy": [], "stdlib": [], "compiled": compiled}
     if printed:
         stream, text = printed
         written = out if stream == "stdout" else err

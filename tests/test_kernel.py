@@ -93,7 +93,7 @@ def test_associate_distance_is_the_frobenius_distance(A):
 # associate, two_sided and decompose as loops that read TABLE's index and sign
 # tuples at run time, with M built as a list and unpacked by the read-off;
 # the sign rule as a loop over L, and classify through one function per
-# measure. The generated straight-line kernel must agree with them bit for bit.
+# measure. The kernel must agree with them bit for bit.
 
 def _terms(by, weight):
     """For each row (by=0) or column (by=1) of B, its four nonzero entries
@@ -607,7 +607,7 @@ def test_every_mutant_of_the_unit_check_is_killed():
     meets exactly, and the sums one ulp further out to either side, each
     with no zero component. The equivalent mutant decides every case as
     check_unit does."""
-    source = _kernel._SOURCES["check_unit"]
+    source = inspect.getsource(_kernel.check_unit)
     assert source.count("raise ") == 1 and not (UNIT_TOL / 2.0 ** -53).is_integer()
     pool, accepted = [], []
     for sign, ulp in ((1.0, 2.0 ** -52), (-1.0, 2.0 ** -53)):
@@ -621,6 +621,95 @@ def test_every_mutant_of_the_unit_check_is_killed():
     assert_mutants_killed(source, "check_unit", UNIT_MUTANTS, pool)
     expected, mutated = mutants_outcomes(source, "check_unit", EQUIVALENT_UNIT_MUTANTS, pool)
     assert mutated == [expected] * len(EQUIVALENT_UNIT_MUTANTS)
+
+
+# classify's kind ladder, as written, and with its both-trivial test moved
+# last; and the clamp of the arccos that classify and angle take
+LADDER = """    if left_trivial and right_trivial:
+        kind = _IDENTITY if l0 * r0 > 0 else _CENTRAL_REVERSION
+    elif right_trivial:
+        kind = _LEFT_ISOCLINIC
+    elif left_trivial:
+        kind = _RIGHT_ISOCLINIC
+"""
+LADDER_MOVED = """    if right_trivial:
+        kind = _LEFT_ISOCLINIC
+    elif left_trivial:
+        kind = _RIGHT_ISOCLINIC
+    elif left_trivial and right_trivial:
+        kind = _IDENTITY if l0 * r0 > 0 else _CENTRAL_REVERSION
+"""
+CLAMP = "acos(c if -1.0 <= c <= 1.0 else 1.0 if c > 1.0 else -1.0)"
+RELATIONS = ["<", "<=", ">", ">=", "==", "!="]
+
+
+def relation_mutants(text, op):
+    """text with its one comparison op replaced by each other comparison."""
+    return [(text, text.replace(f" {op} ", f" {other} ")) for other in RELATIONS if other != op]
+
+
+# outcome-equivalent: at c = -1 a strict lower bound sends c to the end it
+# equals; the test c > 1.0 runs only on c outside [-1, 1], or NaN, where
+# c >= 1.0 and c > -1.0 give what it gives; and once the factors are known
+# not both trivial, at most one of the two elifs holds, so their order
+# decides nothing
+EQUIVALENT_CLASSIFY_MUTANTS = [
+    ("-1.0 <= c", "-1.0 < c"),
+    ("c > 1.0", "c >= 1.0"),
+    ("c > 1.0", "c > -1.0"),
+    ("    elif right_trivial:\n        kind = _LEFT_ISOCLINIC\n"
+     "    elif left_trivial:\n        kind = _RIGHT_ISOCLINIC\n",
+     "    elif left_trivial:\n        kind = _RIGHT_ISOCLINIC\n"
+     "    elif right_trivial:\n        kind = _LEFT_ISOCLINIC\n"),
+]
+# every other single-operator mutant of classify's two trivial tests, its
+# kind ladder and the clamp: each comparison made another, the ladder's
+# 'and' made 'or', its product made a sum, difference or quotient, each elif
+# testing the other factor, the both-trivial test moved last, a clamp
+# bound's sign flipped, a clamped end made the other and the clamp dropped
+CLASSIFY_MUTANTS = [mutant for mutant in [
+    *relation_mutants("hypot(l1, l2, l3) <= iso", "<="),
+    *relation_mutants("hypot(r1, r2, r3) <= iso", "<="),
+    ("left_trivial and right_trivial", "left_trivial or right_trivial"),
+    *relation_mutants("l0 * r0 > 0", ">"),
+    *[("l0 * r0", f"l0 {op} r0") for op in "+-/"],
+    ("elif right_trivial:", "elif left_trivial:"),
+    ("elif left_trivial:", "elif right_trivial:"),
+    (LADDER, LADDER_MOVED),
+    *relation_mutants("-1.0 <= c", "<="),
+    *relation_mutants("c <= 1.0", "<="),
+    *relation_mutants("c > 1.0", ">"),
+    ("-1.0 <= c", "1.0 <= c"),
+    ("c <= 1.0", "c <= -1.0"),
+    ("else 1.0 if", "else -1.0 if"),
+    ("else -1.0)", "else 1.0)"),
+    (CLAMP, "acos(c)"),
+] if mutant not in EQUIVALENT_CLASSIFY_MUTANTS]
+
+
+def test_every_mutant_of_classify_is_killed():
+    """classify decides as classify_loop does, and every mutant of its
+    trivial tests, of its kind ladder and of the clamp it takes each arccos
+    through fails on a pool of factor pairs: +/-1, the scalar parts one ulp
+    past +/-1, i, a factor with a negative scalar part and one whose vector
+    part is exactly 0.8 long, under the budgets 0, the default, 0.8 and
+    inf. So each trivial test is met with equality, each factor is trivial
+    under some budget and each clamp bound is met and passed on both sides.
+    The equivalent mutants decide every case as classify does."""
+    # the clamp's source compiled ahead of classify's, whose calls read it
+    source = inspect.getsource(_kernel._arccos) + inspect.getsource(_kernel.classify)
+    assert source.count(LADDER) == 1 and source.count(CLAMP) == 1
+    past = 1.0 + 2.0 ** -52
+    factors = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [past, 0.0, 0.0, 0.0],
+               [-past, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-0.5, 0.5, 0.5, 0.5],
+               [0.6, 0.0, -0.8, 0.0]]
+    budgets = [Tolerances(ortho_tol=tol) for tol in (0.0, 1e-9, 0.8, math.inf)]
+    pool = [(L, R, tolerances) for L in factors for R in factors for tolerances in budgets]
+    assert [outcome(_kernel.classify, *args) for args in pool] == [
+        outcome(classify_loop, *args) for args in pool]
+    assert_mutants_killed(source, "classify", CLASSIFY_MUTANTS, pool)
+    expected, mutated = mutants_outcomes(source, "classify", EQUIVALENT_CLASSIFY_MUTANTS, pool)
+    assert mutated == [expected] * len(EQUIVALENT_CLASSIFY_MUTANTS)
 
 
 # each single-operator mutant of the sign rule: a strict comparison made
@@ -724,15 +813,19 @@ def test_every_mutant_of_the_pivot_scan_is_killed():
 
 
 def test_generated_functions_are_compiled_from_the_table():
-    """The generated functions come from the source generated at import
-    under one filename; any other name the module lacks stays an
-    AttributeError, the loop functions they replace and the removed
-    distance among them."""
-    for name in ("associate", "decompose", "two_sided", "check_unit", "angle", "classify"):
+    """The generated functions, the table's three, come from the source
+    generated at import under one filename; the checks on four numbers are
+    written in the module itself. Any other name the module lacks stays an
+    AttributeError, the loop functions they replace, the removed distance
+    and the fragments once spliced into those checks among them."""
+    assert set(_kernel._SOURCES) == {"associate", "decompose", "two_sided"}
+    for name in _kernel._SOURCES:
         code = getattr(_kernel, name).__code__
         assert code.co_filename == "<isoclinic._kernel: generated>"
+    for name in ("check_unit", "angle", "classify"):
+        assert getattr(_kernel, name).__code__.co_filename.endswith("_kernel.py")
     for name in ("canonical", "nearest", "distance", "_COMPOSE", "_terms",
-                 "_trivial_deviation"):
+                 "_trivial_deviation", "_unit_check", "_angle", "_trivial"):
         assert not hasattr(_kernel, name)
 
 

@@ -230,17 +230,24 @@ def test_malformed_input_is_typed():
     malformed even with every imaginary part zero: a cast to float would
     drop that part with only a ComplexWarning. That holds for a numpy
     complex scalar among other numbers too, which numpy keeps in an array of
-    dtype object."""
+    dtype object. Text is malformed even where it spells a number, str or
+    bytes, as an array of its own kind or an entry of an object array."""
     A = random_rotation(42)
     complex_eye = [[np.complex128(i == j) for j in range(4)] for i in range(4)]
     # the identity with a complex 1 + 1j in its corner, beside a Fraction
     mixed = [np.complex128(1 + 1j), Fraction(0), 0, 0]
     mixed_eye = [mixed, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    # the identity spelled in text: str and bytes, and a str "1" beside a Fraction
+    text_eye = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    bytes_eye = [[b"1" if i == j else b"0" for j in range(4)] for i in range(4)]
+    text_mixed = ["1", Fraction(0), 0, 0]
+    text_mixed_eye = [text_mixed, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     malformed = [A[:3], A[:, :3], A.ravel(), np.hstack([A, np.zeros((4, 1))]), A[None], 1.0,
                  [[1.0, 0.0], [0.0]], [["a"] * 4] * 4,
                  np.eye(4) * (1 + 1j), np.eye(4).astype(complex), complex_eye,
                  mixed_eye, np.array(mixed_eye, dtype=object),
-                 np.array([[np.complex64(1)] + [0.0] * 3] + np.eye(4)[1:].tolist(), dtype=object)]
+                 np.array([[np.complex64(1)] + [0.0] * 3] + np.eye(4)[1:].tolist(), dtype=object),
+                 text_eye, bytes_eye, np.array(text_eye, dtype=object), text_mixed_eye]
     for i, bad in ((3, np.nan), (7, np.inf), (12, -np.inf)):
         nonfinite = A.copy()
         nonfinite.flat[i] = bad
@@ -252,7 +259,8 @@ def test_malformed_input_is_typed():
                        [1.0, 0.0, 0.0, 0.0, 0.0], [IDENTITY], [1.0, [0.0], 0.0, 0.0],
                        "abcd", 1.0, IDENTITY * (1 + 1j), IDENTITY.astype(complex),
                        complex_eye[0], [1 + 2j, 0.0, 0.0, 0.0], mixed,
-                       np.array(mixed, dtype=object)]
+                       np.array(mixed, dtype=object), text_eye[0], bytes_eye[0],
+                       np.array(text_eye[0], dtype=object), text_mixed]
     for q in bad_quaternions:
         calls += [(normalize, (q,)), (left_matrix, (q,))]
         calls += [(entry, args) for entry in (classify_pair, quat_mul)
