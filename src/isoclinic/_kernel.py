@@ -364,6 +364,13 @@ _ASSOCIATE = "\n    " + ", ".join(f"a{k}" for k in range(16)) + " = a" + "".join
 # singular pair of a nearly rank-1 M and gives outer(L, R) the sign of M.
 # Each norm divided by is at least norm(M)/4, to rounding: column j holds an
 # entry that large, (M^T L)_j is its norm and L^T M R the norm of M^T L.
+# Column j holds M's largest entry, so its norm n is at least norm(M)/4;
+# when n exceeds 2^1020, the step runs on M/4 and M is put back for the
+# distance, since a finite norm(M) near the float range would round a norm
+# of the step, or a partial sum, up to inf and divide the pair down to zero.
+# Each norm divided by after L is then at least norm(M)/16; only an A that
+# validation rejects gets there, as a column of A as long as norm(M)
+# squares past the float range.
 # Each sum adds in index order after a leading 0.0, so a sum of negative
 # zeros is +0.0 and the factors keep their signs of zero.
 _READ_OFF = (
@@ -372,10 +379,13 @@ _READ_OFF = (
     + "\n    l0, l1, l2, l3 = " + " else ".join(
         f"(m{j}, m{j + 4}, m{j + 8}, m{j + 12}) if j == {j}" for j in range(3))
     + " else (m3, m7, m11, m15)" + _unit("l")
+    + f"\n    big = n > 2.0 ** 1020\n    if big:\n        saved = {_M}\n        {_M} = "
+    + ", ".join(f"0.25 * m{k}" for k in range(16))
     + "".join(f"\n    r{j} = 0.0" + "".join(f" + m{4 * i + j} * l{i}" for i in range(4))
               for j in range(4)) + _unit("r")
     + "".join(f"\n    l{i} = 0.0" + "".join(f" + m{4 * i + j} * r{j}" for j in range(4))
               for i in range(4)) + _unit("l")
+    + f"\n    if big:\n        {_M} = saved"
     + "\n    d = 2.0 * hypot("
     + ", ".join(f"m{4 * i + j} - l{i} * r{j}" for i in range(4) for j in range(4)) + ")")
 

@@ -286,6 +286,9 @@ TIED_REFLECTION = [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5, -0.5,
                    0.5, 0.5, -0.5, -0.5, -0.5, 0.5, 0.5, -0.5]
 NEGATIVE_FIRST = [-1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0,
                   0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+# a Haar rotation scaled to the largest float: norm(M) is the largest float
+# too, so the read-off's step rounds a norm up to inf unless it quarters M
+NEAR_OVERFLOW = (1.7976931348623157e308 * random_rotation(0)).ravel().tolist()
 
 
 @settings(deadline=None, max_examples=600)
@@ -293,6 +296,7 @@ NEGATIVE_FIRST = [-1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0,
 @example(TIED_ROTATION, Tolerances())
 @example(TIED_REFLECTION, Tolerances(ortho_tol=math.inf))
 @example(NEGATIVE_FIRST, Tolerances(ortho_tol=math.inf))
+@example(NEAR_OVERFLOW, Tolerances())
 def test_generated_kernel_matches_the_loop_reference(a, tolerances):
     """associate and decompose give the loop reference's floats
     bit for bit, signs of zero included, or raise its error type with its
@@ -756,6 +760,31 @@ def test_every_mutant_of_the_sign_rule_is_killed():
 def scan_step(k):
     """The pivot scan's step at m{k}, which keeps the first largest |m|."""
     return f"\n    x = abs(m{k})\n    if x > b:\n        b, j = x, {k % 4}"
+
+
+def test_a_norm_near_the_float_range_reads_off_unit_factors():
+    """Haar rotations scaled to the largest floats, norm(M) finite and past
+    2^1020 (a norm rounded to inf is left out): the read-off runs its step
+    on M/4 and returns unit factors to 4 eps and the distance of A, inf
+    where it overflows, and decompose raises validation's error under the
+    default budget and under ortho_tol = inf. Its step without the
+    quartering divides by zero on the largest float's scale."""
+    scaled = [(scale * random_rotation(seed)).ravel().tolist()
+              for seed in range(8) for scale in (1.7976931348623157e308, 1.5e308, 2.0 ** 1021)]
+    # the largest float's scale rounds some of these norms to inf
+    scaled = [a for a in scaled if math.hypot(*_kernel.associate(a)) < math.inf]
+    assert NEAR_OVERFLOW in scaled and len(scaled) >= 16
+    pool = [(a, tolerances) for a in scaled
+            for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf))]
+    for a, tolerances in pool:
+        assert 2.0 ** 1020 < math.hypot(*_kernel.associate(a))
+        L, R, distance = read_off(a)
+        assert abs(math.hypot(*L) - 1.0) <= 4 * EPS and abs(math.hypot(*R) - 1.0) <= 4 * EPS
+        rotation = bilinear_composition(L, R).ravel()
+        assert distance == pytest.approx(math.hypot(*(np.array(a) - rotation)), rel=1e-12)
+        assert outcome(_kernel.decompose, a, tolerances) == outcome(decompose_loop, a, tolerances)
+    source = _kernel._SOURCES["decompose"]
+    assert_mutants_killed(source, "decompose", [("big = n > 2.0 ** 1020", "big = n > inf")], pool)
 
 
 # each single-operator mutant of the pivot scan, each anchored on its own
