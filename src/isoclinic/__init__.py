@@ -7,8 +7,8 @@ read as the quaternions, by P -> L*P*R for a pair of unit quaternions
 pair, validates the matrix identities behind the construction, and
 classifies rotations by which factor is trivial.
 
-Importing the package does not import numpy; the functions that take or
-return arrays import it when first called.
+Importing the package does not import numpy; it is bound once, by the
+first call that meets an array.
 """
 
 from .associate import (

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import _kernel
+from . import _kernel, quat
 from ._kernel import DEFAULT_TOLERANCES, RotationClass, RotationKind, Tolerances
 from .quat import _floats
 from .rotation4 import _mat4
@@ -41,8 +41,8 @@ def associate_matrix(A) -> np.ndarray:
     each entry a signed quarter-sum of four entries of A. For the matrix
     of P -> L*P*R the result is column(L) * row(R), to rounding.
     """
-    import numpy as np
-    return np.array(_kernel.associate(_mat4(A)[1])).reshape(4, 4)
+    M = _kernel.associate(_mat4(A)[1])
+    return quat._array(M).reshape(4, 4)
 
 
 def associate_norm(M) -> float:
@@ -95,9 +95,8 @@ def decompose(A, tolerances: Tolerances = DEFAULT_TOLERANCES) -> IsoclinicDecomp
     every budget: its determinant underflows to 0 or its Gram deviation
     overflows to inf.
     """
-    import numpy as np
     L, R, distance, norm_deviation = _kernel.decompose(_mat4(A)[1], tolerances)
-    return IsoclinicDecomposition(np.array(L), np.array(R), distance, norm_deviation)
+    return IsoclinicDecomposition(quat._array(L), quat._array(R), distance, norm_deviation)
 
 
 def classify_pair(L, R, tolerances: Tolerances = DEFAULT_TOLERANCES) -> RotationClass:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import _kernel
+from . import _kernel, quat
 from ._kernel import hamilton
-from .associate import DEFAULT_TOLERANCES, RotationClass, Tolerances, classify
+from .associate import DEFAULT_TOLERANCES, RotationClass, Tolerances
 from .errors import InvarianceError
 from .quat import _floats
 from .rotation4 import _mat4, as_mat4
@@ -58,10 +58,9 @@ def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFram
     """Decompose the frame rotation S and keep a copy of it with its
     canonical factors, all three read-only, so that no later write, to the
     caller's array or to the frame's, parts S from its factors."""
-    import numpy as np
     S, entries = _mat4(S)
     L, R, *_ = _kernel.decompose(entries, tolerances)
-    return _read_only_frame(S.copy(), np.array(L), np.array(R))
+    return _read_only_frame(S.copy(), quat._array(L), quat._array(R))
 
 
 def conjugate(A, frame: SimilarityFrame) -> np.ndarray:
@@ -86,13 +85,12 @@ def conjugate_factorwise(A, frame: SimilarityFrame,
     Equals conjugate(A, frame) because the cross terms commute. Raises
     NotUnitQuaternionError when a factor of the frame is off the unit sphere.
     """
-    import numpy as np
     L, R, *_ = _kernel.decompose(_mat4(A)[1], tolerances)
     s_left = _kernel.check_unit(_floats(frame.s_left))
     s_right = _kernel.check_unit(_floats(frame.s_right))
     left = hamilton(hamilton(_kernel.conjugate(s_left), L), s_left)
     right = hamilton(hamilton(s_right, R), _kernel.conjugate(s_right))
-    return np.array(_kernel.two_sided(left, right)).reshape(4, 4)
+    return quat._array(_kernel.two_sided(left, right)).reshape(4, 4)
 
 
 class InvarianceReport(NamedTuple):
@@ -116,7 +114,8 @@ def check_isocliny_preserved(A, frame: SimilarityFrame,
     A, entries = _mat4(A)
     L, R, *_ = _kernel.decompose(entries, tolerances)
     original = _kernel.classify(L, R, tolerances)
-    transformed = classify(frame.s.T.dot(A).dot(frame.s), tolerances)
+    L, R, *_ = _kernel.decompose(_mat4(frame.s.T.dot(A).dot(frame.s))[1], tolerances)
+    transformed = _kernel.classify(L, R, tolerances)
     angle_deviation = max(
         abs(original.left_angle - transformed.left_angle),
         abs(original.right_angle - transformed.right_angle),

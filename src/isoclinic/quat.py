@@ -5,8 +5,8 @@ same component order used for points of R^4, so a quaternion and the column
 vector it acts on are interchangeable. Multiplication follows the Hamilton
 convention ij = k; that convention is what makes ``left_matrix`` and
 ``right_matrix`` act as matrix-vector products. The arithmetic runs in
-``_kernel`` on Python floats; numpy is imported by the functions that take
-or return arrays, not by importing this module.
+``_kernel`` on Python floats; numpy is bound once, by the first call that
+meets an array, not by importing this module.
 """
 
 from __future__ import annotations
@@ -21,6 +21,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+# numpy's ndarray type, its float64 dtype and np.array, bound by the first
+# coercion, so that importing the package loads no numpy. Every function
+# that boxes its result with _array coerces its input in the same call, in a
+# statement before the one that reads _array: a call looks up its callee
+# before it evaluates its arguments.
+_NDARRAY = _FLOAT64 = _array = None
+
+
 def _coerce(x, shape, noun, parts):
     """x coerced through numpy to a float array of the given shape with finite
     entries: the array and its entries as a row-major list.
@@ -32,20 +40,27 @@ def _coerce(x, shape, noun, parts):
     Complex input is malformed, even with a zero imaginary part, since the
     cast to float would drop that part with no more than a warning: a
     complex dtype, or a numpy complex entry of an object array. So is text,
-    which the cast would parse: a str or bytes dtype, or a str or bytes
-    entry of an object array. A float64 array is used as it is; any other
-    input is read before the cast.
+    which the cast would parse, and bool, which it would read as 0 and 1: a
+    str, bytes or bool dtype, or a str, bytes, bool or numpy bool entry of
+    an object array. A float64 array is used as it is; any other input is
+    read before the cast. The fast path takes an ndarray whose dtype is
+    numpy's float64 singleton; the slow path binds numpy's handles and
+    takes every other float64 array, such as an unpickled one, unchanged.
     """
-    import numpy as np
-    if not (type(x) is np.ndarray and x.dtype == float):
-        try:
-            array = np.asarray(x)
-            if array.dtype.kind in ("c", "U", "S") or array.dtype.kind == "O" and any(
-                    isinstance(entry, (np.complexfloating, str, bytes)) for entry in array.flat):
-                raise TypeError("an entry is complex or text")
-            x = np.asarray(x, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedInputError(f"{noun} is not an array of reals: {exc}") from exc
+    global _NDARRAY, _FLOAT64, _array
+    if not (type(x) is _NDARRAY and x.dtype is _FLOAT64):
+        import numpy as np
+        _NDARRAY, _FLOAT64, _array = np.ndarray, np.dtype(float), np.array
+        if not (type(x) is np.ndarray and x.dtype == float):
+            try:
+                array = np.asarray(x)
+                if array.dtype.kind in ("b", "c", "U", "S") or array.dtype.kind == "O" and any(
+                        isinstance(entry, (bool, np.bool_, np.complexfloating, str, bytes))
+                        for entry in array.flat):
+                    raise TypeError("an entry is bool, complex or text")
+                x = np.asarray(x, dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise MalformedInputError(f"{noun} is not an array of reals: {exc}") from exc
     if x.shape != shape:
         raise MalformedInputError(f"{noun} must have shape {shape}, got {x.shape}")
     values = x.ravel().tolist()
@@ -61,8 +76,8 @@ def _floats(q):
 
 def quat_mul(lhs, rhs) -> np.ndarray:
     """Hamilton product lhs * rhs."""
-    import numpy as np
-    return np.array(_kernel.hamilton(_floats(lhs), _floats(rhs)))
+    product = _kernel.hamilton(_floats(lhs), _floats(rhs))
+    return _array(product)
 
 
 def normalize(q) -> np.ndarray:
@@ -70,8 +85,8 @@ def normalize(q) -> np.ndarray:
 
     Raises ZeroQuaternionError when the norm is too small to divide by.
     """
-    import numpy as np
-    return np.array(_kernel.unit(_floats(q)))
+    unit = _kernel.unit(_floats(q))
+    return _array(unit)
 
 
 # the identity quaternion: P -> L*P is P -> L*P*E and P -> P*R is P -> E*P*R
@@ -87,8 +102,8 @@ def left_matrix(L) -> np.ndarray:
     (w, x) and the (y, z) coordinate planes turn by +arccos(a). Read off
     the composition table as the two-sided map with right factor 1.
     """
-    import numpy as np
-    return np.array(_kernel.two_sided(_kernel.check_unit(_floats(L)), _E)).reshape(4, 4)
+    L = _kernel.check_unit(_floats(L))
+    return _array(_kernel.two_sided(L, _E)).reshape(4, 4)
 
 
 def right_matrix(R) -> np.ndarray:
@@ -99,8 +114,8 @@ def right_matrix(R) -> np.ndarray:
     while the (y, z) plane turns by -arccos(p). Read off the composition
     table as the two-sided map with left factor 1.
     """
-    import numpy as np
-    return np.array(_kernel.two_sided(_E, _kernel.check_unit(_floats(R)))).reshape(4, 4)
+    R = _kernel.check_unit(_floats(R))
+    return _array(_kernel.two_sided(_E, R)).reshape(4, 4)
 
 
 def isoclinic_angle(q) -> float:

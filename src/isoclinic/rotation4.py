@@ -5,7 +5,7 @@ column vectors (w, x, y, z) of R^4. Every such matrix is the matrix of a
 two-sided quaternion map P -> L*P*R, which is linear in the outer product
 of L and R; the composition table ``_kernel.TABLE`` is that linear map. The
 checks and the composition run in ``_kernel`` on Python floats; numpy is
-imported by the functions that take or return arrays, not by importing this
+bound once, by the first call that meets an array, not by importing this
 module.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from . import _kernel
+from . import _kernel, quat
 from ._kernel import DEFAULT_TOLERANCES, Tolerances
 from .quat import _coerce, _floats, random_unit_quaternion
 
@@ -56,9 +56,8 @@ def van_elfrinkhof(L, R) -> np.ndarray:
     bilinear in (L, R), hence van_elfrinkhof(-L, -R) is exactly the same
     matrix. Raises NotUnitQuaternionError for a factor off the unit sphere.
     """
-    import numpy as np
     L, R = _kernel.check_unit(_floats(L)), _kernel.check_unit(_floats(R))
-    return np.array(_kernel.two_sided(L, R)).reshape(4, 4)
+    return quat._array(_kernel.two_sided(L, R)).reshape(4, 4)
 
 
 def random_rotation(seed) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from isoclinic import (
     associate_norm,
     classify,
     classify_pair,
+    conjugate_factorwise,
     IsoclinicError,
     MalformedInputError,
     NotOrthogonalError,
@@ -29,7 +31,7 @@ from isoclinic import (
     validate_rotation,
     van_elfrinkhof,
 )
-from isoclinic import _kernel
+from isoclinic import _kernel, quat
 from isoclinic._kernel import TABLE
 from oracles import bilinear_composition, random_improper
 
@@ -231,7 +233,9 @@ def test_malformed_input_is_typed():
     drop that part with only a ComplexWarning. That holds for a numpy
     complex scalar among other numbers too, which numpy keeps in an array of
     dtype object. Text is malformed even where it spells a number, str or
-    bytes, as an array of its own kind or an entry of an object array."""
+    bytes, as an array of its own kind or an entry of an object array. So is
+    bool, which a cast would read as 0 and 1: a bool array, rows of Python
+    bools, or a Python or numpy bool in an object array."""
     A = random_rotation(42)
     complex_eye = [[np.complex128(i == j) for j in range(4)] for i in range(4)]
     # the identity with a complex 1 + 1j in its corner, beside a Fraction
@@ -242,12 +246,17 @@ def test_malformed_input_is_typed():
     bytes_eye = [[b"1" if i == j else b"0" for j in range(4)] for i in range(4)]
     text_mixed = ["1", Fraction(0), 0, 0]
     text_mixed_eye = [text_mixed, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    # the identity in bools: a bool array, Python bools, and numpy's True beside floats
+    bool_eye = [[i == j for j in range(4)] for i in range(4)]
+    np_true_eye = np.array([[np.True_ if i == j else 0.0 for j in range(4)] for i in range(4)],
+                           dtype=object)
     malformed = [A[:3], A[:, :3], A.ravel(), np.hstack([A, np.zeros((4, 1))]), A[None], 1.0,
                  [[1.0, 0.0], [0.0]], [["a"] * 4] * 4,
                  np.eye(4) * (1 + 1j), np.eye(4).astype(complex), complex_eye,
                  mixed_eye, np.array(mixed_eye, dtype=object),
                  np.array([[np.complex64(1)] + [0.0] * 3] + np.eye(4)[1:].tolist(), dtype=object),
-                 text_eye, bytes_eye, np.array(text_eye, dtype=object), text_mixed_eye]
+                 text_eye, bytes_eye, np.array(text_eye, dtype=object), text_mixed_eye,
+                 np.eye(4, dtype=bool), bool_eye, np_true_eye]
     for i, bad in ((3, np.nan), (7, np.inf), (12, -np.inf)):
         nonfinite = A.copy()
         nonfinite.flat[i] = bad
@@ -260,7 +269,9 @@ def test_malformed_input_is_typed():
                        "abcd", 1.0, IDENTITY * (1 + 1j), IDENTITY.astype(complex),
                        complex_eye[0], [1 + 2j, 0.0, 0.0, 0.0], mixed,
                        np.array(mixed, dtype=object), text_eye[0], bytes_eye[0],
-                       np.array(text_eye[0], dtype=object), text_mixed]
+                       np.array(text_eye[0], dtype=object), text_mixed,
+                       np.array(bool_eye[0]), bool_eye[0], np_true_eye[0],
+                       np.array([True, 0.0, 0.0, 0.0], dtype=object)]
     for q in bad_quaternions:
         calls += [(normalize, (q,)), (left_matrix, (q,))]
         calls += [(entry, args) for entry in (classify_pair, quat_mul)
@@ -317,6 +328,72 @@ def test_finite_check_reads_the_entry_sum():
                             (normalize, (q,)), (left_matrix, (q,))):
             with pytest.raises(MalformedInputError):
                 entry(*args)
+
+
+def verdict(entry, *args):
+    """What entry(*args) returns, or the type and measured value of what it raises."""
+    try:
+        return entry(*args)
+    except IsoclinicError as exc:
+        return type(exc), exc.measured
+
+
+def same(a, b):
+    """a and b hold the same bits: arrays of equal dtypes, scalars, or tuples of them."""
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
+def test_fast_and_slow_coercion_agree():
+    """A float64 ndarray whose dtype is numpy's own float64 object takes the
+    coercion's fast path; every other input takes the slow path, and gives
+    the same entries and the same verdict as its float64 copy does on the
+    fast path: C and F order, a strided view, an unpickled array (whose
+    dtype equals float64 but may be another object), big-endian, float32,
+    int64, nested lists and tuples. An array whose dtype equals float64 is
+    returned as it is, on either path."""
+    A = random_rotation(7)
+    strided = np.zeros((8, 8))
+    strided[::2, ::2] = A
+    flip = np.diag([1, 1, -1, -1]).astype(np.int64)
+    q = normalize([1.0, 2.0, -3.0, 0.5])
+    matrices = forms(A) + [A.T, strided[::2, ::2], pickle.loads(pickle.dumps(A)),
+                           A.astype(">f8"), A.astype(np.float32), flip, 2 * flip,
+                           np.diag([1, 1, 1, -1]), (2 * A).tolist()]
+    quaternions = forms(q) + [pickle.loads(pickle.dumps(q)), q.astype(">f8"),
+                              q.astype(np.float32), np.array([0, 1, 0, 0])]
+    calls = [(entry, x) for x in matrices
+             for entry in (validate_rotation, decompose, associate_matrix, classify)]
+    calls += [(entry, x) for x in quaternions for entry in (normalize, left_matrix)]
+    for entry, x in calls:
+        # np.array(x, dtype=float) would keep an unpickled array's dtype object
+        fast = np.array(np.asarray(x, dtype=float).tolist())
+        assert type(fast) is quat._NDARRAY and fast.dtype is quat._FLOAT64
+        assert same(verdict(entry, x), verdict(entry, fast)), (entry.__name__, x)
+        if entry is validate_rotation and isinstance(x, np.ndarray) and x.dtype == float:
+            assert validate_rotation(x) is x
+
+
+def test_a_first_call_binds_numpy(monkeypatch):
+    """Each array-returning function works as the first call of a process,
+    before the coercion has bound numpy's handles, and returns the same bits
+    as it does once they are bound."""
+    A, S = random_rotation(3), random_rotation(4)
+    frame = make_frame(S)
+    L, R = decompose(A)[:2]
+    calls = [(decompose, (A,)), (associate_matrix, (A.tolist(),)), (make_frame, (S,)),
+             (conjugate_factorwise, (A, frame)), (van_elfrinkhof, (L, R)),
+             (left_matrix, (L,)), (right_matrix, (R.tolist(),)), (quat_mul, (L, R)),
+             (normalize, (2 * L,)), (random_rotation, (5,))]
+    for entry, args in calls:
+        want = entry(*args)
+        for name in ("_NDARRAY", "_FLOAT64", "_array"):
+            monkeypatch.setattr(quat, name, None)
+        assert same(entry(*args), want), entry.__name__
+        assert quat._array is np.array
 
 
 def test_overflowing_gram_is_not_orthogonal():
