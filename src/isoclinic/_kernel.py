@@ -364,13 +364,6 @@ _ASSOCIATE = "\n    " + ", ".join(f"a{k}" for k in range(16)) + " = a" + "".join
 # singular pair of a nearly rank-1 M and gives outer(L, R) the sign of M.
 # Each norm divided by is at least norm(M)/4, to rounding: column j holds an
 # entry that large, (M^T L)_j is its norm and L^T M R the norm of M^T L.
-# Column j holds M's largest entry, so its norm n is at least norm(M)/4;
-# when n exceeds 2^1020, the step runs on M/4 and M is put back for the
-# distance, since a finite norm(M) near the float range would round a norm
-# of the step, or a partial sum, up to inf and divide the pair down to zero.
-# Each norm divided by after L is then at least norm(M)/16; only an A that
-# validation rejects gets there, as a column of A as long as norm(M)
-# squares past the float range.
 # Each sum adds in index order after a leading 0.0, so a sum of negative
 # zeros is +0.0 and the factors keep their signs of zero.
 _READ_OFF = (
@@ -379,13 +372,10 @@ _READ_OFF = (
     + "\n    l0, l1, l2, l3 = " + " else ".join(
         f"(m{j}, m{j + 4}, m{j + 8}, m{j + 12}) if j == {j}" for j in range(3))
     + " else (m3, m7, m11, m15)" + _unit("l")
-    + f"\n    big = n > 2.0 ** 1020\n    if big:\n        saved = {_M}\n        {_M} = "
-    + ", ".join(f"0.25 * m{k}" for k in range(16))
     + "".join(f"\n    r{j} = 0.0" + "".join(f" + m{4 * i + j} * l{i}" for i in range(4))
               for j in range(4)) + _unit("r")
     + "".join(f"\n    l{i} = 0.0" + "".join(f" + m{4 * i + j} * r{j}" for j in range(4))
               for i in range(4)) + _unit("l")
-    + f"\n    if big:\n        {_M} = saved"
     + "\n    d = 2.0 * hypot("
     + ", ".join(f"m{4 * i + j} - l{i} * r{j}" for i in range(4) for j in range(4)) + ")")
 
@@ -403,18 +393,19 @@ def decompose(a, tolerances):
     Returns (L, R, distance d, |norm(M) - 1|) for what validate accepts and
     raises what it raises otherwise: d <= 1/2 with 2d + d^2 + SHORTCUT_SLACK
     within ortho_tol proves that validate accepts, and only a matrix that
-    misses it runs validate. Outside the read-off's domain, a finite
-    norm(M) above DEGENERACY_TOL, validate rejects A under every budget, so
-    the read-off never divides by a zero or overflowed norm.
+    misses it runs validate. Outside the read-off's domain, norm(M) above
+    DEGENERACY_TOL and below 2^513, validate rejects A under every budget,
+    so the read-off never divides by a zero or overflowed norm.
     """{_ASSOCIATE}
     norm = hypot({_M})
     # norm(M) = ||A||_F / 2. At most DEGENERACY_TOL, every entry is below
     # about 4e-150, so each product of four entries in the determinant
-    # underflows to 0 and det A > 0 fails. Overflowed, some column's squared
-    # norm overflows, and the Gram deviation reads inf. An inf or NaN entry
-    # makes that deviation inf or NaN. Each fails validation, so validate
-    # raises here.
-    if not DEGENERACY_TOL < norm < inf:
+    # underflows to 0 and det A > 0 fails. From 2^513 up, inf included,
+    # ||A||_F^2 is at least 2^1028, so some column's squared norm, at least
+    # 2^1026, overflows, and the Gram deviation reads inf. An inf or NaN
+    # entry makes that deviation inf or NaN. Each fails validation, so
+    # validate raises here.
+    if not DEGENERACY_TOL < norm < 2.0 ** 513:
         validate(a, tolerances){_READ_OFF}
     if not (d <= 0.5 and 2.0 * d + d * d + SHORTCUT_SLACK <= tolerances.ortho_tol):
         validate(a, tolerances){_SIGN}

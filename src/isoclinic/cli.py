@@ -30,7 +30,7 @@ and exits 2.
 
 Exit codes: 0 success, 2 parse or usage error, 3 validation failure
 (non-rotation input or zero quaternion), 141 (128 + SIGPIPE, as a shell
-reports it) when stdout is closed before the output.
+reports it) when stdout is closed before the output, help's included.
 """
 
 from __future__ import annotations
@@ -464,12 +464,25 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    """Run main() on sys.argv and end the process at its last write.
+
+    The exit code is main()'s return value, or the code of the SystemExit
+    that help and usage errors raise. stdout is flushed, then stderr, and
+    the process ends at os._exit, as mypy's --fast-exit ends: no module or
+    object finalization and no atexit callback runs after the report is
+    written. A reader that closed stdout, during main() or at the flush,
+    gets exit 141 and no traceback. Any other exception propagates, with
+    its traceback, through the interpreter's normal exit. In-process
+    callers use main(), which returns its code.
+    """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the flush at
-        # interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # what is left in stdout's buffer is never flushed: os._exit skips it
         code = EXIT_BROKEN_PIPE
-    raise SystemExit(code)
+    sys.stderr.flush()
+    os._exit(code)

@@ -31,7 +31,8 @@ class SimilarityFrame(NamedTuple):
     itself is unchanged by the joint flip. Equality and hashing are by
     identity, as for IsoclinicDecomposition. A copy, by pickle or by the
     copy module, is rebuilt with its arrays read-only, as make_frame makes
-    them: numpy unpickles an array writable.
+    them, since numpy unpickles an array writable, and on numpy's float64
+    dtype object, which coercion's fast path requires.
     """
 
     s: np.ndarray
@@ -47,8 +48,19 @@ class SimilarityFrame(NamedTuple):
 
 
 def _read_only_frame(s, s_left, s_right) -> SimilarityFrame:
+    """The frame of three unpickled or copied arrays, each read-only and on
+    numpy's float64 dtype object, so that coercing one takes the fast path:
+    an unpickled array's dtype equals that object but is another one, so
+    the array is rebuilt. Unpickling a frame can be the first code of a
+    process to meet an array, so this binds quat's numpy handles."""
+    quat._numpy()
+    return _frame(*[array if array.dtype is quat._FLOAT64 else array.astype(quat._FLOAT64)
+                    for array in (s, s_left, s_right)])
+
+
+def _frame(*arrays) -> SimilarityFrame:
     """The frame of the three arrays, each marked read-only."""
-    frame = SimilarityFrame(s, s_left, s_right)
+    frame = SimilarityFrame(*arrays)
     for array in frame:
         array.setflags(write=False)
     return frame
@@ -60,7 +72,7 @@ def make_frame(S, tolerances: Tolerances = DEFAULT_TOLERANCES) -> SimilarityFram
     caller's array or to the frame's, parts S from its factors."""
     S, entries = _mat4(S)
     L, R, *_ = _kernel.decompose(entries, tolerances)
-    return _read_only_frame(S.copy(), quat._array(L), quat._array(R))
+    return _frame(S.copy(), quat._array(L), quat._array(R))
 
 
 def conjugate(A, frame: SimilarityFrame) -> np.ndarray:

@@ -29,6 +29,14 @@ if TYPE_CHECKING:
 _NDARRAY = _FLOAT64 = _array = None
 
 
+def _numpy():
+    """numpy, with the handles above bound."""
+    global _NDARRAY, _FLOAT64, _array
+    import numpy as np
+    _NDARRAY, _FLOAT64, _array = np.ndarray, np.dtype(float), np.array
+    return np
+
+
 def _coerce(x, shape, noun, parts):
     """x coerced through numpy to a float array of the given shape with finite
     entries: the array and its entries as a row-major list.
@@ -47,10 +55,8 @@ def _coerce(x, shape, noun, parts):
     numpy's float64 singleton; the slow path binds numpy's handles and
     takes every other float64 array, such as an unpickled one, unchanged.
     """
-    global _NDARRAY, _FLOAT64, _array
     if not (type(x) is _NDARRAY and x.dtype is _FLOAT64):
-        import numpy as np
-        _NDARRAY, _FLOAT64, _array = np.ndarray, np.dtype(float), np.array
+        np = _numpy()
         if not (type(x) is np.ndarray and x.dtype == float):
             try:
                 array = np.asarray(x)

@@ -936,8 +936,11 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 def child_env():
     """Environment in which a child process imports the same isoclinic as
-    this process, whatever its working directory and whatever is installed."""
+    this process, whatever its working directory and whatever is installed,
+    with block-buffered stdout, as in a shell pipeline: a missing flush
+    then loses output."""
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     source = str(Path(isoclinic.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     return env
@@ -946,6 +949,8 @@ def child_env():
 # the installed executable, where `pip install` has put it on PATH
 INSTALLED = [["isoclinic"]] if shutil.which("isoclinic") else []
 EXECUTABLE = ["isoclinic"] if INSTALLED else ENTRYPOINT
+# the command the benchmark's fresh processes run
+MODULE = [sys.executable, "-m", "isoclinic"]
 
 
 def run_fresh(command, *args, stdin=None):
@@ -963,17 +968,20 @@ def stdout_fresh(command, *args, stdin=None):
 
 
 def test_golden_output_of_the_executable():
-    """Each golden row, replayed in its own process through the executable,
-    gives the recorded exit code and bytes: the installed `isoclinic` where
-    it is on PATH, else the wrapper setuptools writes for it. The rows share
-    a few threads."""
-    def replay(case):
-        return run_fresh(EXECUTABLE, *case["args"], stdin=case["stdin"])
+    """Each golden row, replayed in its own process through the executable
+    and through `python -m isoclinic`, gives the recorded exit code and
+    bytes: the installed `isoclinic` where it is on PATH, else the wrapper
+    setuptools writes for it. The rows share a few threads."""
+    def replay(run):
+        command, _, case = run
+        return run_fresh(command, *case["args"], stdin=case["stdin"])
 
+    runs = [(command, name, case) for command in (EXECUTABLE, MODULE)
+            for name, case in zip(GOLDEN_IDS, GOLDEN)]
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        outcomes = list(pool.map(replay, GOLDEN))
-    for name, case, outcome in zip(GOLDEN_IDS, GOLDEN, outcomes):
-        assert outcome == (case["exit"], case["stdout"], case["stderr"]), name
+        outcomes = list(pool.map(replay, runs))
+    for (command, name, case), outcome in zip(runs, outcomes):
+        assert outcome == (case["exit"], case["stdout"], case["stderr"]), (command[-1], name)
 
 
 def assert_round_trip(command):
@@ -1031,17 +1039,55 @@ def test_console_script_declared():
 
 def test_closed_stdout_exits_quietly():
     """A reader that stops early, as in `generate ... | head -1`, gets no
-    traceback on stderr."""
-    proc = subprocess.Popen([*ENTRYPOINT, "generate", "--seed", "1", "--count", "20000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    proc.stderr.close()
-    code = proc.wait(timeout=60)
-    assert len(first.split()) == 16
-    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
-    assert code == 141
+    traceback on stderr and exit 141, through the wrapper and through
+    `python -m isoclinic`."""
+    for command in (ENTRYPOINT, MODULE):
+        proc = subprocess.Popen([*command, "generate", "--seed", "1", "--count", "20000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert len(first.split()) == 16
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+        assert code == 141, command
+
+
+@pytest.mark.parametrize("args, stdin", [
+    (["--help"], b""),
+    (["decompose", "--help"], b""),
+    (["decompose", "--json"], IDENTITY16.encode()),
+    (["generate", "--seed", "1"], b""),
+], ids=["help", "decompose-help", "decompose", "generate"])
+def test_stdout_closed_before_the_output_exits_quietly(args, stdin):
+    """With stdout a pipe whose reader is already gone and block-buffered,
+    so that the first write fails at the flush, help exits 141 with no
+    traceback, as decompose and generate do, through the wrapper and
+    through `python -m isoclinic`."""
+    for command in (ENTRYPOINT, MODULE):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run([*command, *args], input=stdin, stdout=writer,
+                                  stderr=subprocess.PIPE, env=child_env(), timeout=60)
+        finally:
+            os.close(writer)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 141, (command, stderr)
+        assert stderr == "", stderr
+
+
+def test_an_unexpected_exception_prints_its_traceback():
+    """An exception that is no IsoclinicError, help or usage error leaves
+    entrypoint as it came: its traceback on stderr and exit 1, what stdout
+    held flushed by the interpreter's normal exit."""
+    code = ("import sys; from isoclinic import cli\n"
+            "def main():\n    print('written')\n    raise KeyError('unexpected')\n"
+            "cli.main = main\nsys.exit(cli.entrypoint())")
+    exit_code, out, err = run_fresh([sys.executable, "-c", code])
+    assert exit_code == 1 and out == "written\n"
+    assert "Traceback" in err and "KeyError: 'unexpected'" in err, err
 
 
 def test_undecodable_input_is_a_parse_error(tmp_path):

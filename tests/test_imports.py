@@ -17,11 +17,17 @@ from test_cli import IDENTITY16, ROUNDED16, child_env
 # runs `python -m isoclinic ARGS` in this process, then prints the exit code,
 # the numpy modules, which of argparse, dataclasses and inspect are loaded by
 # then and which generated kernel functions are compiled, as one JSON line on
-# stderr
+# stderr; os._exit, which would end the process at the CLI's last write,
+# raises SystemExit here instead, so that the report is printed
 CHILD = """
-import json, runpy, sys
+import json, os, runpy, sys
 args = json.loads(sys.argv[1])
 code = None
+
+def raise_exit(code):
+    raise SystemExit(code)
+
+os._exit = raise_exit
 if args is not None:
     sys.argv = ["isoclinic", *args]
     try:

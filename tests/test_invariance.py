@@ -29,6 +29,7 @@ from isoclinic import (
     validate_rotation,
     van_elfrinkhof,
 )
+from isoclinic import quat
 from isoclinic._kernel import gram_deviation
 from oracles import conjugate_reference
 
@@ -93,6 +94,25 @@ def test_copied_frame_arrays_stay_read_only(duplicate):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0.0
+
+
+def test_an_unpickled_frame_is_on_the_float64_singleton(monkeypatch):
+    """Unpickled, a frame's arrays carry numpy's float64 dtype object itself,
+    which coercion's fast path takes, not an equal copy of it as unpickled
+    arrays do, and stay read-only; conjugate_factorwise gives the original
+    frame's bits. Unpickling binds quat's numpy handles when it is the first
+    code to meet an array."""
+    frame = make_frame(random_rotation(50))
+    data = pickle.dumps(frame)
+    for name in ("_NDARRAY", "_FLOAT64", "_array"):
+        monkeypatch.setattr(quat, name, None)
+    twin = pickle.loads(data)
+    assert quat._FLOAT64 is np.dtype(float) and quat._array is np.array
+    for array in twin:
+        assert array.dtype is np.dtype(float) and not array.flags.writeable
+    for seed in range(51, 59):
+        A = random_rotation(seed)
+        assert conjugate_factorwise(A, twin).tobytes() == conjugate_factorwise(A, frame).tobytes()
 
 
 @settings(deadline=None, max_examples=200)

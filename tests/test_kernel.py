@@ -259,6 +259,7 @@ bit_inputs = st.one_of(
     families.map(lambda A: A.ravel().tolist()),
     st.builds(lambda A, scale: (scale * A).ravel().tolist(), rotations | st.just(np.eye(4)),
               st.sampled_from([0.9, 1.5]) | st.floats(1e306, 1.7976931348623157e308)
+              | st.floats(2.0 ** 512, 2.0 ** 515)
               | st.floats(5e-324, 1e-300) | st.builds(lambda k: 10.0 ** k, st.integers(-323, 308))),
     st.lists(st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
                               5e-324, -5e-324, 1.0, -1.0, 0.0, -0.0]), min_size=16, max_size=16),
@@ -287,8 +288,11 @@ TIED_REFLECTION = [0.5, 0.5, 0.5, 0.5, 0.5, -0.5, 0.5, -0.5,
 NEGATIVE_FIRST = [-1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0,
                   0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 # a Haar rotation scaled to the largest float: norm(M) is the largest float
-# too, so the read-off's step rounds a norm up to inf unless it quarters M
+# too, so the read-off's step would round a norm up to inf and divide by it
 NEAR_OVERFLOW = (1.7976931348623157e308 * random_rotation(0)).ravel().tolist()
+# decompose's guard: from this associate norm up, validate rejects A under
+# every budget, so the read-off runs only below it
+NORM_CEILING = 2.0 ** 513
 
 
 @settings(deadline=None, max_examples=600)
@@ -301,11 +305,11 @@ def test_generated_kernel_matches_the_loop_reference(a, tolerances):
     """associate and decompose give the loop reference's floats
     bit for bit, signs of zero included, or raise its error type with its
     measured value and bound; two_sided does the same on the factors read
-    off any matrix of readable norm."""
+    off any matrix whose norm is in decompose's domain."""
     assert outcome(_kernel.associate, a) == outcome(associate_loop, a)
     result = outcome(_kernel.decompose, a, tolerances)
     assert result == outcome(decompose_loop, a, tolerances)
-    if not _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < math.inf:
+    if not _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < NORM_CEILING:
         return
     L, R, _ = read_off(a)
     assert outcome(_kernel.two_sided, L, R) == outcome(two_sided_loop, L, R)
@@ -341,13 +345,14 @@ readable_bases = st.one_of(
 @given(readable_bases, st.integers(-149, 300))
 def test_every_readable_norm_reads_off_unit_factors(base, k):
     """The read-off decompose runs returns factors of unit norm to 4 eps
-    for any M whose norm is finite and above DEGENERACY_TOL, the matrix
-    orthogonal or not, of any determinant: it needs no norm floor. Each of
-    the three norms it divides by is at least norm(M)/8. Under ortho_tol =
-    inf decompose rejects any other matrix, with validation's error."""
+    for any M whose norm is in decompose's domain, above DEGENERACY_TOL and
+    below 2^513, the matrix orthogonal or not, of any determinant: it needs
+    no norm floor. Each of the three norms it divides by is at least
+    norm(M)/8. Under ortho_tol = inf decompose rejects any other matrix,
+    with validation's error."""
     a = [x * 10.0 ** k for x in base]
     norm = math.hypot(*_kernel.associate(a))
-    if not _kernel.DEGENERACY_TOL < norm < math.inf:
+    if not _kernel.DEGENERACY_TOL < norm < NORM_CEILING:
         with pytest.raises((NotOrthogonalError, NotProperRotationError)):
             _kernel.decompose(a, Tolerances(ortho_tol=math.inf))
         return
@@ -371,15 +376,17 @@ HAAR_WITH_INF[2] = math.inf
 @example([1e308 * x for x in IDENTITY16], math.inf)
 @example([1e308] * 16, math.inf)
 @example(HAAR_WITH_INF, math.inf)
+@example(NEAR_OVERFLOW, math.inf)
+@example([2.0 ** 514 * x for x in random_rotation(0).ravel().tolist()], math.inf)
 def test_validation_rejects_outside_the_read_off_domain(a, ortho_tol):
-    """Whenever the associate norm lies outside (DEGENERACY_TOL, inf),
+    """Whenever the associate norm lies outside (DEGENERACY_TOL, 2^513),
     validate rejects A under every budget, an infinite one included, and
     decompose raises the same error with the same measured value and
-    bound: it never returns, and never divides by a zero norm. At most
-    DEGENERACY_TOL, the determinant underflows to 0; overflowed, some
-    column's squared norm overflows and the Gram deviation reads inf; an
-    inf or NaN entry makes it inf or NaN."""
-    if _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < math.inf:
+    bound: it never returns, and never divides by a zero or overflowed
+    norm. At most DEGENERACY_TOL, the determinant underflows to 0; from
+    2^513 up, some column's squared norm overflows and the Gram deviation
+    reads inf; an inf or NaN entry makes it inf or NaN."""
+    if _kernel.DEGENERACY_TOL < math.hypot(*_kernel.associate(a)) < NORM_CEILING:
         return
     tolerances = Tolerances(ortho_tol=ortho_tol)
     expected = outcome(_kernel.validate, a, tolerances)
@@ -388,20 +395,23 @@ def test_validation_rejects_outside_the_read_off_domain(a, ortho_tol):
 
 
 # each mutant of decompose's guard of the read-off's domain, the guard
-# deleted included, and a floor of 0.0, which passes a subnormal M to the
-# read-off
-GUARD = "    if not DEGENERACY_TOL < norm < inf:\n        validate(a, tolerances)\n"
+# deleted included, a ceiling of inf, which passes a norm near the float
+# range to the read-off, and a floor of 0.0, which passes a subnormal M
+GUARD = "    if not DEGENERACY_TOL < norm < 2.0 ** 513:\n        validate(a, tolerances)\n"
 GUARD_MUTANTS = [
-    ("norm < inf", "norm <= inf"),
+    ("norm < 2.0 ** 513", "norm < inf"),
+    ("norm < 2.0 ** 513", "norm <= inf"),
     ("if not DEGENERACY_TOL", "if DEGENERACY_TOL"),
     (GUARD, ""),
     ("DEGENERACY_TOL <", "0.0 <"),
 ]
 # outcome-equivalent: an M of norm exactly DEGENERACY_TOL reads off at a
-# distance of about 2, past the shortcut, so validation decides it whichever
-# side of the guard it falls on
+# distance of about 2, past the shortcut, and one of norm exactly 2^513 at a
+# distance past it too, so validation decides each whichever side of the
+# guard it falls on
 EQUIVALENT_GUARD_MUTANTS = [
     ("DEGENERACY_TOL <", "DEGENERACY_TOL <="),
+    ("norm < 2.0 ** 513", "norm <= 2.0 ** 513"),
 ]
 # each mutant of validate's clause that an overflowed Gram deviation fails
 # every budget
@@ -480,8 +490,10 @@ def test_every_mutant_of_the_checks_is_killed():
     of that guard, and of validate's overflow clause as decompose runs it,
     fails on a pool: the identity, the zero matrix, an M whose norm
     overflows, 1e308 I, whose M has norm 1e308 and whose Gram deviation and
-    determinant overflow to inf, and a subnormal matrix whose read-off
-    divides by zero, under the default budget and under ortho_tol = inf.
+    determinant overflow to inf, a Haar rotation scaled to the largest
+    float, whose read-off divides by zero, and a subnormal matrix whose
+    read-off divides by zero, under the default budget and under ortho_tol
+    = inf.
     The equivalent mutant decides every case as decompose does."""
     source = _kernel._SOURCES["decompose"]
     assert "ZeroQuaternionError" not in source and source.count("raise ") == 0
@@ -493,7 +505,7 @@ def test_every_mutant_of_the_checks_is_killed():
     assert 0.0 < math.hypot(*_kernel.associate(subnormal)) < 1e-322
     for a in (huge, big):
         assert (_kernel.gram_deviation(a), _kernel.determinant(a)) == (math.inf, math.inf)
-    pool = [(a, tolerances) for a in (IDENTITY16, [0.0] * 16, huge, big, subnormal)
+    pool = [(a, tolerances) for a in (IDENTITY16, [0.0] * 16, huge, big, NEAR_OVERFLOW, subnormal)
             for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf))]
     assert_mutants_killed(source, "decompose", GUARD_MUTANTS, pool)
     expected, mutated = mutants_outcomes(source, "decompose", EQUIVALENT_GUARD_MUTANTS, pool)
@@ -762,29 +774,28 @@ def scan_step(k):
     return f"\n    x = abs(m{k})\n    if x > b:\n        b, j = x, {k % 4}"
 
 
-def test_a_norm_near_the_float_range_reads_off_unit_factors():
-    """Haar rotations scaled to the largest floats, norm(M) finite and past
-    2^1020 (a norm rounded to inf is left out): the read-off runs its step
-    on M/4 and returns unit factors to 4 eps and the distance of A, inf
-    where it overflows, and decompose raises validation's error under the
-    default budget and under ortho_tol = inf. Its step without the
-    quartering divides by zero on the largest float's scale."""
-    scaled = [(scale * random_rotation(seed)).ravel().tolist()
-              for seed in range(8) for scale in (1.7976931348623157e308, 1.5e308, 2.0 ** 1021)]
-    # the largest float's scale rounds some of these norms to inf
-    scaled = [a for a in scaled if math.hypot(*_kernel.associate(a)) < math.inf]
-    assert NEAR_OVERFLOW in scaled and len(scaled) >= 16
+def test_a_norm_near_the_float_range_is_rejected():
+    """Haar rotations scaled so that norm(M) lies in [2^513, 2^515) or near
+    the largest float: decompose runs validate, not the read-off, and
+    raises NotOrthogonalError with an overflowed Gram deviation, as the
+    loop reference does, under the default budget, 1e300 and ortho_tol =
+    inf. With the guard's ceiling raised to inf, the read-off divides by
+    zero on the largest float's scale."""
+    scales = [2.0 ** 513 * (1.0 + k / 8) for k in range(1, 24)]
+    scaled = [[scale * x for x in random_rotation(seed).ravel().tolist()]
+              for seed in range(8)
+              for scale in (*scales, 1.7976931348623157e308, 1.5e308, 2.0 ** 1021)]
+    assert NEAR_OVERFLOW in scaled
     pool = [(a, tolerances) for a in scaled
-            for tolerances in (Tolerances(), Tolerances(ortho_tol=math.inf))]
+            for tolerances in (Tolerances(), Tolerances(ortho_tol=1e300),
+                               Tolerances(ortho_tol=math.inf))]
     for a, tolerances in pool:
-        assert 2.0 ** 1020 < math.hypot(*_kernel.associate(a))
-        L, R, distance = read_off(a)
-        assert abs(math.hypot(*L) - 1.0) <= 4 * EPS and abs(math.hypot(*R) - 1.0) <= 4 * EPS
-        rotation = bilinear_composition(L, R).ravel()
-        assert distance == pytest.approx(math.hypot(*(np.array(a) - rotation)), rel=1e-12)
-        assert outcome(_kernel.decompose, a, tolerances) == outcome(decompose_loop, a, tolerances)
+        assert NORM_CEILING <= math.hypot(*_kernel.associate(a))
+        result = outcome(_kernel.decompose, a, tolerances)
+        assert result == ("NotOrthogonalError", "inf", float.hex(tolerances.ortho_tol))
+        assert result == outcome(decompose_loop, a, tolerances)
     source = _kernel._SOURCES["decompose"]
-    assert_mutants_killed(source, "decompose", [("big = n > 2.0 ** 1020", "big = n > inf")], pool)
+    assert_mutants_killed(source, "decompose", [("norm < 2.0 ** 513", "norm < inf")], pool)
 
 
 # each single-operator mutant of the pivot scan, each anchored on its own
